@@ -93,6 +93,20 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise ValueError(f"{text!r} is not a comma-separated float list") from None
 
 
+def _bootstrap_b(text: str) -> int:
+    b = int(text)
+    if b != 0 and b < 1000:
+        raise argparse.ArgumentTypeError(f"{text} must be 0 (off) or at least 1000")
+    return b
+
+
+def _ci_level(text: str) -> float:
+    level = float(text)
+    if not 0.0 < level < 1.0:
+        raise argparse.ArgumentTypeError(f"{text} must be in (0, 1)")
+    return level
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="reliakit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -109,9 +123,11 @@ def build_parser() -> _Parser:
     analyze.add_argument("--format", action="append", choices=_FORMATS,
                          help="output format; repeatable (default: all)")
     analyze.add_argument("--seed", type=int, default=0)
-    analyze.add_argument("--bootstrap-b", type=int, default=10000,
-                         help="bootstrap resamples for VAF intervals (0 disables)")
-    analyze.add_argument("--ci-level", type=float, default=0.95)
+    analyze.add_argument("--bootstrap-b", type=_bootstrap_b, default=10000,
+                         help="bootstrap resamples for VAF intervals"
+                              " (0 disables, otherwise at least 1000)")
+    analyze.add_argument("--ci-level", type=_ci_level, default=0.95,
+                         help="interval confidence level, in (0, 1)")
     analyze.add_argument("--ci-method", choices=("wald", "wilson"), default="wald")
     analyze.add_argument("--mop-theta", type=float, default=1.711,
                          help="entropy level threshold in bits")

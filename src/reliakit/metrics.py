@@ -9,6 +9,7 @@ happens only at the report boundary.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .rng import substream
+from .rng import resample_indices
 from .trajectory import BUCKETS, Episode, TaskSpec, episode_gds
 
 __all__ = [
@@ -475,8 +476,9 @@ def bootstrap_ci(
     pool, passed to ``statistic`` as one argument) or a tuple of sequences
     (each pool resampled independently, passed as separate arguments); the
     independent form is what ratio statistics need. Resample ``i`` draws
-    from its own substream of ``seed``, so the interval is reproducible
-    and independent of evaluation order. Resamples on which the statistic
+    exactly what ``substream(seed, "bootstrap", i)`` would (see
+    ``rng.resample_indices``), so the interval is reproducible and
+    independent of evaluation order. Resamples on which the statistic
     is degenerate are dropped; more than 20% of them is an error.
     """
     if b < 1000:
@@ -492,15 +494,14 @@ def bootstrap_ci(
     if any(len(pool) == 0 for pool in pools):
         raise MetricError("bootstrap_ci: empty resampling pool")
 
+    sizes = [len(pool) for pool in pools]
+    ends = list(itertools.accumulate(sizes))
+    spans = list(zip(pools, [0, *ends], ends))
     values: list[float] = []
     degenerate = 0
-    for i in range(b):
-        gen = substream(seed, "bootstrap", i)
-        samples = []
-        for pool in pools:
-            n = len(pool)
-            idx = gen.integers(0, n, size=n)
-            samples.append([pool[j] for j in idx])
+    for row in resample_indices(seed, "bootstrap", b, sizes):
+        idx = row.tolist()
+        samples = [[pool[j] for j in idx[lo:hi]] for pool, lo, hi in spans]
         try:
             stat = statistic(samples[0]) if single else statistic(*samples)
         except DegenerateStatisticError:

@@ -53,6 +53,7 @@ from .trajectory import (
     TaskSpec,
     ValidationIssue,
     ValidationReport,
+    _iter_lines,
     cross_validate,
     load_task_registry,
     parse_episode_log,
@@ -212,6 +213,11 @@ class PipelineOptions:
     emit_series: bool = False
 
     def __post_init__(self) -> None:
+        if self.bootstrap_b != 0 and self.bootstrap_b < 1000:
+            raise InputError(
+                f"options: bootstrap_b must be 0 (off) or at least 1000, got {self.bootstrap_b}")
+        if not 0.0 < self.ci_level < 1.0:
+            raise InputError(f"options: ci_level must be in (0, 1), got {self.ci_level}")
         if self.regressor not in REGRESSORS:
             raise InputError(f"options: unknown regressor {self.regressor!r}")
         if self.ci_method not in ("wald", "wilson"):
@@ -262,14 +268,20 @@ class ReportBundle:
 
 # --- pipeline ---------------------------------------------------------------
 
-def _read_input(path: str | Path, stage: str) -> tuple[bytes, str, int]:
+def _read_input(path: str | Path, stage: str) -> tuple[list[str], str, int]:
+    """The file's lines, sha256 of its raw bytes, and its non-blank line
+    count by the parsers' own rule (``_iter_lines``), so the accounting
+    counts exactly the lines the parsers see. Lines end only at line
+    feeds, as a text stream without newline translation splits them."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"{stage}: cannot read {path}: {exc}") from exc
-    digest = hashlib.sha256(data).hexdigest()
-    lines = sum(1 for ln in data.splitlines() if ln.strip())
-    return data, digest, lines
+    try:
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{stage}: {path} is not UTF-8: {exc}") from exc
+    return lines, hashlib.sha256(data).hexdigest(), sum(1 for _ in _iter_lines(lines))
 
 
 def _count_issue(reports: Iterable[ValidationReport], code: str) -> int:
@@ -303,13 +315,11 @@ def run_pipeline(
         raise InputError("parse: no log paths given")
 
     # registry
-    registry_bytes, registry_sha, registry_lines = _read_input(registry_path, "registry")
+    registry_raw, registry_sha, registry_lines = _read_input(registry_path, "registry")
     try:
-        tasks = load_task_registry(io.StringIO(registry_bytes.decode("utf-8")))
+        tasks = load_task_registry(registry_raw)
     except RegistryError as exc:
         raise InputError(f"registry: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InputError(f"registry: {registry_path} is not UTF-8: {exc}") from exc
     registry = {t.task_id: t for t in tasks}
 
     # parse (with cross-file dedup keeping the first occurrence)
@@ -318,12 +328,8 @@ def run_pipeline(
     reports: list[ValidationReport] = []
     seen_ids: set[str] = set()
     for path in log_paths:
-        data, sha, lines = _read_input(path, "parse")
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise InputError(f"parse: {path} is not UTF-8: {exc}") from exc
-        file_eps, file_reports = parse_episode_log(io.StringIO(text))
+        raw, sha, lines = _read_input(path, "parse")
+        file_eps, file_reports = parse_episode_log(raw)
         reports.extend(file_reports)
         for ep in file_eps:
             if ep.episode_id in seen_ids:
@@ -354,13 +360,11 @@ def run_pipeline(
     pricing = None
     pricing_meta = None
     if pricing_path is not None:
-        pricing_bytes, pricing_sha, pricing_lines = _read_input(pricing_path, "cost")
+        pricing_raw, pricing_sha, pricing_lines = _read_input(pricing_path, "cost")
         try:
-            pricing = load_pricing(io.StringIO(pricing_bytes.decode("utf-8")))
+            pricing = load_pricing(pricing_raw)
         except RegistryError as exc:
             raise InputError(f"cost: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise InputError(f"cost: {pricing_path} is not UTF-8: {exc}") from exc
         pricing_meta = {"path": str(pricing_path), "sha256": pricing_sha,
                         "lines": pricing_lines}
 

@@ -9,14 +9,30 @@ and no routine ever shares mutable generator state with another.
 from __future__ import annotations
 
 import hashlib
+from typing import Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["substream"]
+__all__ = ["resample_indices", "substream"]
 
 # Path components are joined with a unit separator so ("a", "b") and
 # ("a/b",) cannot collide.
 _SEP = "\x1f"
+
+# Resamples whose index rows resample_indices maps in one vectorized pass;
+# its temporaries hold one chunk, whatever the number of resamples.
+_CHUNK = 256
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _key(seed: int, *path: object) -> int:
+    """128-bit Philox key of (seed, *path): the first 16 bytes of SHA-256
+    over the joined path, read little-endian."""
+    label = _SEP.join(str(part) for part in (seed, *path))
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    return int.from_bytes(digest[:16], "little")
 
 
 def substream(seed: int, *path: object) -> np.random.Generator:
@@ -26,7 +42,54 @@ def substream(seed: int, *path: object) -> np.random.Generator:
     so substreams are decorrelated by construction and reproducible from
     the seed alone.
     """
-    label = _SEP.join(str(part) for part in (seed, *path))
-    digest = hashlib.sha256(label.encode("utf-8")).digest()
-    key = int.from_bytes(digest[:16], "little")
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(seed, *path)))
+
+
+def resample_indices(
+    seed: int, tag: object, b: int, sizes: Sequence[int],
+) -> Iterator[np.ndarray]:
+    """Yield ``b`` index rows, one per bootstrap resample over pools of ``sizes``.
+
+    Row ``i`` equals the concatenation over ``sizes`` of
+    ``substream(seed, tag, i).integers(0, n, size=n)``, without building a
+    generator per row: one Philox is re-keyed for each row, its raw words
+    are read as the 32-bit stream ``integers`` consumes, and NumPy's
+    bounded-integer (Lemire) mapping is applied to a chunk of rows at once.
+    A size-1 pool draws nothing. A row in which any draw would be rejected
+    by that mapping (and so consume extra words) is recomputed from its
+    substream, so every row is exact.
+    """
+    sizes = [int(n) for n in sizes]
+    if any(n < 1 for n in sizes):
+        raise ValueError(f"resample_indices: pool sizes must be >= 1, got {sizes}")
+    drawn = [n for n in sizes if n > 1]
+    # Per draw, in stream order: the exclusive bound and the Lemire threshold
+    # below which NumPy rejects the draw.
+    bounds = np.repeat(np.array(drawn, dtype=np.uint64), drawn)
+    thresholds = (np.uint64(1 << 32) - bounds) % bounds
+    columns = np.flatnonzero(np.repeat(np.array(sizes) > 1, sizes))
+    n_draws = len(bounds)
+    n_words = (n_draws + 1) // 2
+
+    bitgen = np.random.Philox(key=0)
+    state = bitgen.state
+    for first in range(0, b, _CHUNK):
+        rows = min(_CHUNK, b - first)
+        words = np.empty((rows, n_words), dtype=np.uint64)
+        for r in range(rows):
+            key = _key(seed, tag, first + r)
+            state["state"]["key"] = (key & _MASK64, key >> 64)
+            bitgen.state = state
+            words[r] = bitgen.random_raw(n_words)
+        # Philox hands out the low half of each 64-bit word, then the high half.
+        draws = words.astype("<u8", copy=False).view("<u4")[:, :n_draws]
+        scaled = draws.astype(np.uint64) * bounds
+        rejected = ((scaled & _MASK32) < thresholds).any(axis=1)
+        out = np.zeros((rows, sum(sizes)), dtype=np.int64)
+        out[:, columns] = scaled >> 32
+        for r in range(rows):
+            if rejected[r]:
+                gen = substream(seed, tag, first + r)
+                yield np.concatenate([gen.integers(0, n, size=n) for n in sizes])
+            else:
+                yield out[r]

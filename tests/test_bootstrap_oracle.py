@@ -1,0 +1,163 @@
+"""The batched bootstrap against the per-resample loop it replaced.
+
+``_reference_bootstrap_ci`` is that loop, kept verbatim: one fresh
+``substream(seed, "bootstrap", i)`` generator per resample and one
+``integers`` call per pool. The fast path must agree with it exactly, not
+within a tolerance, because it draws the same indices and feeds the same
+statistic in the same order.
+"""
+from __future__ import annotations
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from reliakit import DegenerateStatisticError, MetricError, bootstrap_ci
+from reliakit import rng
+from reliakit.metrics import _variance_ratio
+from reliakit.rng import resample_indices, substream
+
+
+def _reference_bootstrap_ci(statistic, units, b=10000, level=0.95, seed=0):
+    if b < 1000:
+        raise MetricError(f"bootstrap_ci: b={b} is below the 1000-resample floor")
+    if not 0.0 < level < 1.0:
+        raise MetricError(f"bootstrap_ci: level {level} outside (0, 1)")
+    if isinstance(units, tuple) and units and all(isinstance(u, (list, tuple)) for u in units):
+        pools = units
+        single = False
+    else:
+        pools = (units,)
+        single = True
+    if any(len(pool) == 0 for pool in pools):
+        raise MetricError("bootstrap_ci: empty resampling pool")
+
+    values: list[float] = []
+    degenerate = 0
+    for i in range(b):
+        gen = substream(seed, "bootstrap", i)
+        samples = []
+        for pool in pools:
+            n = len(pool)
+            idx = gen.integers(0, n, size=n)
+            samples.append([pool[j] for j in idx])
+        try:
+            stat = statistic(samples[0]) if single else statistic(*samples)
+        except DegenerateStatisticError:
+            degenerate += 1
+            continue
+        values.append(float(stat))
+    if degenerate > 0.2 * b:
+        raise MetricError(
+            f"bootstrap_ci: statistic degenerate on {degenerate / b:.1%} of {b} resamples"
+            " (more than the 20% tolerance)")
+    tail = 100.0 * (1.0 - level) / 2.0
+    low, high = np.percentile(values, [tail, 100.0 - tail])
+    return float(low), float(high)
+
+
+def _outcome(fn, *args, **kwargs):
+    """The interval, or the MetricError message when the call refuses."""
+    try:
+        return fn(*args, **kwargs)
+    except MetricError as exc:
+        return str(exc)
+
+
+def _mean(sample):
+    return math.fsum(sample) / len(sample)
+
+
+def _reference_rows(seed, b, sizes):
+    for i in range(b):
+        gen = substream(seed, "bootstrap", i)
+        yield np.concatenate([gen.integers(0, n, size=n) for n in sizes])
+
+
+# Pass fractions of 3-repeat tasks, so flat (degenerate) resamples occur.
+_values = st.lists(st.sampled_from([0.0, 1 / 3, 2 / 3, 1.0]) | st.floats(0.0, 1.0),
+                   min_size=1, max_size=60)
+
+
+@given(pools=st.lists(_values, min_size=1, max_size=2),
+       b=st.sampled_from([1000, 1001, 2500]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       level=st.sampled_from([0.9, 0.95]))
+@settings(max_examples=25, deadline=None)
+def test_bootstrap_ci_equals_reference_exactly(pools, b, seed, level):
+    if len(pools) == 1:
+        statistic, units = _mean, pools[0]
+    else:
+        statistic, units = _variance_ratio, tuple(pools)
+    fast = _outcome(bootstrap_ci, statistic, units, b=b, level=level, seed=seed)
+    slow = _outcome(_reference_bootstrap_ci, statistic, units, b=b, level=level, seed=seed)
+    assert fast == slow
+
+
+@pytest.mark.parametrize("sizes", [(1,), (2,), (7,), (60,), (1, 5), (5, 1),
+                                   (24, 24), (60, 1, 13), (3, 59)])
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 31 + 5])
+def test_resample_rows_match_substream_draws(sizes, seed):
+    b = 1001  # not a multiple of the chunk, so the last chunk is partial
+    fast = list(resample_indices(seed, "bootstrap", b, sizes))
+    assert len(fast) == b
+    for i, (row, expected) in enumerate(zip(fast, _reference_rows(seed, b, sizes))):
+        assert row.dtype == expected.dtype
+        assert np.array_equal(row, expected), i
+
+
+def test_rejected_row_is_recomputed_from_its_substream(monkeypatch):
+    # Row 601 of seed 23 over two 1000-task pools holds a draw that NumPy's
+    # bounded-integer mapping rejects; no other row of the first 1000 does.
+    calls = []
+    original = rng.substream
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rng, "substream", counting)
+    sizes = (1000, 1000)
+    rows = list(resample_indices(23, "bootstrap", 1000, sizes))
+    assert calls == [(23, "bootstrap", 601)]
+    monkeypatch.undo()
+    for i, (row, expected) in enumerate(zip(rows, _reference_rows(23, 1000, sizes))):
+        assert np.array_equal(row, expected), i
+
+
+def test_excessive_degeneracy_still_an_error():
+    units = ([0.0, 1.0], [1.0, 1.0, 1.0, 0.0])
+    with pytest.raises(MetricError, match="degenerate") as fast:
+        bootstrap_ci(_variance_ratio, units, b=1000, seed=0)
+    with pytest.raises(MetricError, match="degenerate") as slow:
+        _reference_bootstrap_ci(_variance_ratio, units, b=1000, seed=0)
+    assert str(fast.value) == str(slow.value)
+
+
+def test_pool_sizes_below_one_are_rejected():
+    with pytest.raises(ValueError, match="sizes"):
+        next(resample_indices(0, "bootstrap", 1000, (3, 0)))
+
+
+def _peak_bytes(b, sizes):
+    tracemalloc.start()
+    try:
+        for _ in resample_indices(0, "bootstrap", b, sizes):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_temporaries_do_not_grow_with_b():
+    sizes = (400, 400)
+    chunk = rng._CHUNK
+    small = _peak_bytes(2 * chunk, sizes)
+    large = _peak_bytes(8 * chunk, sizes)
+    assert large < 1.25 * small
+    # One chunk of uint64/int64 rows is chunk * 800 * 8 bytes; an index
+    # matrix over all 8 chunks would be 8 times that.
+    assert large < 8 * chunk * sum(sizes) * 8

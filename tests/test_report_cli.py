@@ -122,6 +122,18 @@ class TestPipelineOptions:
         with pytest.raises(InputError, match="vaf_denominator"):
             PipelineOptions(vaf_denominator=())
 
+    @pytest.mark.parametrize("b", [1, 500, 999, -5])
+    def test_bootstrap_b_is_zero_or_at_least_1000(self, b):
+        with pytest.raises(InputError, match="bootstrap_b"):
+            PipelineOptions(bootstrap_b=b)
+        assert PipelineOptions(bootstrap_b=0).bootstrap_b == 0
+        assert PipelineOptions(bootstrap_b=1000).bootstrap_b == 1000
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.1, math.nan])
+    def test_ci_level_inside_unit_interval(self, level):
+        with pytest.raises(InputError, match="ci_level"):
+            PipelineOptions(ci_level=level)
+
     def test_to_dict_is_json_ready(self):
         opts = PipelineOptions(seed=3, bootstrap_b=0)
         payload = json.loads(json.dumps(opts.to_dict()))
@@ -181,6 +193,27 @@ class TestRunPipeline:
         assert counts["analyzed"] == 32
         assert bundle.run_metadata["conservation_holds"]
         assert bundle.run_metadata["validation_issues"]["unknown_task"] == 1
+
+    @pytest.mark.parametrize("blank_like", ["\u00a0", " \u00a0\t"])
+    def test_line_of_unicode_whitespace_is_not_counted(self, tmp_path, blank_like):
+        log, registry = write_corpus(tmp_path, small_corpus())
+        lines = log.read_text(encoding="utf-8").splitlines()
+        lines.insert(3, blank_like)
+        log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        bundle = run_pipeline([log], registry, options=PipelineOptions(bootstrap_b=0))
+        counts = bundle.run_metadata["episodes"]
+        assert counts["log_lines"] == counts["parsed"] == 32
+        assert bundle.run_metadata["conservation_holds"]
+
+    def test_carriage_return_inside_a_record_is_one_line(self, tmp_path):
+        log, registry = write_corpus(tmp_path, small_corpus())
+        lines = log.read_text(encoding="utf-8").splitlines()
+        lines[5] = lines[5].replace(",", ",\r", 1)  # JSON whitespace, not a line break
+        log.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        bundle = run_pipeline([log], registry, options=PipelineOptions(bootstrap_b=0))
+        counts = bundle.run_metadata["episodes"]
+        assert counts["log_lines"] == counts["parsed"] == 32
+        assert bundle.run_metadata["conservation_holds"]
 
     def test_input_errors(self, tmp_path):
         log, registry = write_corpus(tmp_path, small_corpus())
@@ -308,6 +341,17 @@ class TestCli:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("knob", [("--bootstrap-b", "500"), ("--bootstrap-b", "-5"),
+                                      ("--ci-level", "1.5")])
+    def test_bad_knob_is_exit_1_before_reading_input(self, tmp_path, capsys, knob):
+        # The inputs do not exist, so reading them would exit 2.
+        code = main(["analyze", "--logs", str(tmp_path / "nope.jsonl"),
+                     "--registry", str(tmp_path / "nope-tasks.jsonl"),
+                     "--out", str(tmp_path / "out"), *knob])
+        assert code == 1
+        assert f"usage error: argument {knob[0]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_simulate_study_then_analyze(self, tmp_path, capsys):
         data = tmp_path / "data"
