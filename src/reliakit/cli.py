@@ -14,11 +14,10 @@ Exit codes: 0 success, 1 usage error, 2 input validation failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -34,6 +33,11 @@ from .report import (
     InputError,
     PipelineError,
     PipelineOptions,
+    _cost_rows,
+    _csv_text,
+    _load_logs,
+    _load_reference,
+    _write,
     compute_cost,
     emit_report,
     load_pricing,
@@ -54,12 +58,13 @@ from .simulate import (
 )
 from .trajectory import (
     BUCKETS,
+    Episode,
     RegistryError,
     Subtask,
     TaskSpec,
+    _read_records,
     cross_validate,
     load_task_registry,
-    parse_episode_log,
     write_episode_log,
     write_task_registry,
 )
@@ -93,18 +98,22 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise ValueError(f"{text!r} is not a comma-separated float list") from None
 
 
-def _bootstrap_b(text: str) -> int:
-    b = int(text)
-    if b != 0 and b < 1000:
-        raise argparse.ArgumentTypeError(f"{text} must be 0 (off) or at least 1000")
-    return b
+def _bounded(kind: type, ok: Callable[[Any], bool], rule: str) -> Callable[[str], Any]:
+    """An argparse type: ``kind`` of the text, rejected unless ``ok``."""
+    def parse(text: str) -> Any:
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} must be {rule}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
 
 
-def _ci_level(text: str) -> float:
-    level = float(text)
-    if not 0.0 < level < 1.0:
-        raise argparse.ArgumentTypeError(f"{text} must be in (0, 1)")
-    return level
+_bootstrap_b = _bounded(int, lambda b: b == 0 or b >= 1000, "0 (off) or at least 1000")
+_ci_level = _bounded(float, lambda x: 0.0 < x < 1.0, "in (0, 1)")
+_mop_window = _bounded(int, lambda w: w >= 2, "at least 2")
+_mop_theta = _bounded(float, lambda x: x >= 0.0, "at least 0")
+_percentile = _bounded(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
 
 
 def build_parser() -> _Parser:
@@ -129,11 +138,11 @@ def build_parser() -> _Parser:
     analyze.add_argument("--ci-level", type=_ci_level, default=0.95,
                          help="interval confidence level, in (0, 1)")
     analyze.add_argument("--ci-method", choices=("wald", "wilson"), default="wald")
-    analyze.add_argument("--mop-theta", type=float, default=1.711,
+    analyze.add_argument("--mop-theta", type=_mop_theta, default=1.711,
                          help="entropy level threshold in bits")
     analyze.add_argument("--mop-delta", type=float, default=0.0,
                          help="required entropy rise over one window span")
-    analyze.add_argument("--mop-window", type=int, default=5)
+    analyze.add_argument("--mop-window", type=_mop_window, default=5)
     analyze.add_argument("--vaf-num", type=_bucket_list, default=("long", "very_long"),
                          metavar="BUCKETS", help="comma-separated numerator buckets")
     analyze.add_argument("--vaf-den", type=_bucket_list, default=("short", "medium"),
@@ -148,14 +157,14 @@ def build_parser() -> _Parser:
     mop.add_argument("--logs", nargs="+", required=True, metavar="PATH")
     mop.add_argument("--out", metavar="DIR",
                      help="write mop.csv there instead of stdout")
-    mop.add_argument("--mop-theta", type=float, default=1.711)
+    mop.add_argument("--mop-theta", type=_mop_theta, default=1.711)
     mop.add_argument("--mop-delta", type=float, default=0.0)
-    mop.add_argument("--mop-window", type=int, default=5)
+    mop.add_argument("--mop-window", type=_mop_window, default=5)
     mop.add_argument("--calibrate", choices=("f1", "baseline"),
                      help="calibrate thresholds instead of detecting")
     mop.add_argument("--labels", metavar="PATH",
                      help="newline-delimited {episode_id, meltdown} records (f1 mode)")
-    mop.add_argument("--percentile", type=float, default=0.95,
+    mop.add_argument("--percentile", type=_percentile, default=0.95,
                      help="baseline percentile (baseline mode)")
     mop.set_defaults(handler=_cmd_mop)
 
@@ -228,46 +237,45 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_episodes(paths: Sequence[str]) -> list:
-    episodes = []
-    seen: set[str] = set()
-    for path in paths:
-        file_eps, _ = parse_episode_log(path)
-        for ep in file_eps:
-            if ep.episode_id not in seen:
-                seen.add(ep.episode_id)
-                episodes.append(ep)
-    if not episodes:
+def _read_episodes(paths: Sequence[str]) -> list[Episode]:
+    """The pipeline's log loader, with its line accounting on stderr."""
+    logs = _load_logs(paths)
+    print("read logs: " + " ".join(f"{k}={v}" for k, v in logs.counts().items()),
+          file=sys.stderr)
+    if not logs.episodes:
         raise InputError("parse: no valid episodes")
-    return episodes
+    return logs.episodes
 
 
-def _load_labels(path: str) -> dict[str, bool]:
-    labels: dict[str, bool] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RegistryError(f"labels line {lineno}: malformed JSON: {exc}") from exc
-            if (not isinstance(record, dict)
-                    or not isinstance(record.get("episode_id"), str)
-                    or not isinstance(record.get("meltdown"), bool)):
-                raise RegistryError(
-                    f"labels line {lineno}: need episode_id (string) and meltdown (bool)")
-            labels[record["episode_id"]] = record["meltdown"]
-    return labels
+def _label(record: dict) -> tuple[str, bool]:
+    if (not isinstance(record.get("episode_id"), str)
+            or not isinstance(record.get("meltdown"), bool)):
+        raise ValueError("need episode_id (string) and meltdown (bool)")
+    return record["episode_id"], record["meltdown"]
+
+
+def _load_labels(source: Iterable[str]) -> dict[str, bool]:
+    return dict(_read_records(source, "labels", "episode_id", _label))
+
+
+def _write_csv(out_dir: str | None, name: str, header: Sequence[str],
+               rows: Sequence[Sequence]) -> Path | None:
+    """Rows as CSV in ``out_dir/name``, returning that path, or on stdout
+    without ``out_dir``."""
+    text = _csv_text(header, rows)
+    if out_dir is None:
+        sys.stdout.write(text)
+        return None
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    return _write(Path(out_dir) / name, text)
 
 
 def _cmd_mop(args: argparse.Namespace) -> int:
-    episodes = _load_episodes(args.logs)
+    if args.calibrate == "f1" and not args.labels:
+        raise _UsageError("--calibrate f1 requires --labels")
+    episodes = _read_episodes(args.logs)
     if args.calibrate == "f1":
-        if not args.labels:
-            raise _UsageError("--calibrate f1 requires --labels")
-        labels = _load_labels(args.labels)
+        labels, _ = _load_reference(_load_labels, args.labels, "labels")
         missing = sorted(ep.episode_id for ep in episodes
                          if ep.episode_id not in labels)
         if missing:
@@ -287,25 +295,12 @@ def _cmd_mop(args: argparse.Namespace) -> int:
 
     config = MopConfig(window_w=args.mop_window, theta_h=args.mop_theta,
                        delta=args.mop_delta)
-    rows = []
-    for ep in episodes:
-        result = detect_mop(ep, config)
-        rows.append((ep.episode_id,
-                     "" if result.onset_step is None else result.onset_step,
-                     repr(result.max_entropy), result.too_short, result.melted))
-    header = ("episode_id", "onset_step", "max_entropy", "too_short", "melted")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "mop.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-        print(f"wrote {out / 'mop.csv'} ({len(rows)} episodes)")
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    rows = [(r.episode_id, r.onset_step, r.max_entropy, r.too_short, r.melted)
+            for r in (detect_mop(ep, config) for ep in episodes)]
+    path = _write_csv(args.out, "mop.csv",
+                      ("episode_id", "onset_step", "max_entropy", "too_short", "melted"), rows)
+    if path:
+        print(f"wrote {path} ({len(rows)} episodes)")
     return 0
 
 
@@ -373,18 +368,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    logs = _load_logs(args.logs)
+    reports = logs.reports
+    if args.registry:
+        tasks, _ = _load_reference(load_task_registry, args.registry, "registry")
+        reports = reports + cross_validate(logs.episodes, {t.task_id: t for t in tasks})[1]
     n_errors = 0
     n_warnings = 0
-    episodes = []
-    reports = []
-    for path in args.logs:
-        file_eps, file_reports = parse_episode_log(path)
-        episodes.extend(file_eps)
-        reports.extend(file_reports)
-    if args.registry:
-        registry = {t.task_id: t for t in load_task_registry(args.registry)}
-        _, join_reports = cross_validate(episodes, registry)
-        reports.extend(join_reports)
     for report in reports:
         for issue in report.errors:
             n_errors += 1
@@ -392,35 +382,18 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         for issue in report.warnings:
             n_warnings += 1
             print(f"WARNING {report.episode_id} {issue.code}: {issue.message}")
-    print(f"{len(episodes)} episodes parsed, {n_errors} errors, {n_warnings} warnings")
+    print(f"{len(logs.episodes)} episodes parsed, {n_errors} errors, {n_warnings} warnings")
     return 2 if n_errors else 0
 
 
 def _cmd_cost(args: argparse.Namespace) -> int:
-    episodes = _load_episodes(args.logs)
-    pricing = load_pricing(args.pricing)
-    report = compute_cost(episodes, pricing)
-    rows = [
-        (model_id, mc.n_episodes, mc.tokens_in, mc.tokens_out, repr(mc.total_cost))
-        for model_id, mc in report.per_model.items()
-    ]
-    rows.append(("(all)", len(report.per_episode),
-                 sum(c.tokens_in for c in report.per_episode),
-                 sum(c.tokens_out for c in report.per_episode),
-                 repr(report.total_cost)))
-    header = ("model_id", "n_episodes", "tokens_in", "tokens_out", "total_cost")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "cost.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-        print(f"wrote {out / 'cost.csv'}")
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    episodes = _read_episodes(args.logs)
+    pricing, _ = _load_reference(load_pricing, args.pricing, "cost")
+    rows = _cost_rows(compute_cost(episodes, pricing))
+    path = _write_csv(args.out, "cost.csv",
+                      ("model_id", "n_episodes", "tokens_in", "tokens_out", "total_cost"), rows)
+    if path:
+        print(f"wrote {path}")
     return 0
 
 
@@ -449,3 +422,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .metrics import ols_slope
+from .metrics import _joined, ols_slope
 from .trajectory import BUCKETS, NUDGE_LIMIT, Episode, TaskSpec, ToolStep
 
 __all__ = [
@@ -62,6 +62,12 @@ class MeltdownError(ValueError):
     """Raised when a detection or calibration precondition is not met."""
 
 
+def _check_window(w: int, owner: str) -> None:
+    # a one-call window always has zero entropy, so nothing could melt
+    if w < 2:
+        raise MeltdownError(f"{owner}: window_w must be >= 2, got {w}")
+
+
 @dataclass(frozen=True)
 class MopConfig:
     """Detection thresholds: entropy level theta_h and one-window rise delta,
@@ -72,8 +78,7 @@ class MopConfig:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.window_w < 2:
-            raise MeltdownError(f"window_w must be >= 2, got {self.window_w}")
+        _check_window(self.window_w, "MopConfig")
         if self.theta_h < 0:
             raise MeltdownError(f"theta_h must be >= 0, got {self.theta_h}")
 
@@ -207,6 +212,7 @@ def calibrate_mop_f1(
     Ties prefer the lower theta_h, then the lower delta. Entropy series are
     computed once per episode; only the thresholds move across the grid.
     """
+    _check_window(w, "calibrate_mop_f1")
     if not labeled:
         raise MeltdownError("calibrate_mop_f1: empty labeled set")
     if not grid_theta or not grid_delta:
@@ -258,6 +264,7 @@ def calibrate_mop_baseline(
     episode reaches detection eligibility (2w steps) the baseline cannot
     calibrate a detector and that is an error.
     """
+    _check_window(w, "calibrate_mop_baseline")
     if not baseline:
         raise MeltdownError("calibrate_mop_baseline: empty baseline")
     if not 0.0 <= percentile <= 1.0:
@@ -304,12 +311,7 @@ def meltdown_table(
     onsets: dict[tuple[str, str], list[int]] = {}
     totals: dict[tuple[str, str], int] = {}
     too_short: dict[tuple[str, str], int] = {}
-    for ep in episodes:
-        if ep.is_infra_failure:
-            continue
-        task = registry.get(ep.task_id)
-        if task is None:
-            raise MeltdownError(f"episode {ep.episode_id!r}: task {ep.task_id!r} not in registry")
+    for ep, task in _joined(episodes, registry, MeltdownError):
         key = (ep.model_id, task.bucket)
         totals[key] = totals.get(key, 0) + 1
         result = detect_mop(ep, config)

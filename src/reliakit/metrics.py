@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -103,8 +103,21 @@ def _pvar(values: Sequence[float]) -> float:
     return math.fsum((v - m) ** 2 for v in values) / len(values)
 
 
-def _countable(episodes: Iterable[Episode]) -> list[Episode]:
-    return [ep for ep in episodes if not ep.is_infra_failure]
+def _task(registry: Mapping[str, TaskSpec], task_id: str, owner: str,
+          error: type[Exception] = MetricError) -> TaskSpec:
+    task = registry.get(task_id)
+    if task is None:
+        raise error(f"{owner}: task {task_id!r} not in registry")
+    return task
+
+
+def _joined(episodes: Iterable[Episode], registry: Mapping[str, TaskSpec],
+            error: type[Exception] = MetricError) -> Iterator[tuple[Episode, TaskSpec]]:
+    """Each non-infra episode paired with its registry task, in input order;
+    an unknown task raises ``error``."""
+    for ep in episodes:
+        if not ep.is_infra_failure:
+            yield ep, _task(registry, ep.task_id, f"episode {ep.episode_id!r}", error)
 
 
 # --- outcome grouping -----------------------------------------------------
@@ -134,15 +147,11 @@ def outcome_groups(
     scaffold: str | None = None,
 ) -> list[TaskOutcomeGroup]:
     """Group non-infra episodes by (task, model, scaffold), in input order."""
+    selected = (ep for ep in episodes
+                if (model_id is None or ep.model_id == model_id)
+                and (scaffold is None or ep.scaffold == scaffold))
     collected: dict[tuple[str, str, str], list[tuple[bool, float]]] = {}
-    for ep in _countable(episodes):
-        if model_id is not None and ep.model_id != model_id:
-            continue
-        if scaffold is not None and ep.scaffold != scaffold:
-            continue
-        task = registry.get(ep.task_id)
-        if task is None:
-            raise MetricError(f"episode {ep.episode_id!r}: task {ep.task_id!r} not in registry")
+    for ep, task in _joined(selected, registry):
         key = (ep.task_id, ep.model_id, ep.scaffold)
         collected.setdefault(key, []).append((ep.passed, episode_gds(ep, task)))
     return [
@@ -309,39 +318,33 @@ def rdc(
         raise MetricError(f"rdc: unknown metric {metric!r} (expected one of {_CURVE_METRICS})")
     if ci_method not in _CI_METHODS:
         raise MetricError(f"rdc: unknown ci_method {ci_method!r}")
-    selected = []
-    for ep in _countable(episodes):
-        if model_id is not None and ep.model_id != model_id:
-            continue
-        if scaffold is not None and ep.scaffold != scaffold:
-            continue
-        selected.append(ep)
-    if not selected:
+    groups = outcome_groups(episodes, registry, model_id=model_id, scaffold=scaffold)
+    if not groups:
         raise MetricError(f"rdc: no episodes for model={model_id!r} scaffold={scaffold!r}")
+    return _curve(groups, registry, metric, ci_level, ci_method)
 
-    by_bucket: dict[str, list[Episode]] = {}
-    for ep in selected:
-        task = registry.get(ep.task_id)
-        if task is None:
-            raise MetricError(f"episode {ep.episode_id!r}: task {ep.task_id!r} not in registry")
-        by_bucket.setdefault(task.bucket, []).append(ep)
 
+def _curve(groups: Sequence[TaskOutcomeGroup], registry: Mapping[str, TaskSpec],
+           metric: str, ci_level: float = 0.95, ci_method: str = "wald") -> MetricCurve:
+    """The curve of one selection's outcome groups, bucketed by task."""
+    by_bucket: dict[str, list[TaskOutcomeGroup]] = {}
+    for g in groups:
+        by_bucket.setdefault(registry[g.task_id].bucket, []).append(g)
     points: dict[str, CurvePoint] = {}
     for bucket in BUCKETS:
-        eps = by_bucket.get(bucket)
-        if not eps:
+        cell = by_bucket.get(bucket)
+        if not cell:
             continue
-        groups = outcome_groups(eps, registry)
-        n_tasks = len(groups)
-        n_episodes = sum(g.k for g in groups)
+        n_tasks = len(cell)
+        n_episodes = sum(g.k for g in cell)
         if metric == "pass1":
-            value = pass_at_1(groups)
+            value = pass_at_1(cell)
             low, high = _CI_METHODS[ci_method](value, n_tasks, ci_level)
         elif metric == "passk":
-            value = pass_pow_k(groups)
+            value = pass_pow_k(cell)
             low = high = value
         else:
-            value = _mean([gds for g in groups for _, gds in g.repeats])
+            value = _mean([gds for g in cell for _, gds in g.repeats])
             low = high = value
         points[bucket] = CurvePoint(value=value, n_tasks=n_tasks,
                                     ci_low=low, ci_high=high, n_episodes=n_episodes)
@@ -405,21 +408,21 @@ def _bucket_values(
 ) -> list[float]:
     chosen = []
     for task_id in sorted(per_task):
-        task = task_meta.get(task_id)
-        if task is None:
-            raise MetricError(f"vaf: task {task_id!r} not in registry")
-        if task.bucket in buckets:
+        if _task(task_meta, task_id, "vaf").bucket in buckets:
             chosen.append(per_task[task_id])
     return chosen
 
 
 def _variance_ratio(num_values: Sequence[float], den_values: Sequence[float]) -> float:
-    if min(den_values) == max(den_values):
+    den_var = _pvar(den_values)
+    # min == max catches identical values whose fsum mean leaves float dust;
+    # den_var == 0.0 catches differences so small that the variance underflows
+    if min(den_values) == max(den_values) or den_var == 0.0:
         raise DegenerateStatisticError(
             "vaf: denominator task-level variance is zero"
             " (all denominator tasks have identical pass fractions;"
             " the model is saturated or floored on those buckets)")
-    return _pvar(num_values) / _pvar(den_values)
+    return _pvar(num_values) / den_var
 
 
 def vaf(
@@ -543,10 +546,7 @@ def domain_stratify(
     if metric not in ("gds", "pass1"):
         raise MetricError(f"domain_stratify: unknown metric {metric!r}")
     values: dict[tuple[str, str], list[float]] = {}
-    for ep in _countable(episodes):
-        task = registry.get(ep.task_id)
-        if task is None:
-            raise MetricError(f"episode {ep.episode_id!r}: task {ep.task_id!r} not in registry")
+    for ep, task in _joined(episodes, registry):
         v = episode_gds(ep, task) if metric == "gds" else float(ep.passed)
         values.setdefault((task.domain, task.bucket), []).append(v)
 
@@ -591,10 +591,7 @@ def scaffold_delta(
     if unknown or not buckets:
         raise MetricError(f"scaffold_delta: bad bucket set {tuple(buckets)!r}")
     gds_values: dict[str, dict[str, list[float]]] = {}
-    for ep in _countable(episodes):
-        task = registry.get(ep.task_id)
-        if task is None:
-            raise MetricError(f"episode {ep.episode_id!r}: task {ep.task_id!r} not in registry")
+    for ep, task in _joined(episodes, registry):
         if task.bucket not in buckets:
             continue
         gds_values.setdefault(ep.model_id, {}).setdefault(ep.scaffold, []).append(
@@ -631,10 +628,7 @@ def early_failure_rate(
 ) -> dict[str, float]:
     """Per-bucket fraction of episodes whose first subtask outcome is false."""
     counts: dict[str, list[int]] = {}
-    for ep in _countable(episodes):
-        task = registry.get(ep.task_id)
-        if task is None:
-            raise MetricError(f"episode {ep.episode_id!r}: task {ep.task_id!r} not in registry")
+    for ep, task in _joined(episodes, registry):
         if not ep.subtask_outcomes:
             raise MetricError(f"episode {ep.episode_id!r}: no subtask outcomes recorded")
         total_early = counts.setdefault(task.bucket, [0, 0])

@@ -27,21 +27,22 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .meltdown import MeltdownCell, MopConfig, detect_mop, meltdown_table
+from .meltdown import MopConfig, detect_mop, meltdown_table
 from .metrics import (
     DEFAULT_VAF_DENOMINATOR,
     DEFAULT_VAF_NUMERATOR,
     DegenerateStatisticError,
-    MetricCurve,
     MetricError,
     REGRESSORS,
+    TaskOutcomeGroup,
+    _curve,
     decomposition_gain,
     domain_stratify,
     outcome_groups,
+    pass_at_1,
     per_task_pass1,
-    rdc,
     rds,
     scaffold_delta,
     vaf,
@@ -53,7 +54,7 @@ from .trajectory import (
     TaskSpec,
     ValidationIssue,
     ValidationReport,
-    _iter_lines,
+    _read_records,
     cross_validate,
     load_task_registry,
     parse_episode_log,
@@ -97,39 +98,20 @@ class PricingEntry:
 def load_pricing(source: str | Path | Iterable[str]) -> list[PricingEntry]:
     """Load a pricing stream: one record per line with model_id and
     per-million token prices. Defects raise RegistryError with the line."""
-    entries: list[PricingEntry] = []
-    seen: dict[str, int] = {}
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    else:
-        lines = list(source)
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise RegistryError(f"pricing line {lineno}: malformed JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise RegistryError(f"pricing line {lineno}: record is not an object")
-        model_id = record.get("model_id")
-        if not isinstance(model_id, str) or not model_id:
-            raise RegistryError(f"pricing line {lineno}: model_id must be a non-empty string")
-        if model_id in seen:
-            raise RegistryError(
-                f"pricing line {lineno}: duplicate model_id {model_id!r}"
-                f" (first seen on line {seen[model_id]})")
-        prices = {}
-        for key in ("input_per_million", "output_per_million"):
-            value = record.get(key)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
-                raise RegistryError(f"pricing line {lineno}: {key} must be a non-negative number")
-            prices[key] = float(value)
-        seen[model_id] = lineno
-        entries.append(PricingEntry(model_id=model_id, **prices))
-    return entries
+    return _read_records(source, "pricing", "model_id", _pricing_entry)
+
+
+def _pricing_entry(record: Mapping[str, Any]) -> PricingEntry:
+    model_id = record.get("model_id")
+    if not isinstance(model_id, str) or not model_id:
+        raise ValueError("model_id must be a non-empty string")
+    prices = {}
+    for key in ("input_per_million", "output_per_million"):
+        value = record.get(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
+            raise ValueError(f"{key} must be a non-negative number")
+        prices[key] = float(value)
+    return PricingEntry(model_id=model_id, **prices)
 
 
 @dataclass(frozen=True)
@@ -196,6 +178,17 @@ def compute_cost(episodes: Iterable[Episode], pricing: Sequence[PricingEntry]) -
         per_model=per_model,
         total_cost=math.fsum(c.cost for c in per_episode),
     )
+
+
+def _cost_rows(report: CostReport) -> list[tuple]:
+    """(model_id, n_episodes, tokens_in, tokens_out, total_cost) per model, then "(all)"."""
+    rows = [(model_id, mc.n_episodes, mc.tokens_in, mc.tokens_out, mc.total_cost)
+            for model_id, mc in report.per_model.items()]
+    rows.append(("(all)", len(report.per_episode),
+                 sum(c.tokens_in for c in report.per_episode),
+                 sum(c.tokens_out for c in report.per_episode),
+                 report.total_cost))
+    return rows
 
 
 # --- options and bundle -----------------------------------------------------
@@ -268,37 +261,82 @@ class ReportBundle:
 
 # --- pipeline ---------------------------------------------------------------
 
-def _read_input(path: str | Path, stage: str) -> tuple[list[str], str, int]:
-    """The file's lines, sha256 of its raw bytes, and its non-blank line
-    count by the parsers' own rule (``_iter_lines``), so the accounting
-    counts exactly the lines the parsers see. Lines end only at line
-    feeds, as a text stream without newline translation splits them."""
+def _read_lines(path: str | Path, stage: str, meta: dict[str, Any]) -> Iterator[str]:
+    """Stream one input file's lines, each stripped ("" when blank). Lines
+    end only at line feeds and each is decoded on its own, so the file is
+    never held whole. At the end ``meta`` holds the path, the sha256 of
+    the raw bytes and the count of non-blank lines."""
     try:
-        data = Path(path).read_bytes()
+        fh = open(path, "rb")
     except OSError as exc:
         raise InputError(f"{stage}: cannot read {path}: {exc}") from exc
+    sha, lines = hashlib.sha256(), 0
+    with fh:
+        for lineno, raw in enumerate(fh, start=1):
+            sha.update(raw)
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise InputError(f"{stage}: {path} is not UTF-8: line {lineno}: {exc}") from exc
+            lines += bool(line)
+            yield line
+    meta.update(path=str(path), sha256=sha.hexdigest(), lines=lines)
+
+
+def _load_reference(loader: Callable[[Iterable[str]], Any], path: str | Path,
+                    stage: str) -> tuple[Any, dict[str, Any]]:
+    """``loader`` over a reference file (registry, pricing, labels) and the
+    file's metadata; its defects become InputError."""
+    meta: dict[str, Any] = {}
     try:
-        lines = data.decode("utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{stage}: {path} is not UTF-8: {exc}") from exc
-    return lines, hashlib.sha256(data).hexdigest(), sum(1 for _ in _iter_lines(lines))
+        return loader(_read_lines(path, stage, meta)), meta
+    except RegistryError as exc:
+        raise InputError(f"{stage}: {exc}") from exc
 
 
-def _count_issue(reports: Iterable[ValidationReport], code: str) -> int:
-    total = 0
-    for report in reports:
-        issues: tuple[ValidationIssue, ...] = report.errors + report.warnings
-        if any(issue.code == code for issue in issues):
-            total += 1
-    return total
+@dataclass(frozen=True)
+class _Logs:
+    episodes: list[Episode]
+    reports: list[ValidationReport]
+    inputs: list[dict[str, Any]]
+
+    def counts(self) -> dict[str, int]:
+        """Line accounting: each non-blank line is a parse error, a duplicate
+        or a parsed episode."""
+        return {
+            "log_lines": sum(m["lines"] for m in self.inputs),
+            "parse_errors": sum(1 for r in self.reports if r.fatal),
+            "duplicates": sum(1 for r in self.reports
+                              if any(i.code == "duplicate_episode_id" for i in r.warnings)),
+            "parsed": len(self.episodes),
+        }
 
 
-def _pooled_pass1(episodes: Sequence[Episode], registry: Mapping[str, TaskSpec],
-                  buckets: Sequence[str]) -> float | None:
-    pool = [ep for ep in episodes if registry[ep.task_id].bucket in buckets]
-    if not pool:
-        return None
-    return sum(1 for ep in pool if ep.passed) / len(pool)
+def _load_logs(paths: Sequence[str | Path]) -> _Logs:
+    """Parse every log through the streaming reader, keeping the first
+    record of an episode_id across files as within one."""
+    episodes: list[Episode] = []
+    reports: list[ValidationReport] = []
+    inputs = []
+    seen_ids: set[str] = set()
+    for path in paths:
+        meta: dict[str, Any] = {}
+        file_eps, file_reports = parse_episode_log(_read_lines(path, "parse", meta))
+        reports.extend(file_reports)
+        for ep in file_eps:
+            if ep.episode_id in seen_ids:
+                reports.append(ValidationReport(
+                    episode_id=ep.episode_id,
+                    warnings=(ValidationIssue(
+                        "duplicate_episode_id",
+                        f"{path}: duplicate of {ep.episode_id!r} from an earlier log;"
+                        " keeping the first"),),
+                ))
+                continue
+            seen_ids.add(ep.episode_id)
+            episodes.append(ep)
+        inputs.append(meta)
+    return _Logs(episodes, reports, inputs)
 
 
 def run_pipeline(
@@ -314,59 +352,22 @@ def run_pipeline(
     if not log_paths:
         raise InputError("parse: no log paths given")
 
-    # registry
-    registry_raw, registry_sha, registry_lines = _read_input(registry_path, "registry")
-    try:
-        tasks = load_task_registry(registry_raw)
-    except RegistryError as exc:
-        raise InputError(f"registry: {exc}") from exc
+    tasks, registry_meta = _load_reference(load_task_registry, registry_path, "registry")
     registry = {t.task_id: t for t in tasks}
-
-    # parse (with cross-file dedup keeping the first occurrence)
-    log_meta = []
-    episodes: list[Episode] = []
-    reports: list[ValidationReport] = []
-    seen_ids: set[str] = set()
-    for path in log_paths:
-        raw, sha, lines = _read_input(path, "parse")
-        file_eps, file_reports = parse_episode_log(raw)
-        reports.extend(file_reports)
-        for ep in file_eps:
-            if ep.episode_id in seen_ids:
-                reports.append(ValidationReport(
-                    episode_id=ep.episode_id,
-                    warnings=(ValidationIssue(
-                        "duplicate_episode_id",
-                        f"{path}: duplicate of {ep.episode_id!r} from an earlier log;"
-                        " keeping the first"),),
-                ))
-                continue
-            seen_ids.add(ep.episode_id)
-            episodes.append(ep)
-        log_meta.append({"path": str(path), "sha256": sha, "lines": lines})
+    logs = _load_logs(log_paths)
+    episodes = logs.episodes
     if not episodes:
         raise InputError("parse: no valid episodes")
 
-    # join
     joined, join_reports = cross_validate(episodes, registry)
-    reports.extend(join_reports)
     analysis = [ep for ep in joined if not ep.is_infra_failure]
-    n_infra = len(joined) - len(analysis)
     if not analysis:
         raise InputError("join: no valid episodes remain after registry join"
                          " and infra exclusion")
 
-    # pricing
-    pricing = None
-    pricing_meta = None
+    pricing = pricing_meta = None
     if pricing_path is not None:
-        pricing_raw, pricing_sha, pricing_lines = _read_input(pricing_path, "cost")
-        try:
-            pricing = load_pricing(pricing_raw)
-        except RegistryError as exc:
-            raise InputError(f"cost: {exc}") from exc
-        pricing_meta = {"path": str(pricing_path), "sha256": pricing_sha,
-                        "lines": pricing_lines}
+        pricing, pricing_meta = _load_reference(load_pricing, pricing_path, "cost")
 
     try:
         tables, series = _build_tables(analysis, episodes, registry, pricing, opts)
@@ -375,22 +376,13 @@ def run_pipeline(
     except Exception as exc:  # pragma: no cover - defensive stage wrapper
         raise PipelineError(f"metrics: {exc!r}") from exc
 
-    n_parse_errors = sum(1 for r in reports if r.fatal and not _is_join_code(r))
-    n_join_excluded = sum(1 for r in reports if r.fatal and _is_join_code(r))
-    n_duplicates = _count_issue(reports, "duplicate_episode_id")
-    total_lines = sum(m["lines"] for m in log_meta)
-    counts = {
-        "log_lines": total_lines,
-        "parse_errors": n_parse_errors,
-        "duplicates": n_duplicates,
-        "parsed": len(episodes),
-        "join_excluded": n_join_excluded,
-        "infra_excluded": n_infra,
-        "analyzed": len(analysis),
-    }
+    counts = logs.counts()
+    counts.update(join_excluded=len(join_reports),
+                  infra_excluded=len(joined) - len(analysis), analyzed=len(analysis))
     conservation = (
-        total_lines == n_parse_errors + n_duplicates + len(episodes)
-        and len(episodes) == n_join_excluded + n_infra + len(analysis)
+        counts["log_lines"] == counts["parse_errors"] + counts["duplicates"] + counts["parsed"]
+        and counts["parsed"] == (counts["join_excluded"] + counts["infra_excluded"]
+                                 + counts["analyzed"])
     )
 
     options_dict = opts.to_dict()
@@ -398,7 +390,7 @@ def run_pipeline(
         json.dumps(options_dict, sort_keys=True, separators=(",", ":")).encode("utf-8")
     ).hexdigest()
     issue_counts: dict[str, int] = {}
-    for report in reports:
+    for report in logs.reports + join_reports:
         for issue in report.errors + report.warnings:
             issue_counts[issue.code] = issue_counts.get(issue.code, 0) + 1
 
@@ -406,9 +398,8 @@ def run_pipeline(
         "schema_version": "1",
         "generator": {"name": "reliakit", "version": _package_version()},
         "inputs": {
-            "logs": log_meta,
-            "registry": {"path": str(registry_path), "sha256": registry_sha,
-                         "lines": registry_lines},
+            "logs": logs.inputs,
+            "registry": registry_meta,
             "pricing": pricing_meta,
         },
         "options": options_dict,
@@ -418,10 +409,6 @@ def run_pipeline(
         "validation_issues": {code: issue_counts[code] for code in sorted(issue_counts)},
     }
     return ReportBundle(run_metadata=metadata, tables=tables, series=series)
-
-
-def _is_join_code(report: ValidationReport) -> bool:
-    return any(issue.code in ("unknown_task", "subtask_mismatch") for issue in report.errors)
 
 
 def _package_version() -> str:
@@ -436,18 +423,17 @@ def _build_tables(
     pricing: Sequence[PricingEntry] | None,
     opts: PipelineOptions,
 ) -> tuple[dict[str, Table], dict[str, tuple[tuple[int, float], ...]]]:
-    selections = sorted({(ep.model_id, ep.scaffold) for ep in analysis})
+    by_selection: dict[tuple[str, str], list[TaskOutcomeGroup]] = {}
+    for group in outcome_groups(analysis, registry):
+        by_selection.setdefault((group.model_id, group.scaffold), []).append(group)
 
     rdc_rows: list[tuple] = []
     gds_rows: list[tuple] = []
     vaf_rows: list[tuple] = []
     decomp_rows: list[tuple] = []
-    curves: dict[tuple[str, str], MetricCurve] = {}
-    for model_id, scaffold in selections:
-        pass_curve = rdc(analysis, registry, "pass1", model_id=model_id, scaffold=scaffold,
-                         ci_level=opts.ci_level, ci_method=opts.ci_method)
-        gds_curve = rdc(analysis, registry, "gds", model_id=model_id, scaffold=scaffold)
-        curves[(model_id, scaffold)] = pass_curve
+    for (model_id, scaffold), groups in sorted(by_selection.items()):
+        pass_curve = _curve(groups, registry, "pass1", opts.ci_level, opts.ci_method)
+        gds_curve = _curve(groups, registry, "gds")
         for bucket, point in pass_curve.points.items():
             rdc_rows.append((model_id, scaffold, bucket, point.value,
                              point.ci_low, point.ci_high, point.n_tasks, point.n_episodes))
@@ -455,29 +441,24 @@ def _build_tables(
             gds_rows.append((model_id, scaffold, bucket, gds_point.value, point.value,
                              gds_point.n_tasks, gds_point.n_episodes))
 
-        groups = outcome_groups(analysis, registry, model_id=model_id, scaffold=scaffold)
         per_task = per_task_pass1(groups)
-        own = [ep for ep in analysis
-               if ep.model_id == model_id and ep.scaffold == scaffold]
-        den_pass = _pooled_pass1(own, registry, opts.vaf_denominator)
-        num_pass = _pooled_pass1(own, registry, opts.vaf_numerator)
+        den = [g for g in groups if registry[g.task_id].bucket in opts.vaf_denominator]
+        num = [g for g in groups if registry[g.task_id].bucket in opts.vaf_numerator]
+        den_pass = pass_at_1(den) if den else None
+        num_pass = pass_at_1(num) if num else None
         try:
             result = vaf(per_task, registry, opts.vaf_numerator, opts.vaf_denominator,
                          model_id=model_id, b=opts.bootstrap_b, ci_level=opts.ci_level,
                          seed=opts.seed)
-            vaf_rows.append((model_id, scaffold, result.vaf, result.ci_low, result.ci_high,
-                             result.n_num_tasks, result.n_den_tasks,
-                             "+".join(result.numerator_buckets),
-                             "+".join(result.denominator_buckets),
-                             den_pass, num_pass, "ok"))
+            cells = (result.vaf, result.ci_low, result.ci_high,
+                     result.n_num_tasks, result.n_den_tasks)
+            status = "ok"
         except DegenerateStatisticError:
-            vaf_rows.append((model_id, scaffold, None, None, None, None, None,
-                             "+".join(opts.vaf_numerator), "+".join(opts.vaf_denominator),
-                             den_pass, num_pass, "degenerate_denominator"))
+            cells, status = (None,) * 5, "degenerate_denominator"
         except MetricError:
-            vaf_rows.append((model_id, scaffold, None, None, None, None, None,
-                             "+".join(opts.vaf_numerator), "+".join(opts.vaf_denominator),
-                             den_pass, num_pass, "unavailable"))
+            cells, status = (None,) * 5, "unavailable"
+        vaf_rows.append((model_id, scaffold, *cells, "+".join(opts.vaf_numerator),
+                         "+".join(opts.vaf_denominator), den_pass, num_pass, status))
 
         short = pass_curve.points.get("short")
         very_long = pass_curve.points.get("very_long")
@@ -554,17 +535,8 @@ def _build_tables(
         Column("n_events", "int"), Column("n_episodes", "int"), Column("n_too_short", "int"),
     ), tuple(melt_rows))
     if pricing is not None:
-        cost = compute_cost(all_parsed, pricing)
-        cost_rows: list[tuple] = [
-            (model_id, mc.n_episodes, mc.tokens_in, mc.tokens_out, mc.total_cost,
-             mc.total_cost / mc.n_episodes)
-            for model_id, mc in cost.per_model.items()
-        ]
-        cost_rows.append(("(all)", len(cost.per_episode),
-                          sum(c.tokens_in for c in cost.per_episode),
-                          sum(c.tokens_out for c in cost.per_episode),
-                          cost.total_cost,
-                          cost.total_cost / len(cost.per_episode)))
+        cost_rows = [(*row, row[4] / row[1])
+                     for row in _cost_rows(compute_cost(all_parsed, pricing))]
         tables["cost"] = Table("cost", (
             Column("model_id", "str"), Column("n_episodes", "int"),
             Column("tokens_in", "int"), Column("tokens_out", "int"),
@@ -604,6 +576,14 @@ def _format_csv(value: Any) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_format_csv(v) for v in row] for row in rows)
+    return buffer.getvalue()
 
 
 def _safe_filename(episode_id: str) -> str:
@@ -648,12 +628,8 @@ def emit_report(bundle: ReportBundle, fmt: str, out_dir: str | Path) -> list[Pat
         if table is None:
             continue
         if fmt == "csv":
-            buffer = io.StringIO()
-            writer = csv.writer(buffer, lineterminator="\n")
-            writer.writerow([c.name for c in table.columns])
-            for row in table.rows:
-                writer.writerow([_format_csv(v) for v in row])
-            written.append(_write(out / f"{name}.csv", buffer.getvalue()))
+            text = _csv_text([c.name for c in table.columns], table.rows)
+            written.append(_write(out / f"{name}.csv", text))
         elif fmt == "json":
             payload = {
                 "name": table.name,

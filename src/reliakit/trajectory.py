@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, Mapping
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, TypeVar
 import warnings
 
 __all__ = [
@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "1"
+
+_T = TypeVar("_T")
 
 DOMAINS = ("SE", "WR", "DP")
 BUCKETS = ("short", "medium", "long", "very_long")
@@ -187,9 +189,10 @@ class ValidationReport:
 
 
 def _iter_lines(source: str | Path | IO[str] | Iterable[str]) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, stripped line), skipping blank lines."""
+    """Yield (1-based line number, stripped line), skipping blank lines.
+    A path is read with lines ending only at line feeds."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8", newline="\n") as fh:
             yield from _iter_lines(fh)
         return
     for lineno, raw in enumerate(source, start=1):
@@ -205,6 +208,35 @@ def _check_schema_version(record: Mapping[str, Any]) -> str | None:
     return None
 
 
+def _read_records(source: str | Path | IO[str] | Iterable[str], kind: str, key: str,
+                  build: Callable[[dict[str, Any]], _T],
+                  parse_float: Callable[[str], Any] = float) -> list[_T]:
+    """``build`` applied to each JSON object line of a reference stream
+    (task registry, pricing, labels). Any defect raises RegistryError naming
+    the line: malformed JSON, a non-object, a ValueError/KeyError/TypeError
+    from ``build``, or a ``key`` value already seen (naming both lines)."""
+    values: list[_T] = []
+    seen: dict[Any, int] = {}
+    for lineno, line in _iter_lines(source):
+        try:
+            record = json.loads(line, parse_float=parse_float)
+        except json.JSONDecodeError as exc:
+            raise RegistryError(f"{kind} line {lineno}: malformed JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise RegistryError(f"{kind} line {lineno}: record is not an object")
+        try:
+            value = build(record)
+        except (KeyError, TypeError, ValueError, InvalidOperation) as exc:
+            raise RegistryError(f"{kind} line {lineno}: {exc}") from exc
+        if record[key] in seen:
+            raise RegistryError(
+                f"{kind} line {lineno}: duplicate {key} {record[key]!r}"
+                f" (first seen on line {seen[record[key]]})")
+        seen[record[key]] = lineno
+        values.append(value)
+    return values
+
+
 def load_task_registry(source: str | Path | IO[str] | Iterable[str]) -> list[TaskSpec]:
     """Load a task registry stream, raising RegistryError on any defect.
 
@@ -213,30 +245,7 @@ def load_task_registry(source: str | Path | IO[str] | Iterable[str]) -> list[Tas
     drift. Subtask counts outside 3..6 and bucket/minutes band mismatches
     are warnings (RegistryWarning), not errors.
     """
-    tasks: list[TaskSpec] = []
-    seen: dict[str, int] = {}
-    for lineno, line in _iter_lines(source):
-        try:
-            record = json.loads(line, parse_float=Decimal)
-        except json.JSONDecodeError as exc:
-            raise RegistryError(f"registry line {lineno}: malformed JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise RegistryError(f"registry line {lineno}: record is not an object")
-        problem = _check_schema_version(record)
-        if problem:
-            raise RegistryError(f"registry line {lineno}: {problem}")
-        try:
-            task = _task_from_record(record)
-        except (KeyError, TypeError, ValueError, InvalidOperation) as exc:
-            raise RegistryError(f"registry line {lineno}: {exc}") from exc
-        if task.task_id in seen:
-            raise RegistryError(
-                f"registry line {lineno}: duplicate task_id {task.task_id!r}"
-                f" (first seen on line {seen[task.task_id]})"
-            )
-        seen[task.task_id] = lineno
-        tasks.append(task)
-    return tasks
+    return _read_records(source, "registry", "task_id", _task_from_record, Decimal)
 
 
 _TASK_FIELDS = {
@@ -246,6 +255,9 @@ _TASK_FIELDS = {
 
 
 def _task_from_record(record: Mapping[str, Any]) -> TaskSpec:
+    problem = _check_schema_version(record)
+    if problem:
+        raise ValueError(problem)
     task_id = record["task_id"]
     if not isinstance(task_id, str) or not task_id:
         raise ValueError("task_id must be a non-empty string")
@@ -290,13 +302,13 @@ def _task_from_record(record: Mapping[str, Any]) -> TaskSpec:
     if not 3 <= len(subtasks) <= 6:
         warnings.warn(
             f"task {task_id!r}: {len(subtasks)} subtasks (expected 3..6)",
-            RegistryWarning, stacklevel=3,
+            RegistryWarning, stacklevel=4,
         )
     if bucket_for_minutes(minutes) != bucket:
         warnings.warn(
             f"task {task_id!r}: bucket {bucket!r} inconsistent with"
             f" human_minutes_estimate {minutes} ({bucket_for_minutes(minutes)!r} band)",
-            RegistryWarning, stacklevel=3,
+            RegistryWarning, stacklevel=4,
         )
 
     extras = {k: _plain(v) for k, v in record.items() if k not in _TASK_FIELDS}

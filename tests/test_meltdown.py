@@ -201,6 +201,8 @@ class TestCalibrateF1:
             calibrate_mop_f1([(steps, True)])
         with pytest.raises(MeltdownError, match="empty grid"):
             calibrate_mop_f1([(steps, True), (steps, False)], grid_theta=())
+        with pytest.raises(MeltdownError, match="window_w must be >= 2"):
+            calibrate_mop_f1([(steps, True), (steps, False)], w=1)
 
 
 class TestCalibrateBaseline:
@@ -241,6 +243,8 @@ class TestCalibrateBaseline:
             calibrate_mop_baseline([steps_from_tools(["a"] * 12)], percentile=1.5)
         with pytest.raises(MeltdownError, match="empty baseline"):
             calibrate_mop_baseline([])
+        with pytest.raises(MeltdownError, match="window_w must be >= 2"):
+            calibrate_mop_baseline([steps_from_tools(["a"] * 12)], w=1)
 
 
 class TestMeltdownTable:

@@ -376,6 +376,10 @@ class TestVaf:
         per_task, meta = self._inputs([0.0, 1.0], [1.0, 1.0, 1.0])
         with pytest.raises(DegenerateStatisticError, match="denominator"):
             vaf(per_task, meta)
+        # distinct values whose variance underflows to 0.0
+        per_task, meta = self._inputs([0.0, 1.0], [0.0, 6.269547417687431e-262])
+        with pytest.raises(DegenerateStatisticError, match="denominator"):
+            vaf(per_task, meta)
 
     def test_needs_two_tasks_per_side(self):
         per_task, meta = self._inputs([0.5], [0.0, 1.0])

@@ -3,9 +3,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+
+import reliakit
 
 from conftest import make_episode, make_step, make_task
 from reliakit import (
@@ -343,14 +349,23 @@ class TestCli:
         assert "input error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("knob", [("--bootstrap-b", "500"), ("--bootstrap-b", "-5"),
-                                      ("--ci-level", "1.5")])
+                                      ("--ci-level", "1.5"), ("--mop-window", "1"),
+                                      ("--mop-theta", "-0.5"),
+                                      ("mop", "--calibrate", "baseline", "--mop-window", "1"),
+                                      ("mop", "--mop-theta", "nan"),
+                                      ("mop", "--percentile", "1.5"),
+                                      ("mop", "--percentile", "-0.1")])
     def test_bad_knob_is_exit_1_before_reading_input(self, tmp_path, capsys, knob):
         # The inputs do not exist, so reading them would exit 2.
-        code = main(["analyze", "--logs", str(tmp_path / "nope.jsonl"),
-                     "--registry", str(tmp_path / "nope-tasks.jsonl"),
-                     "--out", str(tmp_path / "out"), *knob])
-        assert code == 1
-        assert f"usage error: argument {knob[0]}" in capsys.readouterr().err
+        if knob[0] == "mop":
+            argv = ["mop", "--logs", str(tmp_path / "nope.jsonl"), "--out",
+                    str(tmp_path / "out"), *knob[1:]]
+        else:
+            argv = ["analyze", "--logs", str(tmp_path / "nope.jsonl"),
+                    "--registry", str(tmp_path / "nope-tasks.jsonl"),
+                    "--out", str(tmp_path / "out"), *knob]
+        assert main(argv) == 1
+        assert f"usage error: argument {knob[-2]}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_simulate_study_then_analyze(self, tmp_path, capsys):
@@ -506,3 +521,112 @@ class TestCli:
                [p.relative_to(outs[1]) for p in second]
         for p1, p2 in zip(first, second):
             assert p1.read_bytes() == p2.read_bytes(), p1.name
+
+
+class TestEverySubcommandReadsLogsAlike:
+    """validate, mop and cost read logs through the pipeline's loader."""
+
+    @staticmethod
+    def run(command, log, tmp_path):
+        pricing = tmp_path / "pricing.jsonl"
+        pricing.write_text(PRICING_LINES[0] + "\n", encoding="utf-8")
+        extra = {"validate": [], "mop": [], "cost": ["--pricing", str(pricing)]}
+        return main([command, "--logs", *map(str, log), *extra[command]])
+
+    @pytest.mark.parametrize("command", ["validate", "mop", "cost"])
+    def test_carriage_return_inside_a_record_is_one_line(self, tmp_path, capsys, command):
+        log, _ = write_corpus(tmp_path, small_corpus())
+        lines = log.read_text(encoding="utf-8").splitlines()
+        lines[5] = lines[5].replace(",", ",\r", 1)  # JSON whitespace, not a line break
+        log.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        assert self.run(command, [log], tmp_path) == 0
+        out = capsys.readouterr().out
+        if command == "validate":
+            assert out.splitlines()[-1] == "32 episodes parsed, 0 errors, 0 warnings"
+        elif command == "mop":
+            assert len(out.splitlines()) == 1 + 32
+        else:
+            assert out.splitlines()[-1].startswith("(all),32,")
+
+    @pytest.mark.parametrize("command", ["validate", "mop", "cost"])
+    def test_non_utf8_log_is_exit_2(self, tmp_path, capsys, command):
+        log, _ = write_corpus(tmp_path, small_corpus())
+        log.write_bytes(log.read_bytes() + b"\xff\xfe\n")
+        assert self.run(command, [log], tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "not UTF-8" in err
+
+    def test_validate_dedups_across_files_as_analyze_does(self, tmp_path, capsys):
+        corpus = small_corpus()
+        log, registry = write_corpus(tmp_path, corpus)
+        second = tmp_path / "second.jsonl"
+        write_episode_log(corpus.episodes[:5], second)
+        assert main(["validate", "--logs", str(log), str(second),
+                     "--registry", str(registry)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("duplicate_episode_id") == 5
+        bundle = run_pipeline([log, second], registry, options=PipelineOptions(bootstrap_b=0))
+        parsed = bundle.run_metadata["episodes"]["parsed"]
+        assert out.splitlines()[-1].startswith(f"{parsed} episodes parsed, 0 errors")
+
+    @pytest.mark.parametrize("command", ["mop", "cost"])
+    def test_accounting_line_on_stderr(self, tmp_path, capsys, command):
+        corpus = small_corpus()
+        log, registry = write_corpus(tmp_path, corpus)
+        second = tmp_path / "second.jsonl"
+        write_episode_log(corpus.episodes[:3], second)
+        second.write_text("{broken\n" + second.read_text(encoding="utf-8"), encoding="utf-8")
+        assert self.run(command, [log, second], tmp_path) == 0
+        captured = capsys.readouterr()
+        bundle = run_pipeline([log, second], registry, options=PipelineOptions(bootstrap_b=0))
+        counts = bundle.run_metadata["episodes"]
+        assert (counts["log_lines"], counts["parse_errors"], counts["duplicates"]) == (36, 1, 3)
+        assert captured.err == ("read logs: log_lines=36 parse_errors=1 duplicates=3"
+                                f" parsed={counts['parsed']}\n")
+        assert "read logs" not in captured.out
+
+    def test_loading_streams_the_log(self, tmp_path):
+        from reliakit.report import _load_logs
+
+        corpus = small_corpus(tasks=1, k=1)
+        steps = tuple(make_step(i, f"tool-{i % 7}") for i in range(1, 71))
+        records = [make_episode(f"e-{i}", corpus.tasks[i % 4], steps=steps) for i in range(4)]
+        log = tmp_path / "big.jsonl"
+        write_episode_log(records * 100, log)  # 400 lines, 4 distinct episodes
+        size = log.stat().st_size
+        assert size > 3_000_000
+        tracemalloc.start()
+        try:
+            logs = _load_logs([log])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert logs.counts() == {"log_lines": 400, "parse_errors": 0,
+                                 "duplicates": 396, "parsed": 4}
+        assert peak < size / 4
+
+    def test_duplicate_label_is_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "traj"
+        main(["simulate", "--mode", "trajectories", "--count", "2", "--out", str(data)])
+        labels = tmp_path / "labels.jsonl"
+        rows = [("traj-spiral-00000", True), ("traj-spiral-00001", False),
+                ("traj-spiral-00000", False)]
+        labels.write_text("".join(json.dumps({"episode_id": e, "meltdown": m}) + "\n"
+                                  for e, m in rows), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["mop", "--logs", str(data / "episodes.jsonl"),
+                     "--calibrate", "f1", "--labels", str(labels)]) == 2
+        assert ("labels line 3: duplicate episode_id 'traj-spiral-00000'"
+                " (first seen on line 1)") in capsys.readouterr().err
+
+    def test_python_m_runs_the_cli(self, tmp_path):
+        src = Path(reliakit.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "reliakit.cli", "simulate", "--mode", "study",
+             "--tasks-per-bucket", "1", "--k", "1", "--out", str(tmp_path / "data")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "wrote 4 tasks and 4 episodes" in proc.stdout
+        assert (tmp_path / "data" / "episodes.jsonl").exists()
