@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
@@ -397,6 +398,11 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_warning(message: Warning | str, category: type[Warning], filename: str,
+                   lineno: int, file: Any = None, line: str | None = None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -404,7 +410,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not getattr(args, "handler", None):
             parser.print_help(sys.stderr)
             return 1
-        return args.handler(args)
+        with warnings.catch_warnings():
+            # One line per warning, without Python's source location format.
+            warnings.showwarning = _print_warning
+            return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

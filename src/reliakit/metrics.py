@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .rng import resample_indices
+from .rng import _resample_chunks
 from .trajectory import BUCKETS, Episode, TaskSpec, episode_gds
 
 __all__ = [
@@ -439,8 +439,9 @@ def vaf(
     """Ratio of task-level pass-fraction population variances.
 
     With ``b`` > 0 a percentile bootstrap interval is attached, resampling
-    the numerator and denominator task sets independently; with ``b`` = 0
-    the interval collapses to the point estimate.
+    the numerator and denominator task sets independently; it equals
+    ``bootstrap_ci(_variance_ratio, (numerator, denominator), ...)`` bit for
+    bit. With ``b`` = 0 the interval collapses to the point estimate.
     """
     for name, buckets in (("numerator", numerator_buckets), ("denominator", denominator_buckets)):
         unknown = [bk for bk in buckets if bk not in BUCKETS]
@@ -454,8 +455,7 @@ def vaf(
             f" and {len(den_values)} denominator")
     point = _variance_ratio(num_values, den_values)
     if b:
-        low, high = bootstrap_ci(_variance_ratio, (num_values, den_values),
-                                 b=b, level=ci_level, seed=seed)
+        low, high = _vaf_interval(num_values, den_values, b, ci_level, seed)
     else:
         low = high = point
     return VafResult(
@@ -484,40 +484,123 @@ def bootstrap_ci(
     independent of evaluation order. Resamples on which the statistic
     is degenerate are dropped; more than 20% of them is an error.
     """
-    if b < 1000:
-        raise MetricError(f"bootstrap_ci: b={b} is below the 1000-resample floor")
-    if not 0.0 < level < 1.0:
-        raise MetricError(f"bootstrap_ci: level {level} outside (0, 1)")
     if isinstance(units, tuple) and units and all(isinstance(u, (list, tuple)) for u in units):
         pools: tuple[Sequence, ...] = units
         single = False
     else:
         pools = (units,)
         single = True
+    ends = list(itertools.accumulate(len(pool) for pool in pools))
+    spans = list(zip(pools, [0, *ends], ends))
+
+    def chunk_statistic(chunk: np.ndarray) -> tuple[list[float], int]:
+        values: list[float] = []
+        degenerate = 0
+        for idx in chunk.tolist():
+            samples = [[pool[j] for j in idx[lo:hi]] for pool, lo, hi in spans]
+            try:
+                stat = statistic(samples[0]) if single else statistic(*samples)
+            except DegenerateStatisticError:
+                degenerate += 1
+                continue
+            values.append(float(stat))
+        return values, degenerate
+
+    return _percentile_bootstrap(pools, b, level, seed, chunk_statistic)
+
+
+def _percentile_bootstrap(
+    pools: Sequence[Sequence],
+    b: int,
+    level: float,
+    seed: int,
+    chunk_statistic: Callable[[np.ndarray], tuple[Sequence[float], int]],
+) -> tuple[float, float]:
+    """The interval of ``bootstrap_ci`` over ``pools``. ``chunk_statistic``
+    maps each chunk of index rows (``rng._resample_chunks``) to the
+    statistic on its non-degenerate resamples, in row order, and the number
+    of degenerate ones."""
+    if b < 1000:
+        raise MetricError(f"bootstrap_ci: b={b} is below the 1000-resample floor")
+    if not 0.0 < level < 1.0:
+        raise MetricError(f"bootstrap_ci: level {level} outside (0, 1)")
     if any(len(pool) == 0 for pool in pools):
         raise MetricError("bootstrap_ci: empty resampling pool")
-
-    sizes = [len(pool) for pool in pools]
-    ends = list(itertools.accumulate(sizes))
-    spans = list(zip(pools, [0, *ends], ends))
-    values: list[float] = []
+    kept = []
     degenerate = 0
-    for row in resample_indices(seed, "bootstrap", b, sizes):
-        idx = row.tolist()
-        samples = [[pool[j] for j in idx[lo:hi]] for pool, lo, hi in spans]
-        try:
-            stat = statistic(samples[0]) if single else statistic(*samples)
-        except DegenerateStatisticError:
-            degenerate += 1
-            continue
-        values.append(float(stat))
+    for chunk in _resample_chunks(seed, "bootstrap", b, [len(pool) for pool in pools]):
+        values, dropped = chunk_statistic(chunk)
+        kept.append(values)
+        degenerate += dropped
     if degenerate > 0.2 * b:
         raise MetricError(
             f"bootstrap_ci: statistic degenerate on {degenerate / b:.1%} of {b} resamples"
             " (more than the 20% tolerance)")
     tail = 100.0 * (1.0 - level) / 2.0
-    low, high = np.percentile(values, [tail, 100.0 - tail])
+    low, high = np.percentile(np.concatenate(kept), [tail, 100.0 - tail])
     return float(low), float(high)
+
+
+def _repeated(values: Sequence[float], counts: Sequence[int]) -> Iterator[float]:
+    return itertools.chain.from_iterable(map(itertools.repeat, values, counts))
+
+
+def _level_pvar(levels: Sequence[float], counts: Sequence[int]) -> float:
+    """``_pvar`` of the multiset holding ``levels[j]`` ``counts[j]`` times.
+    It sums the same terms as ``_pvar`` and ``fsum`` is exactly rounded, so
+    the order of the terms cannot change the result."""
+    n = sum(counts)
+    m = math.fsum(_repeated(levels, counts)) / n
+    return math.fsum(_repeated([(v - m) ** 2 for v in levels], counts)) / n
+
+
+def _pool_variances(pool: Sequence[float]) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """For one pool, a function from a block of index rows into it to each
+    row's ``_pvar`` and its number of distinct values.
+
+    Values are one level when ``==`` (a dict's key test, so 0.0 and -0.0
+    are one level, as they are to ``min`` and ``max``). A row's ``_pvar``
+    depends only on how often it drew each level, so each distinct count
+    row is computed once and remembered for the pool's later blocks.
+    """
+    index: dict[float, int] = {}
+    level_of = np.array([index.setdefault(v, len(index)) for v in pool], dtype=np.int64)
+    levels = list(index)
+    memo: dict[tuple[int, ...], float] = {}
+
+    def variances(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        n_rows, n_levels = len(rows), len(levels)
+        codes = level_of[rows] + n_levels * np.arange(n_rows)[:, None]
+        counts = np.bincount(codes.ravel(), minlength=n_rows * n_levels).reshape(n_rows, n_levels)
+        out = np.empty(n_rows)
+        for r, row in enumerate(map(tuple, counts.tolist())):
+            var = memo.get(row)
+            if var is None:
+                var = memo[row] = _level_pvar(levels, row)
+            out[r] = var
+        return out, np.count_nonzero(counts, axis=1)
+
+    return variances
+
+
+def _vaf_interval(num_values: Sequence[float], den_values: Sequence[float],
+                  b: int, level: float, seed: int) -> tuple[float, float]:
+    """``bootstrap_ci(_variance_ratio, (num_values, den_values), ...)``,
+    bit for bit, computed from per-pool level counts."""
+    num_variances, den_variances = _pool_variances(num_values), _pool_variances(den_values)
+    split = len(num_values)
+
+    def chunk_statistic(chunk: np.ndarray) -> tuple[np.ndarray, int]:
+        num_var, _ = num_variances(chunk[:, :split])
+        den_var, den_levels = den_variances(chunk[:, split:])
+        # _variance_ratio's own conditions: min == max, or a zero variance.
+        degenerate = (den_levels == 1) | (den_var == 0.0)
+        ok = ~degenerate
+        # Python's float division overflows to inf silently; so does this.
+        with np.errstate(over="ignore"):
+            return num_var[ok] / den_var[ok], int(degenerate.sum())
+
+    return _percentile_bootstrap((num_values, den_values), b, level, seed, chunk_statistic)
 
 
 # --- stratification and deltas ---------------------------------------------

@@ -24,7 +24,6 @@ _SEP = "\x1f"
 _CHUNK = 256
 
 _MASK32 = 0xFFFFFFFF
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _key(seed: int, *path: object) -> int:
@@ -59,6 +58,15 @@ def resample_indices(
     by that mapping (and so consume extra words) is recomputed from its
     substream, so every row is exact.
     """
+    for chunk in _resample_chunks(seed, tag, b, sizes):
+        yield from chunk
+
+
+def _resample_chunks(
+    seed: int, tag: object, b: int, sizes: Sequence[int],
+) -> Iterator[np.ndarray]:
+    """The rows of ``resample_indices`` as int64 arrays of at most ``_CHUNK``
+    rows by ``sum(sizes)`` columns, in row order."""
     sizes = [int(n) for n in sizes]
     if any(n < 1 for n in sizes):
         raise ValueError(f"resample_indices: pool sizes must be >= 1, got {sizes}")
@@ -70,6 +78,9 @@ def resample_indices(
     columns = np.flatnonzero(np.repeat(np.array(sizes) > 1, sizes))
     n_draws = len(bounds)
     n_words = (n_draws + 1) // 2
+    # Row i's key hashes the same bytes as _key(seed, tag, i); the constant
+    # prefix is hashed once and its state copied per row.
+    prefix = hashlib.sha256(_SEP.join((str(seed), str(tag), "")).encode("utf-8"))
 
     bitgen = np.random.Philox(key=0)
     state = bitgen.state
@@ -77,8 +88,11 @@ def resample_indices(
         rows = min(_CHUNK, b - first)
         words = np.empty((rows, n_words), dtype=np.uint64)
         for r in range(rows):
-            key = _key(seed, tag, first + r)
-            state["state"]["key"] = (key & _MASK64, key >> 64)
+            sha = prefix.copy()
+            sha.update(str(first + r).encode("utf-8"))
+            digest = sha.digest()
+            state["state"]["key"] = (int.from_bytes(digest[:8], "little"),
+                                     int.from_bytes(digest[8:16], "little"))
             bitgen.state = state
             words[r] = bitgen.random_raw(n_words)
         # Philox hands out the low half of each 64-bit word, then the high half.
@@ -87,9 +101,7 @@ def resample_indices(
         rejected = ((scaled & _MASK32) < thresholds).any(axis=1)
         out = np.zeros((rows, sum(sizes)), dtype=np.int64)
         out[:, columns] = scaled >> 32
-        for r in range(rows):
-            if rejected[r]:
-                gen = substream(seed, tag, first + r)
-                yield np.concatenate([gen.integers(0, n, size=n) for n in sizes])
-            else:
-                yield out[r]
+        for r in np.flatnonzero(rejected).tolist():
+            gen = substream(seed, tag, first + r)
+            out[r] = np.concatenate([gen.integers(0, n, size=n) for n in sizes])
+        yield out

@@ -188,14 +188,23 @@ class ValidationReport:
         return bool(self.errors)
 
 
-def _iter_lines(source: str | Path | IO[str] | Iterable[str]) -> Iterator[tuple[int, str]]:
+def _iter_lines(
+    source: str | Path | IO[str] | Iterable[str],
+) -> Iterator[tuple[int, str | UnicodeDecodeError]]:
     """Yield (1-based line number, stripped line), skipping blank lines.
-    A path is read with lines ending only at line feeds."""
+    A path is read with lines ending only at line feeds, each decoded on its
+    own; a line that is not UTF-8 is yielded as its UnicodeDecodeError."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="\n") as fh:
+        with open(source, "rb") as fh:
             yield from _iter_lines(fh)
         return
     for lineno, raw in enumerate(source, start=1):
+        if isinstance(raw, bytes):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                yield lineno, exc
+                continue
         line = raw.strip()
         if line:
             yield lineno, line
@@ -218,6 +227,8 @@ def _read_records(source: str | Path | IO[str] | Iterable[str], kind: str, key: 
     values: list[_T] = []
     seen: dict[Any, int] = {}
     for lineno, line in _iter_lines(source):
+        if isinstance(line, UnicodeDecodeError):
+            raise RegistryError(f"{kind} line {lineno}: not UTF-8: {line}") from line
         try:
             record = json.loads(line, parse_float=parse_float)
         except json.JSONDecodeError as exc:
@@ -480,18 +491,18 @@ def parse_episode_log(
     reports: list[ValidationReport] = []
     seen: set[str] = set()
     for lineno, line in _iter_lines(source):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        if isinstance(line, UnicodeDecodeError):
+            problem = f"not UTF-8: {line}"
+        else:
+            try:
+                record = json.loads(line)
+                problem = None if isinstance(record, dict) else "record is not an object"
+            except json.JSONDecodeError as exc:
+                problem = str(exc)
+        if problem:
             reports.append(ValidationReport(
                 episode_id=f"<line {lineno}>",
-                errors=(ValidationIssue("malformed_line", f"line {lineno}: {exc}"),),
-            ))
-            continue
-        if not isinstance(record, dict):
-            reports.append(ValidationReport(
-                episode_id=f"<line {lineno}>",
-                errors=(ValidationIssue("malformed_line", f"line {lineno}: record is not an object"),),
+                errors=(ValidationIssue("malformed_line", f"line {lineno}: {problem}"),),
             ))
             continue
         label = record.get("episode_id")

@@ -4,7 +4,9 @@
 ``substream(seed, "bootstrap", i)`` generator per resample and one
 ``integers`` call per pool. The fast path must agree with it exactly, not
 within a tolerance, because it draws the same indices and feeds the same
-statistic in the same order.
+statistic in the same order. ``vaf`` computes its interval from per-pool
+level counts instead of calling ``bootstrap_ci``; ``bootstrap_ci`` over
+``_variance_ratio`` is its oracle, again exactly.
 """
 from __future__ import annotations
 
@@ -13,9 +15,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from reliakit import DegenerateStatisticError, MetricError, bootstrap_ci
+from conftest import make_task
+from reliakit import DegenerateStatisticError, MetricError, bootstrap_ci, vaf
 from reliakit import rng
 from reliakit.metrics import _variance_ratio
 from reliakit.rng import resample_indices, substream
@@ -161,3 +164,64 @@ def test_temporaries_do_not_grow_with_b():
     # One chunk of uint64/int64 rows is chunk * 800 * 8 bytes; an index
     # matrix over all 8 chunks would be 8 times that.
     assert large < 8 * chunk * sum(sizes) * 8
+
+
+def _vaf_outcome(num, den, **kwargs):
+    """vaf's interval over the two pools in order, or its MetricError message."""
+    per_task = {f"n{i:02d}": v for i, v in enumerate(num)}
+    per_task.update({f"d{i:02d}": v for i, v in enumerate(den)})
+    meta = {task_id: make_task(task_id, bucket="long" if task_id[0] == "n" else "short")
+            for task_id in per_task}
+    try:
+        result = vaf(per_task, meta, **kwargs)
+    except MetricError as exc:
+        return str(exc)
+    return result.ci_low, result.ci_high
+
+
+def _assert_vaf_matches_bootstrap_ci(num, den, b, level, seed):
+    expected = _outcome(bootstrap_ci, _variance_ratio, (num, den), b=b, level=level, seed=seed)
+    assert _vaf_outcome(num, den, b=b, ci_level=level, seed=seed) == expected
+
+
+_pool = st.lists(st.sampled_from([0.0, 1 / 3, 2 / 3, 1.0]) | st.floats(0.0, 1.0),
+                 min_size=2, max_size=60)
+
+
+@given(num=_pool, den=_pool, b=st.sampled_from([1000, 1001, 2500]),
+       seed=st.integers(0, 2 ** 32 - 1), level=st.sampled_from([0.9, 0.95]))
+@settings(max_examples=40, deadline=None)
+def test_vaf_interval_equals_bootstrap_ci_exactly(num, den, b, level, seed):
+    # vaf refuses a degenerate point estimate before drawing any resample.
+    assume(not isinstance(_outcome(_variance_ratio, num, den), str))
+    _assert_vaf_matches_bootstrap_ci(num, den, b, level, seed)
+
+
+def test_vaf_signed_zeros_are_one_level():
+    num = [0.0, -0.0, 1 / 3, 1.0, 2 / 3, -0.0]
+    den = [-0.0, 0.0, 1 / 3, 1 / 3, 1.0, 0.0, -0.0]
+    _assert_vaf_matches_bootstrap_ci(num, den, 1000, 0.95, 3)
+    _assert_vaf_matches_bootstrap_ci(den, num, 1000, 0.95, 3)
+
+
+def test_vaf_excessive_degeneracy_is_the_same_error():
+    num, den = [0.0, 1.0], [1.0, 1.0, 1.0, 0.0]
+    assert "degenerate on" in _vaf_outcome(num, den, b=1000, seed=0)
+    _assert_vaf_matches_bootstrap_ci(num, den, 1000, 0.95, 0)
+
+
+def test_vaf_never_holds_every_index_row():
+    fractions = [0.0, 1 / 3, 2 / 3, 1.0]
+    num = [fractions[i % 4] for i in range(24)]
+    den = [fractions[(i * 7) % 4] for i in range(23)] + [1.0]
+    b = 10000
+    _vaf_outcome(num, den, b=1000, seed=1)  # lazy imports and caches, not per-call memory
+    tracemalloc.start()
+    try:
+        interval = _vaf_outcome(num, den, b=b, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(interval, tuple)
+    # One (b, 48) int64 index matrix.
+    assert peak < b * (len(num) + len(den)) * 8

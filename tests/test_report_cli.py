@@ -83,6 +83,12 @@ class TestLoadPricing:
         path.write_text("\n".join(PRICING_LINES) + "\n", encoding="utf-8")
         assert len(load_pricing(path)) == 2
 
+    def test_non_utf8_file_names_the_line(self, tmp_path):
+        path = tmp_path / "pricing.jsonl"
+        path.write_bytes(PRICING_LINES[0].encode("utf-8") + b"\n\xff\xfe\n")
+        with pytest.raises(RegistryError, match="pricing line 2: not UTF-8"):
+            load_pricing(path)
+
 
 class TestComputeCost:
     def test_million_token_episode(self):
@@ -378,8 +384,12 @@ class TestCli:
                      "--out", str(out), "--bootstrap-b", "0",
                      "--format", "markdown"])
         assert code == 0
-        stdout = capsys.readouterr().out
-        assert "analyzed 32 episodes" in stdout
+        captured = capsys.readouterr()
+        assert "analyzed 32 episodes" in captured.out
+        # A one-scaffold corpus skips the scaffold comparison: one plain line,
+        # not Python's "file:line: MetricWarning" format.
+        assert captured.err.splitlines() == [
+            "warning: scaffold_delta: model 'sim-agent' has only ['react']; skipped"]
         assert (out / "rdc.md").exists()
         assert (out / "run_metadata.json").exists()
         assert not (out / "rdc.csv").exists()  # only the requested format

@@ -63,6 +63,12 @@ class TestRegistry:
         with pytest.raises(RegistryError, match="registry line 2"):
             load_task_registry(stream)
 
+    def test_non_utf8_file_names_the_line(self, tmp_path):
+        path = tmp_path / "tasks.jsonl"
+        path.write_bytes(registry_line().encode("utf-8") + b"\n\xff\xfe\n")
+        with pytest.raises(RegistryError, match="registry line 2: not UTF-8"):
+            load_task_registry(path)
+
     def test_weight_sum_enforced_exactly(self):
         bad = registry_line(subtasks=[
             {"subtask_id": "s1", "weight": 0.5, "description": ""},
@@ -167,6 +173,16 @@ class TestParseEpisodeLog:
         assert len(episodes) == 1
         assert reports[0].episode_id == "<line 1>"
         assert reports[0].errors[0].code == "malformed_line"
+
+    def test_non_utf8_line_in_file_is_malformed(self, tmp_path):
+        good = serialize_episode(make_episode("e1", make_task())).encode("utf-8")
+        path = tmp_path / "episodes.jsonl"
+        path.write_bytes(b"\xff\xfe\n" + good + b"\n")
+        episodes, reports = parse_episode_log(path)
+        assert [ep.episode_id for ep in episodes] == ["e1"]
+        assert reports[0].episode_id == "<line 1>"
+        assert reports[0].errors[0].code == "malformed_line"
+        assert reports[0].errors[0].message.startswith("line 1: not UTF-8")
 
     def test_step_limit_enforced(self):
         task = make_task()
