@@ -307,14 +307,28 @@ def meltdown_table(
     too-short ones (tracked separately). Medians use the lower median and
     are suppressed below MIN_EVENTS_FOR_MEDIAN events.
     """
+    return _meltdown_cells(episodes, registry, config, keep_series=False)[0]
+
+
+def _meltdown_cells(
+    episodes: Iterable[Episode],
+    registry: Mapping[str, TaskSpec],
+    config: MopConfig | None,
+    keep_series: bool,
+) -> tuple[dict[tuple[str, str], MeltdownCell], dict[str, tuple[tuple[int, float], ...]]]:
+    """meltdown_table's cells, and each episode's entropy series by
+    episode_id when ``keep_series`` (else an empty dict)."""
     config = config or MopConfig()
     onsets: dict[tuple[str, str], list[int]] = {}
     totals: dict[tuple[str, str], int] = {}
     too_short: dict[tuple[str, str], int] = {}
+    series: dict[str, tuple[tuple[int, float], ...]] = {}
     for ep, task in _joined(episodes, registry, MeltdownError):
         key = (ep.model_id, task.bucket)
         totals[key] = totals.get(key, 0) + 1
         result = detect_mop(ep, config)
+        if keep_series:
+            series[ep.episode_id] = result.entropy_series
         if result.too_short:
             too_short[key] = too_short.get(key, 0) + 1
         if result.onset_step is not None:
@@ -335,7 +349,7 @@ def meltdown_table(
                 n_episodes=totals[key],
                 n_too_short=too_short.get(key, 0),
             )
-    return table
+    return table, series
 
 
 def entropy_precursor(

@@ -20,6 +20,7 @@ so partial table sets are never written on stage failure.
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .meltdown import MopConfig, detect_mop, meltdown_table
+from .meltdown import MopConfig, _meltdown_cells, meltdown_table
 from .metrics import (
     DEFAULT_VAF_DENOMINATOR,
     DEFAULT_VAF_NUMERATOR,
@@ -314,28 +315,38 @@ class _Logs:
 
 def _load_logs(paths: Sequence[str | Path]) -> _Logs:
     """Parse every log through the streaming reader, keeping the first
-    record of an episode_id across files as within one."""
+    record of an episode_id across files as within one.
+
+    The cyclic garbage collector is paused meanwhile: parsed records form
+    no reference cycles, and every pass it would make scans a heap that
+    only grows, which costs more the larger the logs."""
     episodes: list[Episode] = []
     reports: list[ValidationReport] = []
     inputs = []
     seen_ids: set[str] = set()
-    for path in paths:
-        meta: dict[str, Any] = {}
-        file_eps, file_reports = parse_episode_log(_read_lines(path, "parse", meta))
-        reports.extend(file_reports)
-        for ep in file_eps:
-            if ep.episode_id in seen_ids:
-                reports.append(ValidationReport(
-                    episode_id=ep.episode_id,
-                    warnings=(ValidationIssue(
-                        "duplicate_episode_id",
-                        f"{path}: duplicate of {ep.episode_id!r} from an earlier log;"
-                        " keeping the first"),),
-                ))
-                continue
-            seen_ids.add(ep.episode_id)
-            episodes.append(ep)
-        inputs.append(meta)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for path in paths:
+            meta: dict[str, Any] = {}
+            file_eps, file_reports = parse_episode_log(_read_lines(path, "parse", meta))
+            reports.extend(file_reports)
+            for ep in file_eps:
+                if ep.episode_id in seen_ids:
+                    reports.append(ValidationReport(
+                        episode_id=ep.episode_id,
+                        warnings=(ValidationIssue(
+                            "duplicate_episode_id",
+                            f"{path}: duplicate of {ep.episode_id!r} from an earlier log;"
+                            " keeping the first"),),
+                    ))
+                    continue
+                seen_ids.add(ep.episode_id)
+                episodes.append(ep)
+            inputs.append(meta)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return _Logs(episodes, reports, inputs)
 
 
@@ -489,7 +500,13 @@ def _build_tables(
         for row in scaffold_delta(analysis, registry)
     ]
 
-    melt = meltdown_table(analysis, registry, opts.mop)
+    # Without series the table comes from the public meltdown_table, so
+    # spans wrapped around that name (the benchmark's layer timings) still
+    # time it. With series, one detect_mop pass yields both.
+    if opts.emit_series:
+        melt, series = _meltdown_cells(analysis, registry, opts.mop, keep_series=True)
+    else:
+        melt, series = meltdown_table(analysis, registry, opts.mop), {}
     melt_rows = [
         (model_id, bucket, cell.rate, cell.median_onset, cell.n_events,
          cell.n_episodes, cell.n_too_short)
@@ -549,10 +566,6 @@ def _build_tables(
         Column("regressor", "str"),
     ), tuple(decomp_rows))
 
-    series: dict[str, tuple[tuple[int, float], ...]] = {}
-    if opts.emit_series:
-        for ep in analysis:
-            series[ep.episode_id] = detect_mop(ep, opts.mop).entropy_series
     return tables, series
 
 

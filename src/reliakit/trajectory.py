@@ -87,6 +87,10 @@ def bucket_for_minutes(minutes: float) -> str:
     raise ValueError(f"no bucket for {minutes} minutes")
 
 
+_decode_json = json.JSONDecoder().decode
+_encode_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def canonical_args(args: Any) -> str:
     """Canonical string rendering of tool-call arguments.
 
@@ -98,13 +102,13 @@ def canonical_args(args: Any) -> str:
     """
     if isinstance(args, str):
         try:
-            parsed = json.loads(args)
+            parsed = _decode_json(args)
         except json.JSONDecodeError:
             return args
         if isinstance(parsed, (dict, list)):
-            return json.dumps(parsed, sort_keys=True, separators=(",", ":"))
+            return _encode_canonical(parsed)
         return args
-    return json.dumps(args, sort_keys=True, separators=(",", ":"))
+    return _encode_canonical(args)
 
 
 @dataclass(frozen=True)
@@ -127,9 +131,10 @@ class TaskSpec:
     extras: Mapping[str, Any] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ToolStep:
-    """A single tool invocation. Step indices are 1-based and contiguous."""
+    """A single tool invocation. Step indices are 1-based and contiguous.
+    Parsed steps without unknown fields share one read-only empty ``extras``."""
 
     index: int
     tool: str
@@ -359,6 +364,32 @@ _STEP_FIELDS = {
 }
 
 
+class _NoExtras(Mapping[str, Any]):
+    """The read-only empty ``extras`` shared by parsed steps without unknown
+    fields. Unlike ``types.MappingProxyType({})`` it can be pickled and
+    deep-copied, as the one shared instance, so parsed episodes still can."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key: str) -> Any:
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+    def __repr__(self) -> str:
+        return "{}"
+
+    def __reduce__(self) -> str:
+        return "_NO_EXTRAS"
+
+
+_NO_EXTRAS = _NoExtras()
+
+
 def _valid_timestamp(value: Any) -> bool:
     if not isinstance(value, str):
         return False
@@ -369,7 +400,15 @@ def _valid_timestamp(value: Any) -> bool:
     return True
 
 
-def _parse_steps(raw: Any, errors: list[ValidationIssue]) -> tuple[ToolStep, ...]:
+def _parse_steps(raw: Any, errors: list[ValidationIssue], args_seen: dict[str, str],
+                 stamps_seen: dict[str, str | bool]) -> tuple[ToolStep, ...]:
+    """The steps of one record, or () after appending its first error.
+
+    ``args_seen`` maps each raw argument string to its canonical_args result
+    (the raw string itself when already canonical), and ``stamps_seen`` maps
+    each timestamp string to itself when valid or to False, so a parse does
+    the JSON and datetime work once per distinct string. They are separate
+    dicts because one string can be both an argument and a timestamp."""
     if not isinstance(raw, list):
         errors.append(ValidationIssue("bad_steps", "steps must be an array"))
         return ()
@@ -383,7 +422,7 @@ def _parse_steps(raw: Any, errors: list[ValidationIssue]) -> tuple[ToolStep, ...
             errors.append(ValidationIssue("bad_step", f"step {pos} is not an object"))
             return ()
         index = rec.get("index")
-        if index != pos:
+        if type(index) is not int or index != pos:
             errors.append(ValidationIssue(
                 "bad_step_index",
                 f"step at position {pos} has index {index!r}; indices must be 1-based and contiguous"))
@@ -392,35 +431,50 @@ def _parse_steps(raw: Any, errors: list[ValidationIssue]) -> tuple[ToolStep, ...
         if not isinstance(tool, str) or not tool:
             errors.append(ValidationIssue("bad_step", f"step {pos}: tool must be a non-empty string"))
             return ()
-        counts = {}
-        for key in ("result_chars", "tokens_in", "tokens_out"):
-            v = rec.get(key)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                errors.append(ValidationIssue(
-                    "bad_step", f"step {pos}: {key} must be a non-negative integer"))
-                return ()
-            counts[key] = v
+        result_chars = rec.get("result_chars")
+        tokens_in = rec.get("tokens_in")
+        tokens_out = rec.get("tokens_out")
+        # type() rather than isinstance(), so a bool is not a count.
+        if not (type(result_chars) is int and result_chars >= 0
+                and type(tokens_in) is int and tokens_in >= 0
+                and type(tokens_out) is int and tokens_out >= 0):
+            for key in ("result_chars", "tokens_in", "tokens_out"):
+                v = rec.get(key)
+                if type(v) is not int or v < 0:
+                    errors.append(ValidationIssue(
+                        "bad_step", f"step {pos}: {key} must be a non-negative integer"))
+                    return ()
         timestamp = rec.get("timestamp")
-        if not _valid_timestamp(timestamp):
+        stamp = stamps_seen.get(timestamp) if isinstance(timestamp, str) else False
+        if stamp is None:
+            stamp = stamps_seen[timestamp] = _valid_timestamp(timestamp) and timestamp
+        if stamp is False:
             errors.append(ValidationIssue("bad_timestamp", f"step {pos}: timestamp {timestamp!r}"))
             return ()
         if "args_canonical" in rec:
-            args = canonical_args(rec["args_canonical"])
+            args = rec["args_canonical"]
         elif "args" in rec:
-            args = canonical_args(rec["args"])
+            args = rec["args"]
         else:
             errors.append(ValidationIssue("bad_step", f"step {pos}: missing args_canonical"))
             return ()
-        extras = {k: v for k, v in rec.items() if k not in _STEP_FIELDS}
-        steps.append(ToolStep(
-            index=pos, tool=tool, args_canonical=args,
-            result_chars=counts["result_chars"], tokens_in=counts["tokens_in"],
-            tokens_out=counts["tokens_out"], timestamp=timestamp, extras=extras,
-        ))
+        if isinstance(args, str):
+            canonical = args_seen.get(args)
+            if canonical is None:
+                canonical = canonical_args(args)
+                canonical = args_seen[args] = args if canonical == args else canonical
+        else:
+            canonical = canonical_args(args)
+        extras = (_NO_EXTRAS if rec.keys() <= _STEP_FIELDS
+                  else {k: v for k, v in rec.items() if k not in _STEP_FIELDS})
+        steps.append(ToolStep(pos, tool, canonical, result_chars, tokens_in, tokens_out,
+                              stamp, extras))
     return tuple(steps)
 
 
-def _episode_from_record(record: Mapping[str, Any], errors: list[ValidationIssue]) -> Episode | None:
+def _episode_from_record(record: Mapping[str, Any], errors: list[ValidationIssue],
+                         args_seen: dict[str, str],
+                         stamps_seen: dict[str, str | bool]) -> Episode | None:
     def need(key: str, kind: type, predicate=None, describe: str = "") -> Any:
         value = record.get(key)
         if isinstance(value, bool) and kind is not bool:
@@ -454,7 +508,7 @@ def _episode_from_record(record: Mapping[str, Any], errors: list[ValidationIssue
     else:
         outcomes = tuple(outcomes_raw)
 
-    steps = _parse_steps(record.get("steps", []), errors)
+    steps = _parse_steps(record.get("steps", []), errors, args_seen, stamps_seen)
 
     if passed is not None and score is not None:
         at_full_score = abs(score - 1.0) <= _SCORE_TOLERANCE
@@ -490,6 +544,8 @@ def parse_episode_log(
     episodes: list[Episode] = []
     reports: list[ValidationReport] = []
     seen: set[str] = set()
+    args_seen: dict[str, str] = {}
+    stamps_seen: dict[str, str | bool] = {}
     for lineno, line in _iter_lines(source):
         if isinstance(line, UnicodeDecodeError):
             problem = f"not UTF-8: {line}"
@@ -514,7 +570,7 @@ def parse_episode_log(
             continue
 
         errors: list[ValidationIssue] = []
-        episode = _episode_from_record(record, errors)
+        episode = _episode_from_record(record, errors, args_seen, stamps_seen)
         if episode is None:
             reports.append(ValidationReport(episode_id=label, errors=tuple(errors)))
             continue

@@ -615,6 +615,24 @@ class TestEverySubcommandReadsLogsAlike:
                                  "duplicates": 396, "parsed": 4}
         assert peak < size / 4
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_loading_leaves_the_gc_as_it_found_it(self, tmp_path, enabled):
+        import gc
+
+        from reliakit.report import _load_logs
+
+        log, _ = write_corpus(tmp_path, small_corpus(tasks=1, k=1))
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert _load_logs([log]).counts()["parsed"] > 0
+            assert gc.isenabled() is enabled
+            with pytest.raises(InputError):
+                _load_logs([log, tmp_path / "missing.jsonl"])
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
     def test_duplicate_label_is_exit_2(self, tmp_path, capsys):
         data = tmp_path / "traj"
         main(["simulate", "--mode", "trajectories", "--count", "2", "--out", str(data)])

@@ -201,6 +201,16 @@ class TestParseEpisodeLog:
         assert episodes == []
         assert any(i.code == "bad_step_index" for i in reports[0].errors)
 
+    @pytest.mark.parametrize("index", [True, 1.0])
+    def test_step_index_must_be_an_integer(self, index):
+        # Both compare equal to 1; the repeat_index check rejects both.
+        rec = json.loads(serialize_episode(
+            make_episode("e1", make_task(), steps=steps_from_tools(["a"]))))
+        rec["steps"][0]["index"] = index
+        episodes, reports = parse_episode_log(io.StringIO(json.dumps(rec)))
+        assert episodes == []
+        assert [i.code for i in reports[0].errors] == ["bad_step_index"]
+
     def test_bad_timestamp_rejected(self):
         rec = json.loads(serialize_episode(
             make_episode("e1", make_task(), steps=steps_from_tools(["a"]))))
