@@ -537,7 +537,17 @@ def _percentile_bootstrap(
             f"bootstrap_ci: statistic degenerate on {degenerate / b:.1%} of {b} resamples"
             " (more than the 20% tolerance)")
     tail = 100.0 * (1.0 - level) / 2.0
-    low, high = np.percentile(np.concatenate(kept), [tail, 100.0 - tail])
+    values = np.concatenate(kept)
+    with np.errstate(invalid="ignore"):
+        bounds = np.percentile(values, [tail, 100.0 - tail])
+    # Interpolating next to an infinite statistic (a ratio whose denominator
+    # underflowed) computes inf - inf or inf * 0, which is nan. The bound is
+    # then the upper neighbour: the infinite one, or the value itself when
+    # its interpolation weight is 0.
+    if np.isnan(bounds).any():
+        bounds = np.where(np.isnan(bounds),
+                          np.percentile(values, [tail, 100.0 - tail], method="higher"), bounds)
+    low, high = bounds
     return float(low), float(high)
 
 

@@ -400,15 +400,13 @@ def _valid_timestamp(value: Any) -> bool:
     return True
 
 
-def _parse_steps(raw: Any, errors: list[ValidationIssue], args_seen: dict[str, str],
-                 stamps_seen: dict[str, str | bool]) -> tuple[ToolStep, ...]:
+def _parse_steps(raw: Any, errors: list[ValidationIssue],
+                 args_seen: dict[str, str]) -> tuple[ToolStep, ...]:
     """The steps of one record, or () after appending its first error.
 
     ``args_seen`` maps each raw argument string to its canonical_args result
-    (the raw string itself when already canonical), and ``stamps_seen`` maps
-    each timestamp string to itself when valid or to False, so a parse does
-    the JSON and datetime work once per distinct string. They are separate
-    dicts because one string can be both an argument and a timestamp."""
+    (the raw string itself when already canonical), so a parse does the JSON
+    work once per distinct argument string."""
     if not isinstance(raw, list):
         errors.append(ValidationIssue("bad_steps", "steps must be an array"))
         return ()
@@ -431,24 +429,17 @@ def _parse_steps(raw: Any, errors: list[ValidationIssue], args_seen: dict[str, s
         if not isinstance(tool, str) or not tool:
             errors.append(ValidationIssue("bad_step", f"step {pos}: tool must be a non-empty string"))
             return ()
-        result_chars = rec.get("result_chars")
-        tokens_in = rec.get("tokens_in")
-        tokens_out = rec.get("tokens_out")
-        # type() rather than isinstance(), so a bool is not a count.
-        if not (type(result_chars) is int and result_chars >= 0
-                and type(tokens_in) is int and tokens_in >= 0
-                and type(tokens_out) is int and tokens_out >= 0):
-            for key in ("result_chars", "tokens_in", "tokens_out"):
-                v = rec.get(key)
-                if type(v) is not int or v < 0:
-                    errors.append(ValidationIssue(
-                        "bad_step", f"step {pos}: {key} must be a non-negative integer"))
-                    return ()
+        counts = []
+        for key in ("result_chars", "tokens_in", "tokens_out"):
+            v = rec.get(key)
+            # type() rather than isinstance(), so a bool is not a count.
+            if type(v) is not int or v < 0:
+                errors.append(ValidationIssue(
+                    "bad_step", f"step {pos}: {key} must be a non-negative integer"))
+                return ()
+            counts.append(v)
         timestamp = rec.get("timestamp")
-        stamp = stamps_seen.get(timestamp) if isinstance(timestamp, str) else False
-        if stamp is None:
-            stamp = stamps_seen[timestamp] = _valid_timestamp(timestamp) and timestamp
-        if stamp is False:
+        if not _valid_timestamp(timestamp):
             errors.append(ValidationIssue("bad_timestamp", f"step {pos}: timestamp {timestamp!r}"))
             return ()
         if "args_canonical" in rec:
@@ -467,14 +458,12 @@ def _parse_steps(raw: Any, errors: list[ValidationIssue], args_seen: dict[str, s
             canonical = canonical_args(args)
         extras = (_NO_EXTRAS if rec.keys() <= _STEP_FIELDS
                   else {k: v for k, v in rec.items() if k not in _STEP_FIELDS})
-        steps.append(ToolStep(pos, tool, canonical, result_chars, tokens_in, tokens_out,
-                              stamp, extras))
+        steps.append(ToolStep(pos, tool, canonical, *counts, timestamp, extras))
     return tuple(steps)
 
 
 def _episode_from_record(record: Mapping[str, Any], errors: list[ValidationIssue],
-                         args_seen: dict[str, str],
-                         stamps_seen: dict[str, str | bool]) -> Episode | None:
+                         args_seen: dict[str, str]) -> Episode | None:
     def need(key: str, kind: type, predicate=None, describe: str = "") -> Any:
         value = record.get(key)
         if isinstance(value, bool) and kind is not bool:
@@ -508,7 +497,7 @@ def _episode_from_record(record: Mapping[str, Any], errors: list[ValidationIssue
     else:
         outcomes = tuple(outcomes_raw)
 
-    steps = _parse_steps(record.get("steps", []), errors, args_seen, stamps_seen)
+    steps = _parse_steps(record.get("steps", []), errors, args_seen)
 
     if passed is not None and score is not None:
         at_full_score = abs(score - 1.0) <= _SCORE_TOLERANCE
@@ -545,7 +534,6 @@ def parse_episode_log(
     reports: list[ValidationReport] = []
     seen: set[str] = set()
     args_seen: dict[str, str] = {}
-    stamps_seen: dict[str, str | bool] = {}
     for lineno, line in _iter_lines(source):
         if isinstance(line, UnicodeDecodeError):
             problem = f"not UTF-8: {line}"
@@ -570,7 +558,7 @@ def parse_episode_log(
             continue
 
         errors: list[ValidationIssue] = []
-        episode = _episode_from_record(record, errors, args_seen, stamps_seen)
+        episode = _episode_from_record(record, errors, args_seen)
         if episode is None:
             reports.append(ValidationReport(episode_id=label, errors=tuple(errors)))
             continue

@@ -2,7 +2,8 @@
 
 ``_reference_bootstrap_ci`` is that loop, kept verbatim: one fresh
 ``substream(seed, "bootstrap", i)`` generator per resample and one
-``integers`` call per pool. The fast path must agree with it exactly, not
+``integers`` call per pool. One fix is applied to both: a bound whose
+interpolation meets an infinite statistic is its upper neighbour, not nan. The fast path must agree with it exactly, not
 within a tolerance, because it draws the same indices and feeds the same
 statistic in the same order. ``vaf`` computes its interval from per-pool
 level counts instead of calling ``bootstrap_ci``; ``bootstrap_ci`` over
@@ -58,7 +59,12 @@ def _reference_bootstrap_ci(statistic, units, b=10000, level=0.95, seed=0):
             f"bootstrap_ci: statistic degenerate on {degenerate / b:.1%} of {b} resamples"
             " (more than the 20% tolerance)")
     tail = 100.0 * (1.0 - level) / 2.0
-    low, high = np.percentile(values, [tail, 100.0 - tail])
+    with np.errstate(invalid="ignore"):
+        low, high = np.percentile(values, [tail, 100.0 - tail])
+    if math.isnan(low):
+        low = np.percentile(values, tail, method="higher")
+    if math.isnan(high):
+        high = np.percentile(values, 100.0 - tail, method="higher")
     return float(low), float(high)
 
 
@@ -208,6 +214,28 @@ def test_vaf_excessive_degeneracy_is_the_same_error():
     num, den = [0.0, 1.0], [1.0, 1.0, 1.0, 0.0]
     assert "degenerate on" in _vaf_outcome(num, den, b=1000, seed=0)
     _assert_vaf_matches_bootstrap_ci(num, den, 1000, 0.95, 0)
+
+
+def test_vaf_interval_reaches_an_infinite_ratio():
+    # A denominator pool with one subnormal-squared spread: some resamples'
+    # variance ratios overflow to inf, and the upper bound is inf, not nan.
+    num, den = [0.0, 1 / 3], [0.0, 1 / 3, 7.524220015125501e-162]
+    assert _vaf_outcome(num, den, b=1000, ci_level=0.9, seed=0) == (0.0, math.inf)
+    _assert_vaf_matches_bootstrap_ci(num, den, 1000, 0.9, 0)
+    assert _reference_bootstrap_ci(_variance_ratio, (num, den), b=1000, level=0.9) == (0.0, math.inf)
+
+
+@pytest.mark.parametrize("b, level, n_inf, expected", [
+    # 1001 resamples at level 0.5: both bounds sit exactly on a sorted
+    # value (weight 0), whose upper neighbour is inf or which is inf itself.
+    (1001, 0.5, 250, (250.0, 750.0)),
+    (1001, 0.5, 251, (250.0, math.inf)),
+    # 1000 resamples: the lower bound lies 75% of the way to an inf.
+    (1000, 0.5, 750, (math.inf, math.inf)),
+])
+def test_interval_bounds_next_to_infinite_statistics(b, level, n_inf, expected):
+    values = iter([float(v) for v in range(b - n_inf)] + [math.inf] * n_inf)
+    assert bootstrap_ci(lambda _: next(values), [0.0, 1.0], b=b, level=level) == expected
 
 
 def test_vaf_never_holds_every_index_row():

@@ -215,7 +215,7 @@ def _reference_parse_episode_log(
 # --- generated logs ---------------------------------------------------------
 
 # Small pools, so the same valid and invalid strings recur across steps and
-# episodes and every memo entry is hit again. _SHARED strings are both
+# episodes and every argument-memo entry is hit again. _SHARED strings are both
 # arguments and timestamps: one is a valid timestamp, the other is not.
 _SHARED = ["2026-01-01T00:00:01Z", "not-a-time"]
 _ARG_STRINGS = [
@@ -376,7 +376,7 @@ def test_generated_logs_reach_every_outcome():
             "infra_excluded"} <= codes
 
 
-def test_memos_hit_across_episodes_and_keep_their_verdicts():
+def test_argument_memo_hits_across_episodes_and_keeps_its_verdicts():
     task = make_task()
     good = json.loads(serialize_episode(make_episode("e1", task, steps=steps_from_tools(["a"]))))
     step = good["steps"][0]
@@ -396,9 +396,8 @@ def test_memos_hit_across_episodes_and_keep_their_verdicts():
     # A repeated bad timestamp is reported on every episode that has it.
     assert [(r.episode_id, r.errors[0].code) for r in reports] == [
         ("e1", "bad_timestamp"), ("e3", "bad_timestamp")]
-    # Each distinct string is held once: equal strings come back as one object.
+    # Each distinct argument string is held once: equal ones come back as one object.
     assert episodes[1].steps[0].args_canonical is episodes[2].steps[0].args_canonical
-    assert episodes[0].steps[0].timestamp is episodes[2].steps[0].timestamp
 
 
 def test_first_bad_count_is_the_one_reported():
