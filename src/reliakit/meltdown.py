@@ -139,33 +139,52 @@ def entropy_series(
     trajectory: Sequence[ToolStep], w: int
 ) -> tuple[tuple[int, float], ...]:
     """(step, entropy) for every full window, computed with an incremental
-    sliding count: one tool enters and one leaves per step."""
+    sliding count: one tool enters and one leaves per step.
+
+    A window's entropy depends only on the multiset of its counts (fsum is
+    exactly rounded, so the order of the terms does not matter), so each
+    distinct sorted count tuple is computed once per call."""
     if w < 1:
         raise MeltdownError(f"window size must be >= 1, got {w}")
     n = len(trajectory)
     if n < w:
         return ()
-    counts: Counter[str] = Counter(step.tool for step in trajectory[:w])
-    series = [(w, window_entropy({tool: c / w for tool, c in counts.items()}))]
-    for t in range(w + 1, n + 1):
-        entering = trajectory[t - 1].tool
-        leaving = trajectory[t - w - 1].tool
-        counts[entering] += 1
-        counts[leaving] -= 1
-        if counts[leaving] == 0:
-            del counts[leaving]
-        series.append((t, window_entropy({tool: c / w for tool, c in counts.items()})))
-    return tuple(series)
+    tools = [step.tool for step in trajectory]
+    counts: dict[str, int] = {}
+    for tool in tools[:w]:
+        counts[tool] = counts.get(tool, 0) + 1
+    by_counts: dict[tuple[int, ...], float] = {}
+
+    def entropy() -> float:
+        key = tuple(sorted(counts.values()))
+        h = by_counts.get(key)
+        if h is None:
+            h = by_counts[key] = window_entropy({i: c / w for i, c in enumerate(key)})
+        return h
+
+    h = entropy()
+    levels = [h]
+    for entering, leaving in zip(tools[w:], tools):
+        if entering != leaving:
+            counts[entering] = counts.get(entering, 0) + 1
+            left = counts[leaving] - 1
+            if left:
+                counts[leaving] = left
+            else:
+                del counts[leaving]
+            h = entropy()
+        levels.append(h)
+    return tuple(zip(range(w, n + 1), levels))
 
 
 def _onset_from_series(
     series: Sequence[tuple[int, float]], w: int, theta_h: float, delta: float
 ) -> int | None:
-    by_step = dict(series)
-    for t, h in series:
-        if t < 2 * w:
-            continue
-        if h > theta_h and h - by_step[t - w] > delta:
+    # series[i] is step w + i, so series[i - w] is one window span earlier
+    # and i >= w is t >= 2w
+    for i in range(w, len(series)):
+        t, h = series[i]
+        if h > theta_h and h - series[i - w][1] > delta:
             return t
     return None
 
@@ -210,7 +229,8 @@ def calibrate_mop_f1(
     """Grid-search (theta_h, delta) maximizing detection F1 on a labeled set.
 
     Ties prefer the lower theta_h, then the lower delta. Entropy series are
-    computed once per episode; only the thresholds move across the grid.
+    computed once per episode and scanned once per theta; every delta then
+    costs one comparison per episode.
     """
     _check_window(w, "calibrate_mop_f1")
     if not labeled:
@@ -223,18 +243,25 @@ def calibrate_mop_f1(
     if all(labels):
         raise MeltdownError("calibrate_mop_f1: no negative labels")
 
+    # An episode is detected at (theta, delta) exactly when its largest
+    # one-window rise over eligible steps above theta exceeds delta, so one
+    # scan per theta serves every delta. Too-short episodes have no
+    # eligible step and a largest rise of -inf.
     prepared = []
     for source, label in labeled:
         _, steps = _steps_of(source)
-        too_short = len(steps) < 2 * w
-        prepared.append((entropy_series(steps, w), too_short, bool(label)))
+        levels = [h for _, h in entropy_series(steps, w)]
+        eligible = [(h, h - earlier) for h, earlier in zip(levels[w:], levels)]
+        rises = {theta: max((rise for h, rise in eligible if h > theta), default=-math.inf)
+                 for theta in grid_theta}
+        prepared.append((rises, bool(label)))
 
     best: CalibrationResult | None = None
     for theta in grid_theta:
         for delta in grid_delta:
             tp = fp = fn = 0
-            for series, too_short, label in prepared:
-                detected = (not too_short) and _onset_from_series(series, w, theta, delta) is not None
+            for rises, label in prepared:
+                detected = rises[theta] > delta
                 if detected and label:
                     tp += 1
                 elif detected:

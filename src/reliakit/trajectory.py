@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import date
 from decimal import Decimal, InvalidOperation
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, Mapping, TypeVar
 import warnings
@@ -89,6 +91,11 @@ def bucket_for_minutes(minutes: float) -> str:
 
 _decode_json = json.JSONDecoder().decode
 _encode_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_scan_json = json.JSONDecoder().scan_once
+# The C encoder behind _encode_canonical, built once instead of per call.
+# Without cycle markers: freshly decoded JSON cannot be cyclic.
+_encode_decoded = None if c_make_encoder is None else c_make_encoder(
+    None, None, encode_basestring_ascii, None, ":", ",", True, False, True)
 
 
 def canonical_args(args: Any) -> str:
@@ -101,6 +108,16 @@ def canonical_args(args: Any) -> str:
     returned unchanged.
     """
     if isinstance(args, str):
+        # Fast path: one C-level scan of a container that fills the string.
+        # Whitespace, trailing data and errors take the general path below.
+        if args[:1] in ("{", "[") and _encode_decoded is not None:
+            try:
+                parsed, end = _scan_json(args, 0)
+            except (json.JSONDecodeError, StopIteration):
+                pass
+            else:
+                if end == len(args):
+                    return "".join(_encode_decoded(parsed, 0))
         try:
             parsed = _decode_json(args)
         except json.JSONDecodeError:
@@ -390,11 +407,47 @@ class _NoExtras(Mapping[str, Any]):
 _NO_EXTRAS = _NoExtras()
 
 
+# Exactly what datetime.fromisoformat accepts on Python 3.10 once "Z" reads
+# as "+00:00", so one log parses alike on every version (3.11 and later also
+# accept basic and week dates, fractions of any length and offsets without a
+# colon). That is YYYY-MM-DD, optionally followed by any one separator
+# character and a time:
+#   HH[:MM[:SS[(.|:)fff[fff]]]] or HH[:MM].fff[fff], then an optional offset;
+#   or HH[:MM[:SS]] plus one trailing character, which is NUL, or any other
+#   ASCII character but "+" and "-" when an offset follows.
+# An offset is (+|-)HH:MM[:SS[(.|:)ffffff]] strictly inside +-24 h; its
+# minutes and seconds may each run to 99. The day of the month is left to
+# date.fromisoformat; every other field is checked here.
+_FRACTION = r"(?:[0-9]{3}|[0-9]{6})"
+_OFFSET = (r"[+-](?:(?:[01][0-9]|2[0-2]):[0-9]{2}|23:(?:[0-4][0-9]|5[0-8]))"
+           r"(?::[0-9]{2}(?:[.:][0-9]{6})?)?"
+           r"|[+-]23:59(?::[0-5][0-9](?:[.:][0-9]{6})?)?")
+_TIMESTAMP = re.compile(
+    rf"[0-9]{{4}}-[0-9]{{2}}-[0-9]{{2}}(?:."
+    rf"(?:(?:[01][0-9]|2[0-3])"
+    rf"(?:\.{_FRACTION}|:[0-5][0-9](?:\.{_FRACTION}|:[0-5][0-9][.:]{_FRACTION}))"
+    rf"(?:{_OFFSET})?"
+    rf"|(?:[01][0-9]|2[0-3])(?::[0-5][0-9](?::[0-5][0-9])?)?"
+    rf"(?:\x00?|[\x00-\x2a\x2c\x2e-\x7f]?(?:{_OFFSET}))))?",
+    re.DOTALL)
+# The common shapes, which _TIMESTAMP also accepts, checked faster: days to
+# 28 need no date check, and offsets to 23:59 are inside +-24 h.
+_PLAIN_TIMESTAMP = re.compile(
+    r"(?!0000)[0-9]{4}-(?:0[1-9]|1[0-2])-(?:0[1-9]|1[0-9]|2[0-8])"
+    r"[T ](?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9](?:\.[0-9]{3}(?:[0-9]{3})?)?"
+    r"(?:[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])?")
+
+
 def _valid_timestamp(value: Any) -> bool:
     if not isinstance(value, str):
         return False
+    value = value.replace("Z", "+00:00")
+    if _PLAIN_TIMESTAMP.fullmatch(value) is not None:
+        return True
+    if _TIMESTAMP.fullmatch(value) is None:
+        return False
     try:
-        datetime.fromisoformat(value.replace("Z", "+00:00"))
+        date.fromisoformat(value[:10])
     except ValueError:
         return False
     return True

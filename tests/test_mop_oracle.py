@@ -1,0 +1,269 @@
+"""The MOP fast paths against the per-window and per-cell code they replaced.
+
+``_reference_*`` below are that code's ``entropy_series``,
+``_onset_from_series``, ``detect_mop`` and ``calibrate_mop_f1``, kept
+verbatim. The fast ones must return results equal by ``==``: the same
+entropy series bit for bit, the same ``MopResult``, the same
+``CalibrationResult`` (or the same error), and the same ``meltdown_table``
+cells. The reference table is ``meltdown_table`` run with the reference
+``detect_mop``.
+"""
+from __future__ import annotations
+
+import math
+from collections import Counter
+from typing import Sequence
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import make_episode, make_task, steps_from_tools
+from reliakit import meltdown
+from reliakit.meltdown import (
+    DEFAULT_F1_GRID_DELTA,
+    DEFAULT_F1_GRID_THETA,
+    CalibrationResult,
+    MeltdownError,
+    MopConfig,
+    MopResult,
+    _check_window,
+    _steps_of,
+    calibrate_mop_f1,
+    detect_mop,
+    entropy_series,
+    meltdown_table,
+    window_entropy,
+)
+from reliakit.trajectory import BUCKETS, Episode, ToolStep
+
+
+def _reference_entropy_series(
+    trajectory: Sequence[ToolStep], w: int
+) -> tuple[tuple[int, float], ...]:
+    if w < 1:
+        raise MeltdownError(f"window size must be >= 1, got {w}")
+    n = len(trajectory)
+    if n < w:
+        return ()
+    counts: Counter[str] = Counter(step.tool for step in trajectory[:w])
+    series = [(w, window_entropy({tool: c / w for tool, c in counts.items()}))]
+    for t in range(w + 1, n + 1):
+        entering = trajectory[t - 1].tool
+        leaving = trajectory[t - w - 1].tool
+        counts[entering] += 1
+        counts[leaving] -= 1
+        if counts[leaving] == 0:
+            del counts[leaving]
+        series.append((t, window_entropy({tool: c / w for tool, c in counts.items()})))
+    return tuple(series)
+
+
+def _reference_onset_from_series(
+    series: Sequence[tuple[int, float]], w: int, theta_h: float, delta: float
+) -> int | None:
+    by_step = dict(series)
+    for t, h in series:
+        if t < 2 * w:
+            continue
+        if h > theta_h and h - by_step[t - w] > delta:
+            return t
+    return None
+
+
+def _reference_detect_mop(
+    source: Episode | Sequence[ToolStep],
+    config: MopConfig | None = None,
+) -> MopResult:
+    config = config or MopConfig()
+    episode_id, steps = _steps_of(source)
+    series = _reference_entropy_series(steps, config.window_w)
+    max_entropy = max((h for _, h in series), default=0.0)
+    too_short = len(steps) < 2 * config.window_w
+    onset = None
+    if not too_short:
+        onset = _reference_onset_from_series(series, config.window_w, config.theta_h, config.delta)
+    return MopResult(
+        episode_id=episode_id, onset_step=onset, max_entropy=max_entropy,
+        entropy_series=series, too_short=too_short,
+    )
+
+
+def _reference_calibrate_mop_f1(
+    labeled: Sequence[tuple[Episode | Sequence[ToolStep], bool]],
+    grid_theta: Sequence[float] = DEFAULT_F1_GRID_THETA,
+    grid_delta: Sequence[float] = DEFAULT_F1_GRID_DELTA,
+    w: int = 5,
+) -> CalibrationResult:
+    _check_window(w, "calibrate_mop_f1")
+    if not labeled:
+        raise MeltdownError("calibrate_mop_f1: empty labeled set")
+    if not grid_theta or not grid_delta:
+        raise MeltdownError("calibrate_mop_f1: empty grid")
+    labels = [bool(label) for _, label in labeled]
+    if not any(labels):
+        raise MeltdownError("calibrate_mop_f1: no positive labels")
+    if all(labels):
+        raise MeltdownError("calibrate_mop_f1: no negative labels")
+
+    prepared = []
+    for source, label in labeled:
+        _, steps = _steps_of(source)
+        too_short = len(steps) < 2 * w
+        prepared.append((_reference_entropy_series(steps, w), too_short, bool(label)))
+
+    best: CalibrationResult | None = None
+    for theta in grid_theta:
+        for delta in grid_delta:
+            tp = fp = fn = 0
+            for series, too_short, label in prepared:
+                detected = (not too_short) and _reference_onset_from_series(series, w, theta, delta) is not None
+                if detected and label:
+                    tp += 1
+                elif detected:
+                    fp += 1
+                elif label:
+                    fn += 1
+            precision = tp / (tp + fp) if tp + fp else 0.0
+            recall = tp / (tp + fn) if tp + fn else 0.0
+            f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+            candidate = CalibrationResult(theta_h=theta, delta=delta, f1=f1,
+                                          precision=precision, recall=recall)
+            if best is None or (f1, -theta, -delta) > (best.f1, -best.theta_h, -best.delta):
+                best = candidate
+    assert best is not None
+    return best
+
+
+def _reference_meltdown_table(episodes, registry, config):
+    with mock.patch.object(meltdown, "detect_mop", _reference_detect_mop):
+        return meltdown_table(episodes, registry, config)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MeltdownError as exc:
+        return MeltdownError, str(exc)
+
+
+# --- strategies ---------------------------------------------------------------
+
+_TOOLS = ["read", "edit", "test", "grep", "plan", "shell"]
+
+
+@st.composite
+def _trajectory(draw, w: int) -> tuple[ToolStep, ...]:
+    tools = _TOOLS[:draw(st.integers(1, 6))]
+    # Runs of one tool make the entering tool equal the leaving one.
+    n = draw(st.integers(0, 3 * w + 5))
+    sequence = draw(st.lists(st.sampled_from(tools), min_size=n, max_size=n))
+    if draw(st.booleans()) and sequence:
+        cut = draw(st.integers(0, len(sequence)))
+        sequence[cut:] = [sequence[0]] * (len(sequence) - cut)
+    return steps_from_tools(sequence)
+
+
+def _grid_values(series: Sequence[tuple[int, float]], w: int) -> tuple[list[float], list[float]]:
+    """Entropy levels and one-window rises of a series, so strict ``>``
+    comparisons meet their ties."""
+    levels = [h for _, h in series]
+    rises = [h - earlier for h, earlier in zip(levels[w:], levels)]
+    return levels, rises
+
+
+def _grid(draw, own: list[float], fixed: list[float]) -> list[float]:
+    """1 to 5 values, unsorted and possibly repeated, partly from ``own``."""
+    pool = st.sampled_from(own + fixed) if own else st.sampled_from(fixed)
+    return draw(st.lists(st.one_of(pool, st.sampled_from(fixed)), min_size=1, max_size=5))
+
+
+_THETAS = [0.0, 0.5, 1.0, 1.5, 1.711, 2.0, 2.5]
+_DELTAS = [-1.0, -0.5, -1e-12, 0.0, 0.2, 0.5, 1.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_entropy_series_and_detection_equal_reference(data):
+    w = data.draw(st.integers(2, 8))
+    steps = data.draw(_trajectory(w))
+    series = entropy_series(steps, w)
+    assert series == _reference_entropy_series(steps, w)
+    levels, rises = _grid_values(series, w)
+    theta = data.draw(st.sampled_from(levels + _THETAS))
+    delta = data.draw(st.sampled_from(rises + _DELTAS))
+    config = MopConfig(window_w=w, theta_h=theta, delta=delta)
+    assert detect_mop(steps, config) == _reference_detect_mop(steps, config)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_calibration_equals_reference(data):
+    w = data.draw(st.integers(2, 8))
+    labeled = [(data.draw(_trajectory(w)), data.draw(st.booleans()))
+               for _ in range(data.draw(st.integers(1, 6)))]
+    levels, rises = [], []
+    for steps, _ in labeled:
+        own_levels, own_rises = _grid_values(_reference_entropy_series(steps, w), w)
+        levels += own_levels
+        rises += own_rises
+    grid_theta = _grid(data.draw, levels, _THETAS)
+    grid_delta = _grid(data.draw, rises, _DELTAS)
+    got = _outcome(calibrate_mop_f1, labeled, grid_theta, grid_delta, w)
+    assert got == _outcome(_reference_calibrate_mop_f1, labeled, grid_theta, grid_delta, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_meltdown_table_equals_reference(data):
+    w = data.draw(st.integers(2, 8))
+    tasks = {b: make_task(f"t-{b}", bucket=b) for b in BUCKETS}
+    episodes = []
+    for i in range(data.draw(st.integers(1, 12))):
+        task = tasks[data.draw(st.sampled_from(BUCKETS))]
+        episodes.append(make_episode(f"e{i}", task, model_id=data.draw(st.sampled_from(["m1", "m2"])),
+                                     steps=data.draw(_trajectory(w))))
+    levels, rises = _grid_values(entropy_series(episodes[0].steps, w), w)
+    config = MopConfig(window_w=w, theta_h=data.draw(st.sampled_from(levels + _THETAS)),
+                       delta=data.draw(st.sampled_from(rises + _DELTAS)))
+    registry = {task.task_id: task for task in tasks.values()}
+    assert meltdown_table(episodes, registry, config) == _reference_meltdown_table(
+        episodes, registry, config)
+
+
+def test_calibration_ties_at_a_grid_value_are_strict():
+    # Window 2: entropies 0, 1, 1, 0 ... with a one-window rise of exactly 1.
+    hot = steps_from_tools(["a", "a", "a", "b", "a", "b"])
+    cold = steps_from_tools(["a"] * 6)
+    levels, rises = _grid_values(entropy_series(hot, 2), 2)
+    assert max(levels) == 1.0 and max(rises) == 1.0
+    labeled = [(hot, True), (cold, False)]
+    for grid_theta, grid_delta in [([1.0], [0.0]), ([0.0, 0.0], [1.0, 0.0]),
+                                   ([0.5, 0.0], [0.5, -1.0, 0.5])]:
+        got = calibrate_mop_f1(labeled, grid_theta, grid_delta, w=2)
+        assert got == _reference_calibrate_mop_f1(labeled, grid_theta, grid_delta, w=2)
+    # theta = 1.0 is not strictly exceeded, so nothing is detected there.
+    assert calibrate_mop_f1(labeled, [1.0], [0.0], w=2).f1 == 0.0
+
+
+def test_calibration_reads_entropy_series_through_the_module():
+    """A wrapper bound to ``meltdown.entropy_series`` (as a tracer binds it)
+    sees one call per labeled episode."""
+    calls = []
+
+    def counted(trajectory, w):
+        calls.append(len(trajectory))
+        return entropy_series(trajectory, w)
+
+    labeled = [(steps_from_tools(["a", "b"] * 6), True), (steps_from_tools(["a"] * 12), False)]
+    with mock.patch.object(meltdown, "entropy_series", counted):
+        calibrate_mop_f1(labeled, w=3)
+    assert calls == [12, 12]
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 5, 9, 10, 11])
+def test_series_of_every_short_length_equals_reference(n):
+    steps = steps_from_tools(["a", "b", "c"] * 4)[:n]
+    assert entropy_series(steps, 5) == _reference_entropy_series(steps, 5)
+    assert detect_mop(steps, MopConfig(window_w=5, theta_h=0.0, delta=-math.inf)) == \
+        _reference_detect_mop(steps, MopConfig(window_w=5, theta_h=0.0, delta=-math.inf))

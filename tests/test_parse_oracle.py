@@ -1,9 +1,11 @@
 """The memoized episode-log parser against the per-step parser it replaced.
 
-``_reference_*`` below are that parser's ``canonical_args``, ``_parse_steps``,
-``_episode_from_record`` and ``parse_episode_log``, kept verbatim except for
-one fix applied to both: a step ``index`` must be an ``int``, so ``true`` and
-``1.0`` (which compare equal to 1) are a ``bad_step_index``. The fast parser
+``_reference_*`` below are that parser's ``canonical_args``, timestamp check,
+``_parse_steps``, ``_episode_from_record`` and ``parse_episode_log``, kept
+verbatim except for two fixes applied to both: a step ``index`` must be an
+``int``, so ``true`` and ``1.0`` (which compare equal to 1) are a
+``bad_step_index``; and a timestamp must also match ``_TIMESTAMP``, so every
+Python version accepts what 3.10's ``fromisoformat`` does. The fast parser
 must return lists equal by ``==``: the same episodes, steps and extras, and
 the same validation reports in the same order with the same messages.
 """
@@ -13,17 +15,20 @@ import copy
 import io
 import json
 import pickle
+from datetime import datetime
 from typing import Any, Iterable, Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_episode, make_task, steps_from_tools
-from reliakit import parse_episode_log, serialize_episode
+from reliakit import canonical_args, parse_episode_log, serialize_episode
+from reliakit import trajectory
 from reliakit.trajectory import (
     _EPISODE_FIELDS,
     _SCORE_TOLERANCE,
     _STEP_FIELDS,
+    _TIMESTAMP,
     MAX_STEPS,
     NUDGE_LIMIT,
     SCAFFOLDS,
@@ -34,7 +39,6 @@ from reliakit.trajectory import (
     ValidationReport,
     _check_schema_version,
     _iter_lines,
-    _valid_timestamp,
 )
 
 
@@ -48,6 +52,19 @@ def _reference_canonical_args(args: Any) -> str:
             return json.dumps(parsed, sort_keys=True, separators=(",", ":"))
         return args
     return json.dumps(args, sort_keys=True, separators=(",", ":"))
+
+
+def _reference_valid_timestamp(value: Any) -> bool:
+    if not isinstance(value, str):
+        return False
+    value = value.replace("Z", "+00:00")
+    if _TIMESTAMP.fullmatch(value) is None:
+        return False
+    try:
+        datetime.fromisoformat(value)
+    except ValueError:
+        return False
+    return True
 
 
 def _reference_parse_steps(raw: Any, errors: list[ValidationIssue]) -> tuple[ToolStep, ...]:
@@ -82,7 +99,7 @@ def _reference_parse_steps(raw: Any, errors: list[ValidationIssue]) -> tuple[Too
                 return ()
             counts[key] = v
         timestamp = rec.get("timestamp")
-        if not _valid_timestamp(timestamp):
+        if not _reference_valid_timestamp(timestamp):
             errors.append(ValidationIssue("bad_timestamp", f"step {pos}: timestamp {timestamp!r}"))
             return ()
         if "args_canonical" in rec:
@@ -222,6 +239,7 @@ _ARG_STRINGS = [
     '{"b": 1, "a": [2, {"d": 0, "c": null}]}', '{"a":[2,{"c":null,"d":0}],"b":1}',
     "[3, 1, 2]", "[]", "{}", '  {"k": "v"}\t', "ls -la", '"quoted"', "42", "null", "true",
     "{bad json", "", "\ufeff{\"a\": 1}", '{"a": 1} trailing', "[1, 2", '{"\u00e9": "\u00fc"}', *_SHARED,
+    "{}{}", '{"a":1}x', '{"a": NaN, "b": [Infinity, 1e400]}', '["\\ud800"]', '{"a":1,"a":2}',
 ]
 _ARG_VALUES = st.one_of(
     st.sampled_from(_ARG_STRINGS),
@@ -230,8 +248,10 @@ _ARG_VALUES = st.one_of(
     st.dictionaries(st.sampled_from("abc"), st.integers(-2, 2), max_size=3),
 )
 _GOOD_STAMPS = ["2026-01-01T00:00:02+00:00", "2026-01-01", "2026-01-01T00:00:03.250000",
-                _SHARED[0]]
-_BAD_STAMPS = ["2026-13-01T00:00:00Z", "", "yesterday", 5, None, ["2026-01-01"], _SHARED[1]]
+                "2026-01-01T12:30:45:100", _SHARED[0]]
+# The first three are accepted by fromisoformat on Python 3.11 and later only.
+_BAD_STAMPS = ["20260101T000001", "2026-01-01T00:00:01.5", "2026-W01-1",
+               "2026-13-01T00:00:00Z", "", "yesterday", 5, None, ["2026-01-01"], _SHARED[1]]
 _BAD_COUNTS = [-1, True, False, 1.5, 2.0, "3", None, [1]]
 _MISSING = object()  # a perturbation that deletes the key
 
@@ -422,3 +442,66 @@ def test_accepted_step_without_extras_has_empty_extras():
     # Parsed episodes pickle and deep-copy as they did with a dict per step.
     assert pickle.loads(pickle.dumps(ep)) == ep
     assert copy.deepcopy(ep) == ep
+
+
+# --- canonical_args edge cases ------------------------------------------------
+
+_CANONICAL_CASES = [
+    # whitespace and trailing data leave the fast path
+    ' {"b": 1, "a": 2}', '{"b": 1, "a": 2} ', "\n[1, 2]\n", "[1]\t", "{}{}", '{"a":1}x', "[] []",
+    # an invalid body after "{", a bare "[", truncations
+    '{"a": }', "{", "[", "[1,", '{"a":', '{"a" 1}', "[1 2]", "{'a': 1}",
+    # non-finite and out-of-range numbers
+    "NaN", "[NaN]", '{"x": Infinity}', "[-Infinity]", "[1e400]", "[-1e400, 1e-400]", "Infinity",
+    "[1.0, -0.0, 1E5, 0.1, 12345678901234567890]",
+    # lone surrogates, escaped and raw; non-ASCII text
+    '["\\ud800"]', '{"\\udc00": "\\ud83d"}', '["\ud800"]', '{"é": "ü"}', '["日本"]',
+    '{"e": "\U0001F600"}', '["\\u00e9"]',
+    # duplicate keys keep the last value
+    '{"a":1,"a":2}', '{"b":1,"a":2,"b":3}',
+    # nesting: deep enough to work, and deep enough to raise
+    "[" * 200 + "]" * 200, '{"a":' * 200 + "1" + "}" * 200, "[" * 100_000 + "]" * 100_000,
+    # plain containers and scalars
+    '{"a": [true, false, null]}', "[]", "{}", '"s"', "42", "plain text",
+]
+
+
+def _outcome(fn, args: Any) -> Any:
+    try:
+        return fn(args)
+    except (RecursionError, ValueError) as exc:
+        return type(exc)
+
+
+def _case_id(args: str) -> str:
+    text = ascii(args)
+    return text if len(text) <= 40 else f"{text[:30]}...({len(args)} chars)"
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c_encoder", "no_c_encoder"])
+@pytest.mark.parametrize("args", _CANONICAL_CASES, ids=_case_id)
+def test_canonical_args_edge_cases_equal_reference(args, c_encoder, monkeypatch):
+    if not c_encoder:
+        monkeypatch.setattr(trajectory, "_encode_decoded", None)
+    assert _outcome(canonical_args, args) == _outcome(_reference_canonical_args, args)
+
+
+def test_too_deep_nesting_raises_recursion_error():
+    assert _outcome(canonical_args, "[" * 100_000 + "]" * 100_000) is RecursionError
+
+
+def test_fast_path_takes_only_a_container_filling_the_string(monkeypatch):
+    calls = []
+    encode = trajectory._encode_decoded
+
+    def counted(obj, level):
+        calls.append(obj)
+        return encode(obj, level)
+
+    monkeypatch.setattr(trajectory, "_encode_decoded", counted)
+    assert canonical_args('{"b":1,"a":[2]}') == '{"a":[2],"b":1}'
+    assert canonical_args(' {"b":1}') == '{"b":1}'
+    assert canonical_args('{"b":1} ') == '{"b":1}'
+    assert canonical_args("{}{}") == "{}{}"
+    assert canonical_args({"b": 1}) == '{"b":1}'
+    assert calls == [{"b": 1, "a": [2]}]

@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import io
 import json
+import sys
+from datetime import date, datetime
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import FOUR_WEIGHTS, make_episode, make_step, make_task, steps_from_tools
-from reliakit.trajectory import MAX_STEPS
+from reliakit.trajectory import MAX_STEPS, _PLAIN_TIMESTAMP, _TIMESTAMP, _valid_timestamp
 from reliakit import (
     RegistryError,
     RegistryWarning,
@@ -231,6 +233,98 @@ class TestParseEpisodeLog:
         rec["provider"] = "mirror-a"
         (ep,), _ = parse_episode_log(io.StringIO(json.dumps(rec)))
         assert ep.extras["provider"] == "mirror-a"
+
+
+# (timestamp, accepted): the verdicts of datetime.fromisoformat on Python
+# 3.10.13 after "Z" is read as "+00:00", which every version must reproduce.
+TIMESTAMPS_AS_ON_310 = [
+    ("2026-01-01T00:00:01Z", True),
+    ("2026-01-01T00:00:01+00:00", True),
+    ("2026-01-01", True),
+    ("2026-01-01 12:30", True),
+    ("2026-01-01t12:30", True),
+    ("2026-01-01T12", True),
+    ("2026-01-01T12:30:45.123", True),
+    ("2026-01-01T12:30:45.123456-05:00", True),
+    ("2026-01-01T12.123456", True),
+    ("2026-01-01T12:30.123", True),
+    ("2026-01-01T12:30:45:100", True),
+    ("2026-01-01T12x+05:00", True),
+    ("2026-01-01T12:+05:00", True),
+    ("2026-01-01T12:30\x00", True),
+    ("2026-01-01\ud80012:30", True),
+    ("2026-01-01\u00e912:30", True),
+    ("2024-02-29T00:00", True),
+    ("2026-01-01T00:00+22:99:99", True),
+    ("2026-01-01T00:00-23:59:59.999999", True),
+    ("2026-01-01T00:00+05:00:00:123456", True),
+    ("2026-01-01Z", True),
+    ("2024-02-29T00:00:00", True),
+    ("2026-01-28 23:59:59.999-23:59", True),
+    ("2026-12-31T00:00:00Z", True),
+    # accepted by 3.11 and later only
+    ("20260101T000001", False),
+    ("2026-01-01T00:00:01.5", False),
+    ("2026-01-01T00:00:01,5", False),
+    ("2026-W01-1", False),
+    ("2026-01-01T12:30:45.1234", False),
+    ("2026-01-01T12:30:45.123456789", False),
+    ("2026-01-01T12:30:45+05", False),
+    ("2026-01-01T12:30:45+0500", False),
+    ("2026-01-01T12:30:45+05:00:00.123", False),
+    ("2026-01-01T1230", False),
+    # rejected everywhere
+    ("2026-01-01T12x", False),
+    ("2026-01-01T12:", False),
+    ("2026-01-01T", False),
+    ("2026-01-01T24:00", False),
+    ("2026-01-01T12:60", False),
+    ("2026-02-29", False),
+    ("2026-02-29T00:00:00", False),
+    ("2026-04-31 12:00:00Z", False),
+    ("0000-01-01T00:00:00", False),
+    ("2026-01-01T00:00:00+24:00", False),
+    ("0000-01-01", False),
+    ("2026-01-01T00:00+24:00", False),
+    ("2026-01-01T00:00-23:59:60", False),
+    ("2026-01-01T00:00+23:60", False),
+    ("2026-01-01T12:30+05:00Z", False),
+    ("2026-01-01T\ud80012:00", False),
+    ("\u0662\u0660\u0662\u0666-01-01", False),
+    (" 2026-01-01", False),
+    ("2026-01-01 ", False),
+    ("yesterday", False),
+    ("", False),
+]
+
+
+class TestTimestamps:
+    @pytest.mark.parametrize("stamp,accepted", TIMESTAMPS_AS_ON_310)
+    def test_verdict_is_the_one_python_3_10_gives(self, stamp, accepted):
+        assert _valid_timestamp(stamp) is accepted
+
+    @pytest.mark.parametrize("value", [None, 5, 1.5, ["2026-01-01"], b"2026-01-01"])
+    def test_non_strings_are_rejected(self, value):
+        assert _valid_timestamp(value) is False
+
+    @given(st.from_regex(_PLAIN_TIMESTAMP, fullmatch=True))
+    def test_fast_shapes_pass_the_full_check(self, stamp):
+        assert _TIMESTAMP.fullmatch(stamp) is not None
+        date.fromisoformat(stamp[:10])
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 10),
+                        reason="compares with Python 3.10's own fromisoformat")
+    @given(st.text(st.sampled_from(["0", "1", "2", "5", "9", "-", ":", ".", "+", "T", "Z", " ",
+                                    "x", ",", "W", "\x00", "\u00e9", "\ud800"]), max_size=16),
+           st.sampled_from(["", "2026-01-01", "2024-02-29T23:59", "2026-01-01T12:30:45"]))
+    def test_matches_fromisoformat_on_python_3_10(self, tail, head):
+        stamp = head + tail
+        try:
+            datetime.fromisoformat(stamp.replace("Z", "+00:00"))
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert _valid_timestamp(stamp) is accepted
 
 
 class TestRoundTrip:
