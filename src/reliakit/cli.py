@@ -14,7 +14,9 @@ Exit codes: 0 success, 1 usage error, 2 input validation failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -29,7 +31,7 @@ from .meltdown import (
     calibrate_mop_f1,
     detect_mop,
 )
-from .metrics import MetricError, REGRESSORS
+from .metrics import _CI_METHODS, MetricError, REGRESSORS
 from .report import (
     InputError,
     PipelineError,
@@ -113,8 +115,13 @@ def _bounded(kind: type, ok: Callable[[Any], bool], rule: str) -> Callable[[str]
 _bootstrap_b = _bounded(int, lambda b: b == 0 or b >= 1000, "0 (off) or at least 1000")
 _ci_level = _bounded(float, lambda x: 0.0 < x < 1.0, "in (0, 1)")
 _mop_window = _bounded(int, lambda w: w >= 2, "at least 2")
-_mop_theta = _bounded(float, lambda x: x >= 0.0, "at least 0")
+_mop_theta = _bounded(float, lambda x: 0.0 <= x < math.inf, "finite and at least 0")
+_mop_delta = _bounded(float, math.isfinite, "finite")
 _percentile = _bounded(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
+
+
+# The library's defaults, read here so each is declared once.
+_DEFAULTS = PipelineOptions()
 
 
 def build_parser() -> _Parser:
@@ -132,24 +139,25 @@ def build_parser() -> _Parser:
                          help="output directory for report files")
     analyze.add_argument("--format", action="append", choices=_FORMATS,
                          help="output format; repeatable (default: all)")
-    analyze.add_argument("--seed", type=int, default=0)
-    analyze.add_argument("--bootstrap-b", type=_bootstrap_b, default=10000,
+    analyze.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    analyze.add_argument("--bootstrap-b", type=_bootstrap_b, default=_DEFAULTS.bootstrap_b,
                          help="bootstrap resamples for VAF intervals"
                               " (0 disables, otherwise at least 1000)")
-    analyze.add_argument("--ci-level", type=_ci_level, default=0.95,
+    analyze.add_argument("--ci-level", type=_ci_level, default=_DEFAULTS.ci_level,
                          help="interval confidence level, in (0, 1)")
-    analyze.add_argument("--ci-method", choices=("wald", "wilson"), default="wald")
-    analyze.add_argument("--mop-theta", type=_mop_theta, default=1.711,
+    analyze.add_argument("--ci-method", choices=tuple(_CI_METHODS),
+                         default=_DEFAULTS.ci_method)
+    analyze.add_argument("--mop-theta", type=_mop_theta, default=_DEFAULTS.mop.theta_h,
                          help="entropy level threshold in bits")
-    analyze.add_argument("--mop-delta", type=float, default=0.0,
+    analyze.add_argument("--mop-delta", type=_mop_delta, default=_DEFAULTS.mop.delta,
                          help="required entropy rise over one window span")
-    analyze.add_argument("--mop-window", type=_mop_window, default=5)
-    analyze.add_argument("--vaf-num", type=_bucket_list, default=("long", "very_long"),
+    analyze.add_argument("--mop-window", type=_mop_window, default=_DEFAULTS.mop.window_w)
+    analyze.add_argument("--vaf-num", type=_bucket_list, default=_DEFAULTS.vaf_numerator,
                          metavar="BUCKETS", help="comma-separated numerator buckets")
-    analyze.add_argument("--vaf-den", type=_bucket_list, default=("short", "medium"),
+    analyze.add_argument("--vaf-den", type=_bucket_list, default=_DEFAULTS.vaf_denominator,
                          metavar="BUCKETS", help="comma-separated denominator buckets")
     analyze.add_argument("--regressor", choices=tuple(REGRESSORS),
-                         default="bucket_index_1to4")
+                         default=_DEFAULTS.regressor)
     analyze.add_argument("--emit-series", action="store_true",
                          help="write per-episode entropy series sidecars")
     analyze.set_defaults(handler=_cmd_analyze)
@@ -158,9 +166,9 @@ def build_parser() -> _Parser:
     mop.add_argument("--logs", nargs="+", required=True, metavar="PATH")
     mop.add_argument("--out", metavar="DIR",
                      help="write mop.csv there instead of stdout")
-    mop.add_argument("--mop-theta", type=_mop_theta, default=1.711)
-    mop.add_argument("--mop-delta", type=float, default=0.0)
-    mop.add_argument("--mop-window", type=_mop_window, default=5)
+    mop.add_argument("--mop-theta", type=_mop_theta, default=_DEFAULTS.mop.theta_h)
+    mop.add_argument("--mop-delta", type=_mop_delta, default=_DEFAULTS.mop.delta)
+    mop.add_argument("--mop-window", type=_mop_window, default=_DEFAULTS.mop.window_w)
     mop.add_argument("--calibrate", choices=("f1", "baseline"),
                      help="calibrate thresholds instead of detecting")
     mop.add_argument("--labels", metavar="PATH",
@@ -221,8 +229,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         ci_method=args.ci_method,
         mop=MopConfig(window_w=args.mop_window, theta_h=args.mop_theta,
                       delta=args.mop_delta),
-        vaf_numerator=tuple(args.vaf_num),
-        vaf_denominator=tuple(args.vaf_den),
+        vaf_numerator=args.vaf_num,
+        vaf_denominator=args.vaf_den,
         regressor=args.regressor,
         emit_series=args.emit_series,
     )
@@ -328,13 +336,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         np.savetxt(out / "steps.csv", failures.astype(int), fmt="%d", delimiter=",")
         fail_counts = failures.sum(axis=1)
         summary = {
-            "model": config.model,
-            "epsilon": config.epsilon,
-            "rho": config.rho,
-            "hazard_gamma": config.hazard_gamma,
-            "horizon_t": config.horizon_t,
-            "episodes": config.episodes,
-            "seed": config.seed,
+            **dataclasses.asdict(config),
             "observed_all_success_rate": float(np.mean(fail_counts == 0)),
             "observed_failcount_variance": float(np.var(fail_counts)),
             "predicted_failcount_variance": predicted_failcount_variance(

@@ -79,8 +79,10 @@ class MopConfig:
 
     def __post_init__(self) -> None:
         _check_window(self.window_w, "MopConfig")
-        if self.theta_h < 0:
+        if not self.theta_h >= 0:
             raise MeltdownError(f"theta_h must be >= 0, got {self.theta_h}")
+        if math.isnan(self.delta):
+            raise MeltdownError("delta must be a number, got nan")
 
 
 @dataclass(frozen=True)
@@ -346,35 +348,29 @@ def _meltdown_cells(
     """meltdown_table's cells, and each episode's entropy series by
     episode_id when ``keep_series`` (else an empty dict)."""
     config = config or MopConfig()
-    onsets: dict[tuple[str, str], list[int]] = {}
-    totals: dict[tuple[str, str], int] = {}
-    too_short: dict[tuple[str, str], int] = {}
+    outcomes: dict[tuple[str, str], list[tuple[int | None, bool]]] = {}
     series: dict[str, tuple[tuple[int, float], ...]] = {}
     for ep, task in _joined(episodes, registry, MeltdownError):
-        key = (ep.model_id, task.bucket)
-        totals[key] = totals.get(key, 0) + 1
         result = detect_mop(ep, config)
         if keep_series:
             series[ep.episode_id] = result.entropy_series
-        if result.too_short:
-            too_short[key] = too_short.get(key, 0) + 1
-        if result.onset_step is not None:
-            onsets.setdefault(key, []).append(result.onset_step)
+        outcomes.setdefault((ep.model_id, task.bucket), []).append(
+            (result.onset_step, result.too_short))
 
     table: dict[tuple[str, str], MeltdownCell] = {}
-    for model_id in sorted({m for m, _ in totals}):
+    for model_id in sorted({m for m, _ in outcomes}):
         for bucket in BUCKETS:
-            key = (model_id, bucket)
-            if key not in totals:
+            cell = outcomes.get((model_id, bucket))
+            if cell is None:
                 continue
-            events = sorted(onsets.get(key, []))
+            events = sorted(onset for onset, _ in cell if onset is not None)
             median = events[(len(events) - 1) // 2] if len(events) >= MIN_EVENTS_FOR_MEDIAN else None
-            table[key] = MeltdownCell(
-                rate=len(events) / totals[key],
+            table[(model_id, bucket)] = MeltdownCell(
+                rate=len(events) / len(cell),
                 median_onset=median,
                 n_events=len(events),
-                n_episodes=totals[key],
-                n_too_short=too_short.get(key, 0),
+                n_episodes=len(cell),
+                n_too_short=sum(too_short for _, too_short in cell),
             )
     return table, series
 

@@ -53,10 +53,8 @@ __all__ = [
     "scaffold_delta",
     "superlinearity_ratio",
     "vaf",
-    "wald_ci",
     "wald_halfwidth",
     "wald_interval",
-    "wilson_ci",
     "wilson_interval",
 ]
 
@@ -229,14 +227,6 @@ def wald_interval(p_hat: float, n: int, level: float = 0.95) -> tuple[float, flo
     return max(0.0, p_hat - half), min(1.0, p_hat + half)
 
 
-def wald_ci(successes: int, n: int, level: float = 0.95) -> tuple[float, float]:
-    if not isinstance(successes, int) or not isinstance(n, int):
-        raise MetricError("wald_ci: successes and n must be integers")
-    if n < 1 or not 0 <= successes <= n:
-        raise MetricError(f"wald_ci: need 0 <= successes <= n with n >= 1, got {successes}/{n}")
-    return wald_interval(successes / n, n, level)
-
-
 def wilson_interval(p_hat: float, n: int, level: float = 0.95) -> tuple[float, float]:
     """Wilson score interval; better behaved near 0/1 than Wald."""
     if not 0.0 <= p_hat <= 1.0:
@@ -256,12 +246,6 @@ def wilson_interval(p_hat: float, n: int, level: float = 0.95) -> tuple[float, f
     if p_hat == 1.0:
         high = 1.0
     return low, high
-
-
-def wilson_ci(successes: int, n: int, level: float = 0.95) -> tuple[float, float]:
-    if n < 1 or not 0 <= successes <= n:
-        raise MetricError(f"wilson_ci: need 0 <= successes <= n with n >= 1, got {successes}/{n}")
-    return wilson_interval(successes / n, n, level)
 
 
 _CI_METHODS: dict[str, Callable[[float, int, float], tuple[float, float]]] = {
@@ -480,7 +464,7 @@ def bootstrap_ci(
     (each pool resampled independently, passed as separate arguments); the
     independent form is what ratio statistics need. Resample ``i`` draws
     exactly what ``substream(seed, "bootstrap", i)`` would (see
-    ``rng.resample_indices``), so the interval is reproducible and
+    ``rng._resample_chunks``), so the interval is reproducible and
     independent of evaluation order. Resamples on which the statistic
     is degenerate are dropped; more than 20% of them is an error.
     """

@@ -20,6 +20,7 @@ so partial table sets are never written on stage failure.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import gc
 import hashlib
 import io
@@ -38,6 +39,7 @@ from .metrics import (
     MetricError,
     REGRESSORS,
     TaskOutcomeGroup,
+    _CI_METHODS,
     _curve,
     decomposition_gain,
     domain_stratify,
@@ -152,6 +154,7 @@ def compute_cost(episodes: Iterable[Episode], pricing: Sequence[PricingEntry]) -
     if missing:
         raise InputError(f"cost: no pricing entry for models: {', '.join(missing)}")
     per_episode: list[EpisodeCost] = []
+    by_model: dict[str, list[EpisodeCost]] = {}
     for ep in episode_list:
         entry = prices[ep.model_id]
         step_costs = [
@@ -165,15 +168,16 @@ def compute_cost(episodes: Iterable[Episode], pricing: Sequence[PricingEntry]) -
             tokens_out=sum(s.tokens_out for s in ep.steps),
             cost=math.fsum(step_costs),
         ))
-    per_model: dict[str, ModelCost] = {}
-    for model_id in sorted({c.model_id for c in per_episode}):
-        rows = [c for c in per_episode if c.model_id == model_id]
-        per_model[model_id] = ModelCost(
+        by_model.setdefault(ep.model_id, []).append(per_episode[-1])
+    per_model = {
+        model_id: ModelCost(
             n_episodes=len(rows),
             tokens_in=sum(c.tokens_in for c in rows),
             tokens_out=sum(c.tokens_out for c in rows),
             total_cost=math.fsum(c.cost for c in rows),
         )
+        for model_id, rows in sorted(by_model.items())
+    }
     return CostReport(
         per_episode=tuple(per_episode),
         per_model=per_model,
@@ -185,10 +189,8 @@ def _cost_rows(report: CostReport) -> list[tuple]:
     """(model_id, n_episodes, tokens_in, tokens_out, total_cost) per model, then "(all)"."""
     rows = [(model_id, mc.n_episodes, mc.tokens_in, mc.tokens_out, mc.total_cost)
             for model_id, mc in report.per_model.items()]
-    rows.append(("(all)", len(report.per_episode),
-                 sum(c.tokens_in for c in report.per_episode),
-                 sum(c.tokens_out for c in report.per_episode),
-                 report.total_cost))
+    rows.append(("(all)", len(report.per_episode), sum(row[2] for row in rows),
+                 sum(row[3] for row in rows), report.total_cost))
     return rows
 
 
@@ -214,7 +216,7 @@ class PipelineOptions:
             raise InputError(f"options: ci_level must be in (0, 1), got {self.ci_level}")
         if self.regressor not in REGRESSORS:
             raise InputError(f"options: unknown regressor {self.regressor!r}")
-        if self.ci_method not in ("wald", "wilson"):
+        if self.ci_method not in _CI_METHODS:
             raise InputError(f"options: unknown ci_method {self.ci_method!r}")
         for name, buckets in (("vaf_numerator", self.vaf_numerator),
                               ("vaf_denominator", self.vaf_denominator)):
@@ -222,18 +224,7 @@ class PipelineOptions:
                 raise InputError(f"options: bad {name} bucket set {buckets!r}")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "bootstrap_b": self.bootstrap_b,
-            "ci_level": self.ci_level,
-            "ci_method": self.ci_method,
-            "mop": {"window_w": self.mop.window_w, "theta_h": self.mop.theta_h,
-                    "delta": self.mop.delta},
-            "vaf_numerator": list(self.vaf_numerator),
-            "vaf_denominator": list(self.vaf_denominator),
-            "regressor": self.regressor,
-            "emit_series": self.emit_series,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["resample_indices", "substream"]
+__all__ = ["substream"]
 
 # Path components are joined with a unit separator so ("a", "b") and
 # ("a/b",) cannot collide.
 _SEP = "\x1f"
 
-# Resamples whose index rows resample_indices maps in one vectorized pass;
+# Resamples whose index rows _resample_chunks maps in one vectorized pass;
 # its temporaries hold one chunk, whatever the number of resamples.
 _CHUNK = 256
 
@@ -44,32 +44,22 @@ def substream(seed: int, *path: object) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(seed, *path)))
 
 
-def resample_indices(
-    seed: int, tag: object, b: int, sizes: Sequence[int],
-) -> Iterator[np.ndarray]:
-    """Yield ``b`` index rows, one per bootstrap resample over pools of ``sizes``.
-
-    Row ``i`` equals the concatenation over ``sizes`` of
-    ``substream(seed, tag, i).integers(0, n, size=n)``, without building a
-    generator per row: one Philox is re-keyed for each row, its raw words
-    are read as the 32-bit stream ``integers`` consumes, and NumPy's
-    bounded-integer (Lemire) mapping is applied to a chunk of rows at once.
-    A size-1 pool draws nothing. A row in which any draw would be rejected
-    by that mapping (and so consume extra words) is recomputed from its
-    substream, so every row is exact.
-    """
-    for chunk in _resample_chunks(seed, tag, b, sizes):
-        yield from chunk
-
-
 def _resample_chunks(
     seed: int, tag: object, b: int, sizes: Sequence[int],
 ) -> Iterator[np.ndarray]:
-    """The rows of ``resample_indices`` as int64 arrays of at most ``_CHUNK``
-    rows by ``sum(sizes)`` columns, in row order."""
+    """``b`` bootstrap index rows over pools of ``sizes``, in row order, as
+    int64 arrays of at most ``_CHUNK`` rows by ``sum(sizes)`` columns.
+
+    Row ``i`` equals the concatenation over ``sizes`` of
+    ``substream(seed, tag, i).integers(0, n, size=n)``: one Philox is
+    re-keyed per row, its raw words are read as the 32-bit stream
+    ``integers`` consumes, and NumPy's bounded-integer (Lemire) mapping is
+    applied to a chunk at once. A size-1 pool draws nothing; a row holding
+    a draw that mapping rejects is recomputed from its substream.
+    """
     sizes = [int(n) for n in sizes]
     if any(n < 1 for n in sizes):
-        raise ValueError(f"resample_indices: pool sizes must be >= 1, got {sizes}")
+        raise ValueError(f"_resample_chunks: pool sizes must be >= 1, got {sizes}")
     drawn = [n for n in sizes if n > 1]
     # Per draw, in stream order: the exclusive bound and the Lemire threshold
     # below which NumPy rejects the draw.

@@ -28,6 +28,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .metrics import BUCKET_MINUTES_MIDPOINT
 from .rng import substream
 from .trajectory import (
     BUCKETS,
@@ -68,7 +69,6 @@ DEFAULT_TOOL_POOL = (
 )
 
 _STUDY_WEIGHTS = (0.25, 0.35, 0.20, 0.20)
-_STUDY_MINUTES = {"short": 2.5, "medium": 17.5, "long": 75.0, "very_long": 150.0}
 
 
 class SimulationError(ValueError):
@@ -96,8 +96,8 @@ class SimConfig:
             raise SimulationError("episodes must be >= 1")
         if not 0.0 <= self.rho <= 1.0:
             raise SimulationError(f"rho {self.rho} outside [0, 1]")
-        if self.hazard_gamma < 0.0:
-            raise SimulationError(f"hazard_gamma {self.hazard_gamma} must be >= 0")
+        if not 0.0 <= self.hazard_gamma < math.inf:
+            raise SimulationError(f"hazard_gamma {self.hazard_gamma} must be finite and >= 0")
         if self.model == "exchangeable":
             target = self.rho * self.epsilon ** 2
             ceiling = self.epsilon * (1.0 - self.epsilon)
@@ -196,7 +196,7 @@ def _study_task(bucket: str, index: int) -> TaskSpec:
         task_id=f"{bucket}-{index:05d}",
         domain=DOMAINS[index % len(DOMAINS)],
         bucket=bucket,
-        human_minutes_estimate=_STUDY_MINUTES[bucket],
+        human_minutes_estimate=BUCKET_MINUTES_MIDPOINT[bucket],
         agent_steps_estimate=8,
         subtasks=tuple(
             Subtask(subtask_id=f"s{j + 1}", weight=w, description=f"stage {j + 1}")

@@ -22,7 +22,13 @@ from conftest import make_task
 from reliakit import DegenerateStatisticError, MetricError, bootstrap_ci, vaf
 from reliakit import rng
 from reliakit.metrics import _variance_ratio
-from reliakit.rng import resample_indices, substream
+from reliakit.rng import _resample_chunks, substream
+
+
+def resample_indices(seed, tag, b, sizes):
+    """The index rows of ``_resample_chunks`` one at a time."""
+    for chunk in _resample_chunks(seed, tag, b, sizes):
+        yield from chunk
 
 
 def _reference_bootstrap_ci(statistic, units, b=10000, level=0.95, seed=0):

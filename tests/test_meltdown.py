@@ -135,6 +135,10 @@ class TestDetectMop:
             MopConfig(window_w=1)
         with pytest.raises(MeltdownError, match="theta_h"):
             MopConfig(theta_h=-0.1)
+        with pytest.raises(MeltdownError, match="theta_h"):
+            MopConfig(theta_h=math.nan)
+        with pytest.raises(MeltdownError, match="delta"):
+            MopConfig(delta=math.nan)
 
     @given(st.lists(st.sampled_from("abcde"), min_size=10, max_size=40))
     def test_onset_matches_brute_force(self, tools):

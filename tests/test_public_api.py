@@ -1,0 +1,49 @@
+"""The public surface, pinned: a name joins or leaves it only by editing
+the lists below."""
+from __future__ import annotations
+
+import importlib
+
+import pytest
+
+import reliakit
+from reliakit import rng
+
+PUBLIC_NAMES = [
+    "BUCKETS", "CalibrationResult", "CostReport", "CurvePoint", "DOMAINS",
+    "DegenerateStatisticError", "DomainTable", "Episode", "GuardReplay", "InputError",
+    "MarkovCurve", "MeltdownCell", "MeltdownError", "MetricCurve", "MetricError",
+    "MetricWarning", "MopConfig", "MopResult", "PipelineError", "PipelineOptions",
+    "PricingEntry", "RegistryError", "RegistryWarning", "ReportBundle", "SCAFFOLDS",
+    "ScaffoldComparison", "SimConfig", "SimulationError", "StudyCorpus", "Subtask",
+    "TaskSpec", "ToolStep", "TrajectoryProfile", "VafResult", "ValidationIssue",
+    "ValidationReport", "bootstrap_ci", "bucket_for_minutes", "calibrate_mop_baseline",
+    "calibrate_mop_f1", "canonical_args", "compute_cost", "cross_validate",
+    "decomposition_gain", "detect_mop", "domain_stratify", "early_failure_rate",
+    "emit_report", "entropy_precursor", "entropy_series", "episode_gds",
+    "generate_trajectory", "geometric_baseline", "load_pricing", "load_task_registry",
+    "markov_variance_curve", "meltdown_table", "ols_slope", "outcome_groups",
+    "parse_episode_log", "pass_at_1", "pass_pow_k", "per_task_pass1",
+    "predicted_failcount_variance", "predicted_success_bound", "rdc", "rds",
+    "replay_guards", "run_pipeline", "scaffold_delta", "serialize_episode",
+    "serialize_task", "simulate_agent_study", "simulate_steps", "substream",
+    "superlinearity_ratio", "trajectory_episode", "vaf", "wald_interval",
+    "wilson_interval", "window_distribution", "window_entropy", "write_episode_log",
+    "write_task_registry",
+]
+
+
+def test_top_level_names_are_pinned():
+    assert len(PUBLIC_NAMES) == 84
+    assert sorted(reliakit.__all__) == PUBLIC_NAMES
+
+
+def test_rng_exports_only_substream():
+    assert rng.__all__ == ["substream"]
+
+
+@pytest.mark.parametrize("module", ["reliakit", "reliakit.rng"])
+def test_every_listed_name_imports(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []

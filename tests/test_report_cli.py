@@ -356,9 +356,12 @@ class TestCli:
 
     @pytest.mark.parametrize("knob", [("--bootstrap-b", "500"), ("--bootstrap-b", "-5"),
                                       ("--ci-level", "1.5"), ("--mop-window", "1"),
-                                      ("--mop-theta", "-0.5"),
+                                      ("--mop-theta", "-0.5"), ("--mop-theta", "inf"),
+                                      ("--mop-delta", "nan"), ("--mop-delta", "inf"),
                                       ("mop", "--calibrate", "baseline", "--mop-window", "1"),
                                       ("mop", "--mop-theta", "nan"),
+                                      ("mop", "--mop-theta", "inf"),
+                                      ("mop", "--mop-delta", "nan"),
                                       ("mop", "--percentile", "1.5"),
                                       ("mop", "--percentile", "-0.1")])
     def test_bad_knob_is_exit_1_before_reading_input(self, tmp_path, capsys, knob):

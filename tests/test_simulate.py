@@ -51,6 +51,8 @@ class TestSimConfig:
             {"rho": -0.1},
             {"rho": 1.1},
             {"hazard_gamma": -1.0},
+            {"hazard_gamma": math.nan},
+            {"hazard_gamma": math.inf},
         ):
             with pytest.raises(SimulationError):
                 SimConfig(**{**good, **patch})
