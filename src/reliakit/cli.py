@@ -314,8 +314,9 @@ def _cmd_mop(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    # Each mode builds its output in memory and creates --out only to write
+    # it, so a refused config leaves no directory behind.
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.mode == "study":
         if len(args.p) != len(BUCKETS):
             raise _UsageError(f"--p needs {len(BUCKETS)} rates, got {len(args.p)}")
@@ -323,6 +324,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         corpus = simulate_agent_study(per_bucket, args.tasks_per_bucket, args.k,
                                       args.seed, model_id=args.model_id,
                                       scaffold=args.scaffold)
+        out.mkdir(parents=True, exist_ok=True)
         write_task_registry(corpus.tasks, out / "tasks.jsonl")
         write_episode_log(corpus.episodes, out / "episodes.jsonl")
         print(f"wrote {len(corpus.tasks)} tasks and {len(corpus.episodes)} episodes"
@@ -333,7 +335,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                            horizon_t=args.horizon, episodes=args.episodes,
                            seed=args.seed, rho=args.rho, hazard_gamma=args.gamma)
         failures = simulate_steps(config)
-        np.savetxt(out / "steps.csv", failures.astype(int), fmt="%d", delimiter=",")
         fail_counts = failures.sum(axis=1)
         summary = {
             **dataclasses.asdict(config),
@@ -344,6 +345,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "predicted_success_lower_bound": predicted_success_bound(
                 config.epsilon, config.rho, config.horizon_t),
         }
+        out.mkdir(parents=True, exist_ok=True)
+        np.savetxt(out / "steps.csv", failures.astype(int), fmt="%d", delimiter=",")
         (out / "summary.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {out / 'steps.csv'} and {out / 'summary.json'}")
@@ -364,6 +367,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         episodes.append(trajectory_episode(
             f"traj-{args.profile}-{i:05d}", task, steps,
             model_id=args.model_id, scaffold=args.scaffold, repeat_index=i + 1))
+    out.mkdir(parents=True, exist_ok=True)
     write_task_registry([task], out / "tasks.jsonl")
     write_episode_log(episodes, out / "episodes.jsonl")
     print(f"wrote {len(episodes)} {args.profile} trajectories to {out}")

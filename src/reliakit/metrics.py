@@ -439,7 +439,10 @@ def vaf(
             f" and {len(den_values)} denominator")
     point = _variance_ratio(num_values, den_values)
     if b:
-        low, high = _vaf_interval(num_values, den_values, b, ci_level, seed)
+        (interval,) = _vaf_intervals([(num_values, den_values)], b, ci_level, seed)
+        if isinstance(interval, MetricError):
+            raise interval
+        low, high = interval
     else:
         low = high = point
     return VafResult(
@@ -477,62 +480,77 @@ def bootstrap_ci(
     ends = list(itertools.accumulate(len(pool) for pool in pools))
     spans = list(zip(pools, [0, *ends], ends))
 
-    def chunk_statistic(chunk: np.ndarray) -> tuple[list[float], int]:
+    def chunk_statistic(chunk: np.ndarray) -> list[float]:
         values: list[float] = []
-        degenerate = 0
         for idx in chunk.tolist():
             samples = [[pool[j] for j in idx[lo:hi]] for pool, lo, hi in spans]
             try:
                 stat = statistic(samples[0]) if single else statistic(*samples)
             except DegenerateStatisticError:
-                degenerate += 1
                 continue
             values.append(float(stat))
-        return values, degenerate
+        return values
 
-    return _percentile_bootstrap(pools, b, level, seed, chunk_statistic)
+    (interval,) = _percentile_bootstrap([len(pool) for pool in pools], b, level, seed,
+                                        [chunk_statistic])
+    if isinstance(interval, MetricError):
+        raise interval
+    return interval
+
+
+# Maps a chunk of index rows (``rng._resample_chunks``) to the statistic on
+# its non-degenerate resamples, in row order.
+_ChunkStatistic = Callable[[np.ndarray], Sequence[float]]
 
 
 def _percentile_bootstrap(
-    pools: Sequence[Sequence],
+    sizes: Sequence[int],
     b: int,
     level: float,
     seed: int,
-    chunk_statistic: Callable[[np.ndarray], tuple[Sequence[float], int]],
-) -> tuple[float, float]:
-    """The interval of ``bootstrap_ci`` over ``pools``. ``chunk_statistic``
-    maps each chunk of index rows (``rng._resample_chunks``) to the
-    statistic on its non-degenerate resamples, in row order, and the number
-    of degenerate ones."""
+    chunk_statistics: Sequence[_ChunkStatistic],
+) -> list[tuple[float, float] | MetricError]:
+    """The interval of ``bootstrap_ci`` over pools of ``sizes`` for each
+    statistic, from one pass over the index rows: every statistic sees the
+    same rows. A statistic degenerate on more than 20% of the resamples
+    gets the MetricError that ``bootstrap_ci`` raises in place of its
+    interval."""
     if b < 1000:
         raise MetricError(f"bootstrap_ci: b={b} is below the 1000-resample floor")
     if not 0.0 < level < 1.0:
         raise MetricError(f"bootstrap_ci: level {level} outside (0, 1)")
-    if any(len(pool) == 0 for pool in pools):
+    if any(n == 0 for n in sizes):
         raise MetricError("bootstrap_ci: empty resampling pool")
-    kept = []
-    degenerate = 0
-    for chunk in _resample_chunks(seed, "bootstrap", b, [len(pool) for pool in pools]):
-        values, dropped = chunk_statistic(chunk)
-        kept.append(values)
-        degenerate += dropped
-    if degenerate > 0.2 * b:
-        raise MetricError(
-            f"bootstrap_ci: statistic degenerate on {degenerate / b:.1%} of {b} resamples"
-            " (more than the 20% tolerance)")
+    kept = [np.empty(b) for _ in chunk_statistics]
+    filled = [0] * len(chunk_statistics)
+    for chunk in _resample_chunks(seed, "bootstrap", b, sizes):
+        for s, chunk_statistic in enumerate(chunk_statistics):
+            values = chunk_statistic(chunk)
+            kept[s][filled[s]:filled[s] + len(values)] = values
+            filled[s] += len(values)
     tail = 100.0 * (1.0 - level) / 2.0
-    values = np.concatenate(kept)
-    with np.errstate(invalid="ignore"):
-        bounds = np.percentile(values, [tail, 100.0 - tail])
-    # Interpolating next to an infinite statistic (a ratio whose denominator
-    # underflowed) computes inf - inf or inf * 0, which is nan. The bound is
-    # then the upper neighbour: the infinite one, or the value itself when
-    # its interpolation weight is 0.
-    if np.isnan(bounds).any():
-        bounds = np.where(np.isnan(bounds),
-                          np.percentile(values, [tail, 100.0 - tail], method="higher"), bounds)
-    low, high = bounds
-    return float(low), float(high)
+    out: list[tuple[float, float] | MetricError] = []
+    for values, n_kept in zip(kept, filled):
+        degenerate = b - n_kept
+        if degenerate > 0.2 * b:
+            out.append(MetricError(
+                f"bootstrap_ci: statistic degenerate on {degenerate / b:.1%} of {b} resamples"
+                " (more than the 20% tolerance)"))
+            continue
+        values = values[:n_kept]
+        with np.errstate(invalid="ignore"):
+            bounds = np.percentile(values, [tail, 100.0 - tail])
+        # Interpolating next to an infinite statistic (a ratio whose denominator
+        # underflowed) computes inf - inf or inf * 0, which is nan. The bound is
+        # then the upper neighbour: the infinite one, or the value itself when
+        # its interpolation weight is 0.
+        if np.isnan(bounds).any():
+            bounds = np.where(np.isnan(bounds),
+                              np.percentile(values, [tail, 100.0 - tail], method="higher"),
+                              bounds)
+        low, high = bounds
+        out.append((float(low), float(high)))
+    return out
 
 
 def _repeated(values: Sequence[float], counts: Sequence[int]) -> Iterator[float]:
@@ -548,19 +566,27 @@ def _level_pvar(levels: Sequence[float], counts: Sequence[int]) -> float:
     return math.fsum(_repeated([(v - m) ** 2 for v in levels], counts)) / n
 
 
-def _pool_variances(pool: Sequence[float]) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+# Each level set's count rows mapped to their ``_level_pvar``.
+_VarianceMemo = dict[tuple[float, ...], dict[tuple[int, ...], float]]
+
+
+def _pool_variances(
+    pool: Sequence[float], memo: _VarianceMemo,
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """For one pool, a function from a block of index rows into it to each
     row's ``_pvar`` and its number of distinct values.
 
     Values are one level when ``==`` (a dict's key test, so 0.0 and -0.0
     are one level, as they are to ``min`` and ``max``). A row's ``_pvar``
     depends only on how often it drew each level, so each distinct count
-    row is computed once and remembered for the pool's later blocks.
+    row is computed once and remembered in ``memo`` under the pool's level
+    set. Levels are counted in sorted order, so every pool with the same
+    levels shares those entries.
     """
-    index: dict[float, int] = {}
-    level_of = np.array([index.setdefault(v, len(index)) for v in pool], dtype=np.int64)
-    levels = list(index)
-    memo: dict[tuple[int, ...], float] = {}
+    levels = sorted(dict.fromkeys(pool))
+    rank = {v: j for j, v in enumerate(levels)}
+    level_of = np.array([rank[v] for v in pool], dtype=np.int64)
+    level_memo = memo.setdefault(tuple(levels), {})
 
     def variances(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n_rows, n_levels = len(rows), len(levels)
@@ -568,33 +594,56 @@ def _pool_variances(pool: Sequence[float]) -> Callable[[np.ndarray], tuple[np.nd
         counts = np.bincount(codes.ravel(), minlength=n_rows * n_levels).reshape(n_rows, n_levels)
         out = np.empty(n_rows)
         for r, row in enumerate(map(tuple, counts.tolist())):
-            var = memo.get(row)
+            var = level_memo.get(row)
             if var is None:
-                var = memo[row] = _level_pvar(levels, row)
+                var = level_memo[row] = _level_pvar(levels, row)
             out[r] = var
         return out, np.count_nonzero(counts, axis=1)
 
     return variances
 
 
-def _vaf_interval(num_values: Sequence[float], den_values: Sequence[float],
-                  b: int, level: float, seed: int) -> tuple[float, float]:
-    """``bootstrap_ci(_variance_ratio, (num_values, den_values), ...)``,
-    bit for bit, computed from per-pool level counts."""
-    num_variances, den_variances = _pool_variances(num_values), _pool_variances(den_values)
+def _variance_ratios(num_values: Sequence[float], den_values: Sequence[float],
+                     memo: _VarianceMemo) -> _ChunkStatistic:
+    """``_variance_ratio`` on each index row over (num_values, den_values),
+    from per-pool level counts, as a chunk statistic."""
+    num_variances = _pool_variances(num_values, memo)
+    den_variances = _pool_variances(den_values, memo)
     split = len(num_values)
 
-    def chunk_statistic(chunk: np.ndarray) -> tuple[np.ndarray, int]:
+    def chunk_statistic(chunk: np.ndarray) -> np.ndarray:
         num_var, _ = num_variances(chunk[:, :split])
         den_var, den_levels = den_variances(chunk[:, split:])
         # _variance_ratio's own conditions: min == max, or a zero variance.
-        degenerate = (den_levels == 1) | (den_var == 0.0)
-        ok = ~degenerate
+        ok = (den_levels > 1) & (den_var != 0.0)
         # Python's float division overflows to inf silently; so does this.
         with np.errstate(over="ignore"):
-            return num_var[ok] / den_var[ok], int(degenerate.sum())
+            return num_var[ok] / den_var[ok]
 
-    return _percentile_bootstrap((num_values, den_values), b, level, seed, chunk_statistic)
+    return chunk_statistic
+
+
+def _vaf_intervals(
+    pairs: Sequence[tuple[Sequence[float], Sequence[float]]],
+    b: int, level: float, seed: int,
+) -> list[tuple[float, float] | MetricError]:
+    """For each ``(num_values, den_values)`` pair, the interval of
+    ``bootstrap_ci(_variance_ratio, (num_values, den_values), ...)`` bit
+    for bit, or the MetricError it raises.
+
+    Index rows depend only on the seed and the pool sizes, so pairs with
+    equal sizes are fed one pass over the same rows, and all pools share
+    one variance memo.
+    """
+    memo: _VarianceMemo = {}
+    by_sizes: dict[tuple[int, int], list[int]] = {}
+    for i, (num_values, den_values) in enumerate(pairs):
+        by_sizes.setdefault((len(num_values), len(den_values)), []).append(i)
+    intervals: dict[int, tuple[float, float] | MetricError] = {}
+    for sizes, members in by_sizes.items():
+        statistics = [_variance_ratios(*pairs[i], memo) for i in members]
+        intervals.update(zip(members, _percentile_bootstrap(sizes, b, level, seed, statistics)))
+    return [intervals[i] for i in range(len(pairs))]
 
 
 # --- stratification and deltas ---------------------------------------------

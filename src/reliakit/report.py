@@ -40,7 +40,9 @@ from .metrics import (
     REGRESSORS,
     TaskOutcomeGroup,
     _CI_METHODS,
+    _bucket_values,
     _curve,
+    _vaf_intervals,
     decomposition_gain,
     domain_stratify,
     outcome_groups,
@@ -218,6 +220,11 @@ class PipelineOptions:
             raise InputError(f"options: unknown regressor {self.regressor!r}")
         if self.ci_method not in _CI_METHODS:
             raise InputError(f"options: unknown ci_method {self.ci_method!r}")
+        # MopConfig allows infinite thresholds; a report records its options
+        # in run_metadata.json, which holds finite numbers only.
+        for name, value in (("theta_h", self.mop.theta_h), ("delta", self.mop.delta)):
+            if not math.isfinite(value):
+                raise InputError(f"options: mop.{name} must be finite, got {value}")
         for name, buckets in (("vaf_numerator", self.vaf_numerator),
                               ("vaf_denominator", self.vaf_denominator)):
             if not buckets or any(b not in BUCKETS for b in buckets):
@@ -431,7 +438,9 @@ def _build_tables(
 
     rdc_rows: list[tuple] = []
     gds_rows: list[tuple] = []
-    vaf_rows: list[tuple] = []
+    vaf_rows: list[list] = []
+    # (row index, numerator values, denominator values) of each ok VAF row.
+    vaf_pools: list[tuple[int, list[float], list[float]]] = []
     decomp_rows: list[tuple] = []
     for (model_id, scaffold), groups in sorted(by_selection.items()):
         pass_curve = _curve(groups, registry, "pass1", opts.ci_level, opts.ci_method)
@@ -450,17 +459,20 @@ def _build_tables(
         num_pass = pass_at_1(num) if num else None
         try:
             result = vaf(per_task, registry, opts.vaf_numerator, opts.vaf_denominator,
-                         model_id=model_id, b=opts.bootstrap_b, ci_level=opts.ci_level,
-                         seed=opts.seed)
+                         model_id=model_id)
             cells = (result.vaf, result.ci_low, result.ci_high,
                      result.n_num_tasks, result.n_den_tasks)
             status = "ok"
+            if opts.bootstrap_b:
+                vaf_pools.append((len(vaf_rows),
+                                  _bucket_values(per_task, registry, opts.vaf_numerator),
+                                  _bucket_values(per_task, registry, opts.vaf_denominator)))
         except DegenerateStatisticError:
             cells, status = (None,) * 5, "degenerate_denominator"
         except MetricError:
             cells, status = (None,) * 5, "unavailable"
-        vaf_rows.append((model_id, scaffold, *cells, "+".join(opts.vaf_numerator),
-                         "+".join(opts.vaf_denominator), den_pass, num_pass, status))
+        vaf_rows.append([model_id, scaffold, *cells, "+".join(opts.vaf_numerator),
+                         "+".join(opts.vaf_denominator), den_pass, num_pass, status])
 
         short = pass_curve.points.get("short")
         very_long = pass_curve.points.get("very_long")
@@ -473,6 +485,18 @@ def _build_tables(
                             short.value if short else None,
                             very_long.value if very_long else None,
                             gain, slope, opts.regressor))
+
+    # One bootstrap pass for every selection: the interval each would get
+    # from vaf(..., b=bootstrap_b), or unavailable where that raises.
+    if vaf_pools:
+        intervals = _vaf_intervals([(num, den) for _, num, den in vaf_pools],
+                                   opts.bootstrap_b, opts.ci_level, opts.seed)
+        for (i, _, _), interval in zip(vaf_pools, intervals):
+            if isinstance(interval, MetricError):
+                vaf_rows[i][2:7] = (None,) * 5
+                vaf_rows[i][-1] = "unavailable"
+            else:
+                vaf_rows[i][3:5] = interval
 
     domain = domain_stratify(analysis, registry, "gds")
     domain_rows: list[tuple] = []
@@ -522,7 +546,7 @@ def _build_tables(
         Column("numerator_buckets", "str"), Column("denominator_buckets", "str"),
         Column("denominator_pass1", "fraction"), Column("numerator_pass1", "fraction"),
         Column("status", "str"),
-    ), tuple(vaf_rows))
+    ), tuple(map(tuple, vaf_rows)))
     tables["domain"] = Table("domain", (
         Column("domain", "str"),
         Column("short", "fraction"), Column("medium", "fraction"),

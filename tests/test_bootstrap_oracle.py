@@ -7,7 +7,9 @@ interpolation meets an infinite statistic is its upper neighbour, not nan. The f
 within a tolerance, because it draws the same indices and feeds the same
 statistic in the same order. ``vaf`` computes its interval from per-pool
 level counts instead of calling ``bootstrap_ci``; ``bootstrap_ci`` over
-``_variance_ratio`` is its oracle, again exactly.
+``_variance_ratio`` is its oracle, again exactly. ``_vaf_intervals``, which
+feeds many pairs one pass over shared index rows, must give each pair
+exactly what that pair gets alone.
 """
 from __future__ import annotations
 
@@ -20,8 +22,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import make_task
 from reliakit import DegenerateStatisticError, MetricError, bootstrap_ci, vaf
-from reliakit import rng
-from reliakit.metrics import _variance_ratio
+from reliakit import metrics, rng
+from reliakit.metrics import _vaf_intervals, _variance_ratio
 from reliakit.rng import _resample_chunks, substream
 
 
@@ -196,8 +198,8 @@ def _assert_vaf_matches_bootstrap_ci(num, den, b, level, seed):
     assert _vaf_outcome(num, den, b=b, ci_level=level, seed=seed) == expected
 
 
-_pool = st.lists(st.sampled_from([0.0, 1 / 3, 2 / 3, 1.0]) | st.floats(0.0, 1.0),
-                 min_size=2, max_size=60)
+_level = st.sampled_from([0.0, 1 / 3, 2 / 3, 1.0]) | st.floats(0.0, 1.0)
+_pool = st.lists(_level, min_size=2, max_size=60)
 
 
 @given(num=_pool, den=_pool, b=st.sampled_from([1000, 1001, 2500]),
@@ -259,3 +261,95 @@ def test_vaf_never_holds_every_index_row():
     assert isinstance(interval, tuple)
     # One (b, 48) int64 index matrix.
     assert peak < b * (len(num) + len(den)) * 8
+
+
+def _pair_outcomes(pairs, b, level, seed):
+    """Each pair's ``bootstrap_ci(_variance_ratio, ...)`` outcome, one call per pair."""
+    return [_outcome(bootstrap_ci, _variance_ratio, (num, den), b=b, level=level, seed=seed)
+            for num, den in pairs]
+
+
+def _batch_outcomes(pairs, b, level, seed):
+    """``_vaf_intervals`` with each MetricError as its message."""
+    return [str(r) if isinstance(r, MetricError) else r
+            for r in _vaf_intervals(pairs, b, level, seed)]
+
+
+@st.composite
+def _pairs(draw):
+    # Few distinct sizes, so most batches hold pairs that share index rows.
+    sizes = st.sampled_from([2, 3, 5, 8])
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        pairs.append(tuple(draw(st.lists(_level, min_size=n, max_size=n))
+                           for n in (draw(sizes), draw(sizes))))
+    return pairs
+
+
+@given(pairs=_pairs(), b=st.sampled_from([1000, 1001]),
+       seed=st.integers(0, 2 ** 32 - 1), level=st.sampled_from([0.9, 0.95]))
+@settings(max_examples=30, deadline=None)
+def test_batched_intervals_equal_each_pair_alone(pairs, b, level, seed):
+    batch = _batch_outcomes(pairs, b, level, seed)
+    assert batch == _pair_outcomes(pairs, b, level, seed)
+    for (num, den), outcome in zip(pairs, batch):
+        # vaf refuses a degenerate point estimate before drawing any resample.
+        if not isinstance(_outcome(_variance_ratio, num, den), str):
+            assert _vaf_outcome(num, den, b=b, ci_level=level, seed=seed) == outcome
+
+
+def test_batch_mixes_refused_signed_zero_and_infinite_members():
+    pairs = [
+        ([0.0, 1.0], [1.0, 1.0, 1.0, 0.0]),  # degenerate on more than 20% of resamples
+        ([1.0, 0.0], [0.0, 1 / 3, 1.0, 2 / 3]),
+        ([0.0, 1 / 3], [0.0, 1 / 3, 7.524220015125501e-162]),  # some ratios overflow to inf
+        ([1 / 3, 0.0], [1.0, 0.0, 2 / 3]),
+        ([0.0, -0.0, 1 / 3, 1.0, 2 / 3, -0.0], [-0.0, 0.0, 1 / 3, 1 / 3, 1.0, 0.0, -0.0]),
+        ([-0.0, 1 / 3, 0.0, 2 / 3, 1.0, 0.0], [1 / 3, -0.0, 0.0, 1.0, 2 / 3, 0.0, -0.0]),
+    ]
+    batch = _batch_outcomes(pairs, 1000, 0.9, 0)
+    assert "degenerate on" in batch[0]
+    assert batch[2] == (0.0, math.inf)
+    assert batch == _pair_outcomes(pairs, 1000, 0.9, 0)
+    for (num, den), outcome in zip(pairs, batch):
+        assert _vaf_outcome(num, den, b=1000, ci_level=0.9, seed=0) == outcome
+
+
+def test_one_draw_pass_per_distinct_size_pair(monkeypatch):
+    calls = []
+    original = metrics._resample_chunks
+
+    def counting(seed, tag, b, sizes):
+        calls.append(tuple(sizes))
+        return original(seed, tag, b, sizes)
+
+    monkeypatch.setattr(metrics, "_resample_chunks", counting)
+    fractions = [0.0, 1 / 3, 2 / 3, 1.0]
+    sizes = [(3, 4), (3, 4), (5, 4), (3, 4), (4, 3), (5, 4)]
+    pairs = [([fractions[(i + j) % 4] for j in range(n_num)],
+              [fractions[(i + 2 * j) % 4] for j in range(n_den)])
+             for i, (n_num, n_den) in enumerate(sizes)]
+    _vaf_intervals(pairs, 1000, 0.95, 0)
+    assert sorted(calls) == [(3, 4), (4, 3), (5, 4)]
+
+
+def test_batch_never_holds_every_index_row():
+    fractions = [0.0, 1 / 3, 2 / 3, 1.0]
+    n_selections, n_tasks, b = 32, 24, 10000
+    pairs = []
+    for s in range(n_selections):
+        draws = np.random.default_rng(s).integers(0, 4, size=2 * n_tasks)
+        num = [fractions[d] for d in draws[:n_tasks]]
+        den = [fractions[d] for d in draws[n_tasks:]]
+        pairs.append((num, den))
+    _vaf_intervals(pairs[:1], 1000, 0.95, 1)  # lazy imports and caches, not per-call memory
+    tracemalloc.start()
+    try:
+        intervals = _vaf_intervals(pairs, b, 0.95, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(interval, tuple) for interval in intervals)
+    # One (b, 48) int64 index matrix, plus the b float64 statistics per
+    # selection that its percentiles are taken over.
+    assert peak < b * 2 * n_tasks * 8 + n_selections * b * 8

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from conftest import make_episode, make_step, make_task
 from reliakit import (
     BUCKETS,
     InputError,
+    MopConfig,
     PipelineOptions,
     ReportBundle,
     compute_cost,
@@ -146,6 +148,13 @@ class TestPipelineOptions:
         with pytest.raises(InputError, match="ci_level"):
             PipelineOptions(ci_level=level)
 
+    @pytest.mark.parametrize("mop", [MopConfig(delta=math.inf), MopConfig(delta=-math.inf),
+                                     MopConfig(theta_h=math.inf)])
+    def test_mop_thresholds_must_be_finite(self, mop):
+        # MopConfig allows them, but run_metadata.json could not record them.
+        with pytest.raises(InputError, match="must be finite"):
+            PipelineOptions(mop=mop)
+
     def test_to_dict_is_json_ready(self):
         opts = PipelineOptions(seed=3, bootstrap_b=0)
         payload = json.loads(json.dumps(opts.to_dict()))
@@ -257,6 +266,52 @@ class TestRunPipeline:
         first = run_pipeline([log], registry, options=opts)
         second = run_pipeline([log], registry, options=opts)
         assert first == second
+
+    def test_vaf_rows_do_not_depend_on_other_selections(self, tmp_path):
+        # Selections with equal pool sizes share one bootstrap pass; each row
+        # must still be the one its selection gets when analyzed alone.
+        rates = (0.8, 0.7, 0.6, 0.5)
+        studies = {
+            ("m-a", "react"): (6, rates, 1),
+            ("m-a", "memory"): (6, rates, 2),  # the pool sizes of m-a/react
+            ("m-b", "react"): (8, rates, 3),
+            ("m-b", "memory"): (6, (1.0, 1.0, 0.6, 0.5), 4),  # degenerate denominator
+        }
+        selections = {}
+        for (model_id, scaffold), (n, p, seed) in studies.items():
+            study = simulate_agent_study(dict(zip(BUCKETS, p)), n, 3, seed,
+                                         model_id=model_id, scaffold=scaffold)
+            selections[model_id, scaffold] = [
+                replace(ep, episode_id=f"{model_id}-{scaffold}-{ep.episode_id}")
+                for ep in study.episodes]
+        tasks = simulate_agent_study(dict(zip(BUCKETS, rates)), 8, 1, 0).tasks
+        two_per_bucket = [t for t in tasks if t.task_id[-5:] in ("00000", "00001")]
+        # Two 4+4-task selections: three of four denominator tasks pass in
+        # the first, so over 20% of its resamples are flat; two in the second.
+        outcomes = {("m-c", "react"): (1, 1, 1, 0, 1, 0, 0, 1),
+                    ("m-c", "memory"): (1, 0, 1, 0, 1, 0, 0, 1)}
+        for (model_id, scaffold), passed in outcomes.items():
+            selections[model_id, scaffold] = [
+                make_episode(f"{model_id}-{scaffold}-{task.task_id}", task, passed=bool(ok),
+                             model_id=model_id, scaffold=scaffold)
+                for task, ok in zip(two_per_bucket, passed)]
+        registry = tmp_path / "tasks.jsonl"
+        write_task_registry(tasks, registry)
+        opts = PipelineOptions(bootstrap_b=1000, seed=5)
+
+        def vaf_rows(episodes, name):
+            log = tmp_path / f"{name}.jsonl"
+            write_episode_log(episodes, log)
+            bundle = run_pipeline([log], registry, options=opts)
+            return {row[:2]: row for row in bundle.tables["vaf"].rows}
+
+        union = vaf_rows([ep for eps in selections.values() for ep in eps], "union")
+        assert sorted(row[-1] for row in union.values()) == [
+            "degenerate_denominator", "ok", "ok", "ok", "ok", "unavailable"]
+        assert union["m-c", "react"][-1] == "unavailable"
+        for (model_id, scaffold), episodes in selections.items():
+            alone = vaf_rows(episodes, f"{model_id}-{scaffold}")
+            assert alone == {(model_id, scaffold): union[model_id, scaffold]}
 
     def test_bootstrap_disabled_collapses_vaf_interval(self, tmp_path):
         log, registry = write_corpus(tmp_path, small_corpus(tasks=8))
@@ -410,6 +465,16 @@ class TestCli:
         assert main(["simulate", "--mode", "study", "--out", "ignored",
                      "--p", "0.5,0.5"]) == 1
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--mode", "steps", "--gamma", "nan"], 2),
+        (["--mode", "study", "--p", "0.5"], 1),
+    ])
+    def test_refused_simulate_creates_no_out_dir(self, tmp_path, capsys, argv, code):
+        out = tmp_path / "never"
+        assert main(["simulate", *argv, "--out", str(out)]) == code
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_validate_reports_errors_with_exit_2(self, tmp_path, capsys):
         log = tmp_path / "bad.jsonl"
