@@ -9,6 +9,7 @@ happens only at the report boundary.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -427,30 +428,60 @@ def vaf(
     ``bootstrap_ci(_variance_ratio, (numerator, denominator), ...)`` bit for
     bit. With ``b`` = 0 the interval collapses to the point estimate.
     """
+    (result,) = _vafs([(model_id, per_task)], task_meta, numerator_buckets,
+                      denominator_buckets, b, ci_level, seed)
+    if isinstance(result, MetricError):
+        raise result
+    return result
+
+
+def _vafs(
+    selections: Sequence[tuple[str, Mapping[str, float]]],
+    task_meta: Mapping[str, TaskSpec],
+    numerator_buckets: Sequence[str],
+    denominator_buckets: Sequence[str],
+    b: int,
+    ci_level: float,
+    seed: int,
+) -> list[VafResult | MetricError]:
+    """``vaf`` of each ``(model_id, per_task)`` selection, or the
+    MetricError it raises. The intervals come from one ``_vaf_intervals``
+    call over every selection with a point estimate."""
     for name, buckets in (("numerator", numerator_buckets), ("denominator", denominator_buckets)):
         unknown = [bk for bk in buckets if bk not in BUCKETS]
         if unknown or not buckets:
             raise MetricError(f"vaf: bad {name} bucket set {tuple(buckets)!r}")
-    num_values = _bucket_values(per_task, task_meta, numerator_buckets)
-    den_values = _bucket_values(per_task, task_meta, denominator_buckets)
-    if len(num_values) < 2 or len(den_values) < 2:
-        raise MetricError(
-            f"vaf: need at least 2 tasks per side, got {len(num_values)} numerator"
-            f" and {len(den_values)} denominator")
-    point = _variance_ratio(num_values, den_values)
-    if b:
-        (interval,) = _vaf_intervals([(num_values, den_values)], b, ci_level, seed)
-        if isinstance(interval, MetricError):
-            raise interval
-        low, high = interval
-    else:
-        low = high = point
-    return VafResult(
-        model_id=model_id, vaf=point, ci_low=low, ci_high=high,
-        numerator_buckets=tuple(numerator_buckets),
-        denominator_buckets=tuple(denominator_buckets),
-        n_num_tasks=len(num_values), n_den_tasks=len(den_values),
-    )
+    results: list[VafResult | MetricError] = []
+    pairs: dict[int, tuple[list[float], list[float]]] = {}  # result index -> pools
+    for model_id, per_task in selections:
+        try:
+            num_values = _bucket_values(per_task, task_meta, numerator_buckets)
+            den_values = _bucket_values(per_task, task_meta, denominator_buckets)
+            if len(num_values) < 2 or len(den_values) < 2:
+                raise MetricError(
+                    f"vaf: need at least 2 tasks per side, got {len(num_values)} numerator"
+                    f" and {len(den_values)} denominator")
+            point = _variance_ratio(num_values, den_values)
+        except MetricError as exc:
+            results.append(exc)
+            continue
+        if b:
+            pairs[len(results)] = (num_values, den_values)
+        results.append(VafResult(
+            model_id=model_id, vaf=point, ci_low=point, ci_high=point,
+            numerator_buckets=tuple(numerator_buckets),
+            denominator_buckets=tuple(denominator_buckets),
+            n_num_tasks=len(num_values), n_den_tasks=len(den_values),
+        ))
+    if pairs:
+        intervals = _vaf_intervals(list(pairs.values()), b, ci_level, seed)
+        for i, interval in zip(pairs, intervals):
+            if isinstance(interval, MetricError):
+                results[i] = interval
+            else:
+                low, high = interval
+                results[i] = dataclasses.replace(results[i], ci_low=low, ci_high=high)
+    return results
 
 
 def bootstrap_ci(
@@ -632,15 +663,17 @@ def _vaf_intervals(
     for bit, or the MetricError it raises.
 
     Index rows depend only on the seed and the pool sizes, so pairs with
-    equal sizes are fed one pass over the same rows, and all pools share
-    one variance memo.
+    equal sizes are fed one pass over the same rows, and the pools of a
+    pass share one variance memo. A count row sums to its pool's size, so
+    pools of other sizes seldom share one; each memo is dropped with its
+    pass, which bounds what it holds to one pass's count rows.
     """
-    memo: _VarianceMemo = {}
     by_sizes: dict[tuple[int, int], list[int]] = {}
     for i, (num_values, den_values) in enumerate(pairs):
         by_sizes.setdefault((len(num_values), len(den_values)), []).append(i)
     intervals: dict[int, tuple[float, float] | MetricError] = {}
     for sizes, members in by_sizes.items():
+        memo: _VarianceMemo = {}
         statistics = [_variance_ratios(*pairs[i], memo) for i in members]
         intervals.update(zip(members, _percentile_bootstrap(sizes, b, level, seed, statistics)))
     return [intervals[i] for i in range(len(pairs))]

@@ -40,9 +40,8 @@ from .metrics import (
     REGRESSORS,
     TaskOutcomeGroup,
     _CI_METHODS,
-    _bucket_values,
     _curve,
-    _vaf_intervals,
+    _vafs,
     decomposition_gain,
     domain_stratify,
     outcome_groups,
@@ -50,7 +49,6 @@ from .metrics import (
     per_task_pass1,
     rds,
     scaffold_delta,
-    vaf,
 )
 from .trajectory import (
     BUCKETS,
@@ -438,11 +436,15 @@ def _build_tables(
 
     rdc_rows: list[tuple] = []
     gds_rows: list[tuple] = []
-    vaf_rows: list[list] = []
-    # (row index, numerator values, denominator values) of each ok VAF row.
-    vaf_pools: list[tuple[int, list[float], list[float]]] = []
+    vaf_rows: list[tuple] = []
     decomp_rows: list[tuple] = []
-    for (model_id, scaffold), groups in sorted(by_selection.items()):
+    selections = sorted(by_selection.items())
+    # One call for every selection, so the bootstrap draws each run's
+    # resample rows once (see metrics._vaf_intervals).
+    vaf_results = _vafs([(model_id, per_task_pass1(groups)) for (model_id, _), groups in selections],
+                        registry, opts.vaf_numerator, opts.vaf_denominator,
+                        opts.bootstrap_b, opts.ci_level, opts.seed)
+    for ((model_id, scaffold), groups), result in zip(selections, vaf_results):
         pass_curve = _curve(groups, registry, "pass1", opts.ci_level, opts.ci_method)
         gds_curve = _curve(groups, registry, "gds")
         for bucket, point in pass_curve.points.items():
@@ -452,27 +454,20 @@ def _build_tables(
             gds_rows.append((model_id, scaffold, bucket, gds_point.value, point.value,
                              gds_point.n_tasks, gds_point.n_episodes))
 
-        per_task = per_task_pass1(groups)
         den = [g for g in groups if registry[g.task_id].bucket in opts.vaf_denominator]
         num = [g for g in groups if registry[g.task_id].bucket in opts.vaf_numerator]
         den_pass = pass_at_1(den) if den else None
         num_pass = pass_at_1(num) if num else None
-        try:
-            result = vaf(per_task, registry, opts.vaf_numerator, opts.vaf_denominator,
-                         model_id=model_id)
+        if isinstance(result, DegenerateStatisticError):
+            cells, status = (None,) * 5, "degenerate_denominator"
+        elif isinstance(result, MetricError):
+            cells, status = (None,) * 5, "unavailable"
+        else:
             cells = (result.vaf, result.ci_low, result.ci_high,
                      result.n_num_tasks, result.n_den_tasks)
             status = "ok"
-            if opts.bootstrap_b:
-                vaf_pools.append((len(vaf_rows),
-                                  _bucket_values(per_task, registry, opts.vaf_numerator),
-                                  _bucket_values(per_task, registry, opts.vaf_denominator)))
-        except DegenerateStatisticError:
-            cells, status = (None,) * 5, "degenerate_denominator"
-        except MetricError:
-            cells, status = (None,) * 5, "unavailable"
-        vaf_rows.append([model_id, scaffold, *cells, "+".join(opts.vaf_numerator),
-                         "+".join(opts.vaf_denominator), den_pass, num_pass, status])
+        vaf_rows.append((model_id, scaffold, *cells, "+".join(opts.vaf_numerator),
+                         "+".join(opts.vaf_denominator), den_pass, num_pass, status))
 
         short = pass_curve.points.get("short")
         very_long = pass_curve.points.get("very_long")
@@ -485,18 +480,6 @@ def _build_tables(
                             short.value if short else None,
                             very_long.value if very_long else None,
                             gain, slope, opts.regressor))
-
-    # One bootstrap pass for every selection: the interval each would get
-    # from vaf(..., b=bootstrap_b), or unavailable where that raises.
-    if vaf_pools:
-        intervals = _vaf_intervals([(num, den) for _, num, den in vaf_pools],
-                                   opts.bootstrap_b, opts.ci_level, opts.seed)
-        for (i, _, _), interval in zip(vaf_pools, intervals):
-            if isinstance(interval, MetricError):
-                vaf_rows[i][2:7] = (None,) * 5
-                vaf_rows[i][-1] = "unavailable"
-            else:
-                vaf_rows[i][3:5] = interval
 
     domain = domain_stratify(analysis, registry, "gds")
     domain_rows: list[tuple] = []
@@ -546,7 +529,7 @@ def _build_tables(
         Column("numerator_buckets", "str"), Column("denominator_buckets", "str"),
         Column("denominator_pass1", "fraction"), Column("numerator_pass1", "fraction"),
         Column("status", "str"),
-    ), tuple(map(tuple, vaf_rows)))
+    ), tuple(vaf_rows))
     tables["domain"] = Table("domain", (
         Column("domain", "str"),
         Column("short", "fraction"), Column("medium", "fraction"),
