@@ -275,7 +275,6 @@ def _write_csv(out_dir: str | None, name: str, header: Sequence[str],
     if out_dir is None:
         sys.stdout.write(text)
         return None
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
     return _write(Path(out_dir) / name, text)
 
 

@@ -386,18 +386,6 @@ class VafResult:
     n_den_tasks: int
 
 
-def _bucket_values(
-    per_task: Mapping[str, float],
-    task_meta: Mapping[str, TaskSpec],
-    buckets: Sequence[str],
-) -> list[float]:
-    chosen = []
-    for task_id in sorted(per_task):
-        if _task(task_meta, task_id, "vaf").bucket in buckets:
-            chosen.append(per_task[task_id])
-    return chosen
-
-
 def _variance_ratio(num_values: Sequence[float], den_values: Sequence[float]) -> float:
     den_var = _pvar(den_values)
     # min == max catches identical values whose fsum mean leaves float dust;
@@ -445,18 +433,32 @@ def _vafs(
     seed: int,
 ) -> list[VafResult | MetricError]:
     """``vaf`` of each ``(model_id, per_task)`` selection, or the
-    MetricError it raises. The intervals come from one ``_vaf_intervals``
-    call over every selection with a point estimate."""
+    MetricError it raises.
+
+    Index rows depend only on the seed and the pool sizes, so selections
+    with equal pool sizes are fed one pass over the same rows, and the
+    pools of a pass share one variance memo. A count row sums to its
+    pool's size, so pools of other sizes seldom share one; each memo is
+    dropped with its pass, which bounds what it holds to one pass's count
+    rows.
+    """
     for name, buckets in (("numerator", numerator_buckets), ("denominator", denominator_buckets)):
         unknown = [bk for bk in buckets if bk not in BUCKETS]
         if unknown or not buckets:
             raise MetricError(f"vaf: bad {name} bucket set {tuple(buckets)!r}")
     results: list[VafResult | MetricError] = []
-    pairs: dict[int, tuple[list[float], list[float]]] = {}  # result index -> pools
+    # (numerator size, denominator size) -> (result index, numerator, denominator)
+    by_sizes: dict[tuple[int, int], list[tuple[int, list[float], list[float]]]] = {}
     for model_id, per_task in selections:
+        num_values: list[float] = []
+        den_values: list[float] = []
         try:
-            num_values = _bucket_values(per_task, task_meta, numerator_buckets)
-            den_values = _bucket_values(per_task, task_meta, denominator_buckets)
+            for task_id in sorted(per_task):
+                bucket = _task(task_meta, task_id, "vaf").bucket
+                if bucket in numerator_buckets:
+                    num_values.append(per_task[task_id])
+                if bucket in denominator_buckets:
+                    den_values.append(per_task[task_id])
             if len(num_values) < 2 or len(den_values) < 2:
                 raise MetricError(
                     f"vaf: need at least 2 tasks per side, got {len(num_values)} numerator"
@@ -465,17 +467,19 @@ def _vafs(
         except MetricError as exc:
             results.append(exc)
             continue
-        if b:
-            pairs[len(results)] = (num_values, den_values)
+        by_sizes.setdefault((len(num_values), len(den_values)), []).append(
+            (len(results), num_values, den_values))
         results.append(VafResult(
             model_id=model_id, vaf=point, ci_low=point, ci_high=point,
             numerator_buckets=tuple(numerator_buckets),
             denominator_buckets=tuple(denominator_buckets),
             n_num_tasks=len(num_values), n_den_tasks=len(den_values),
         ))
-    if pairs:
-        intervals = _vaf_intervals(list(pairs.values()), b, ci_level, seed)
-        for i, interval in zip(pairs, intervals):
+    for sizes, members in by_sizes.items() if b else ():
+        memo: _VarianceMemo = {}
+        statistics = [_variance_ratios(num, den, memo) for _, num, den in members]
+        intervals = _percentile_bootstrap(sizes, b, ci_level, seed, statistics)
+        for (i, _, _), interval in zip(members, intervals):
             if isinstance(interval, MetricError):
                 results[i] = interval
             else:
@@ -652,31 +656,6 @@ def _variance_ratios(num_values: Sequence[float], den_values: Sequence[float],
             return num_var[ok] / den_var[ok]
 
     return chunk_statistic
-
-
-def _vaf_intervals(
-    pairs: Sequence[tuple[Sequence[float], Sequence[float]]],
-    b: int, level: float, seed: int,
-) -> list[tuple[float, float] | MetricError]:
-    """For each ``(num_values, den_values)`` pair, the interval of
-    ``bootstrap_ci(_variance_ratio, (num_values, den_values), ...)`` bit
-    for bit, or the MetricError it raises.
-
-    Index rows depend only on the seed and the pool sizes, so pairs with
-    equal sizes are fed one pass over the same rows, and the pools of a
-    pass share one variance memo. A count row sums to its pool's size, so
-    pools of other sizes seldom share one; each memo is dropped with its
-    pass, which bounds what it holds to one pass's count rows.
-    """
-    by_sizes: dict[tuple[int, int], list[int]] = {}
-    for i, (num_values, den_values) in enumerate(pairs):
-        by_sizes.setdefault((len(num_values), len(den_values)), []).append(i)
-    intervals: dict[int, tuple[float, float] | MetricError] = {}
-    for sizes, members in by_sizes.items():
-        memo: _VarianceMemo = {}
-        statistics = [_variance_ratios(*pairs[i], memo) for i in members]
-        intervals.update(zip(members, _percentile_bootstrap(sizes, b, level, seed, statistics)))
-    return [intervals[i] for i in range(len(pairs))]
 
 
 # --- stratification and deltas ---------------------------------------------

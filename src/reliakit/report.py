@@ -440,7 +440,7 @@ def _build_tables(
     decomp_rows: list[tuple] = []
     selections = sorted(by_selection.items())
     # One call for every selection, so the bootstrap draws each run's
-    # resample rows once (see metrics._vaf_intervals).
+    # resample rows once (see metrics._vafs).
     vaf_results = _vafs([(model_id, per_task_pass1(groups)) for (model_id, _), groups in selections],
                         registry, opts.vaf_numerator, opts.vaf_denominator,
                         opts.bootstrap_b, opts.ci_level, opts.seed)
@@ -606,7 +606,9 @@ def _safe_filename(episode_id: str) -> str:
 
 
 def _write(path: Path, text: str) -> Path:
+    """Write ``text`` to ``path``, creating its parent directories."""
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise InputError(f"emit: cannot write {path}: {exc}") from exc
@@ -624,11 +626,6 @@ def emit_report(bundle: ReportBundle, fmt: str, out_dir: str | Path) -> list[Pat
     if fmt not in ("csv", "json", "markdown"):
         raise InputError(f"emit: unknown format {fmt!r}")
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise InputError(f"emit: cannot create {out}: {exc}") from exc
-
     written: list[Path] = []
     written.append(_write(
         out / "run_metadata.json",
@@ -662,17 +659,11 @@ def emit_report(bundle: ReportBundle, fmt: str, out_dir: str | Path) -> list[Pat
                 lines.append("| " + " | ".join(cells) + " |")
             written.append(_write(out / f"{name}.md", "\n".join(lines) + "\n"))
 
-    if bundle.series:
-        series_dir = out / "series"
-        try:
-            series_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise InputError(f"emit: cannot create {series_dir}: {exc}") from exc
-        for episode_id in sorted(bundle.series):
-            payload = {
-                "episode_id": episode_id,
-                "series": [[t, h] for t, h in bundle.series[episode_id]],
-            }
-            written.append(_write(series_dir / f"{_safe_filename(episode_id)}.json",
-                                  json.dumps(payload, indent=2) + "\n"))
+    for episode_id in sorted(bundle.series):
+        payload = {
+            "episode_id": episode_id,
+            "series": [[t, h] for t, h in bundle.series[episode_id]],
+        }
+        written.append(_write(out / "series" / f"{_safe_filename(episode_id)}.json",
+                              json.dumps(payload, indent=2) + "\n"))
     return written

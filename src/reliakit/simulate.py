@@ -33,6 +33,8 @@ from .rng import substream
 from .trajectory import (
     BUCKETS,
     DOMAINS,
+    MAX_STEPS,
+    SCAFFOLDS,
     Episode,
     Subtask,
     TaskSpec,
@@ -73,6 +75,14 @@ _STUDY_WEIGHTS = (0.25, 0.35, 0.20, 0.20)
 
 class SimulationError(ValueError):
     """Raised for infeasible or malformed simulation parameters."""
+
+
+def _check_labels(model_id: str, scaffold: str) -> None:
+    """Refuse episode labels that the log parser would reject."""
+    if not model_id:
+        raise SimulationError("model_id must be non-empty")
+    if scaffold not in SCAFFOLDS:
+        raise SimulationError(f"scaffold {scaffold!r} not one of {SCAFFOLDS}")
 
 
 @dataclass(frozen=True)
@@ -226,6 +236,7 @@ def simulate_agent_study(
         raise SimulationError("tasks_per_bucket must be >= 1")
     if k < 1:
         raise SimulationError("k must be >= 1")
+    _check_labels(model_id, scaffold)
     for bucket, p in per_bucket_p.items():
         if bucket not in BUCKETS:
             raise SimulationError(f"unknown bucket {bucket!r}")
@@ -337,8 +348,9 @@ def generate_trajectory(
     profile: TrajectoryProfile, length: int, seed: int
 ) -> list[ToolStep]:
     """Deterministic synthetic trajectory of the given profile and length."""
-    if length < _MIN_TRAJECTORY:
-        raise SimulationError(f"length must be >= {_MIN_TRAJECTORY}, got {length}")
+    if not _MIN_TRAJECTORY <= length <= MAX_STEPS:
+        raise SimulationError(
+            f"length must be in {_MIN_TRAJECTORY}..{MAX_STEPS}, got {length}")
     if profile.profile == "rote":
         tool = profile.tool_pool[0]
         return [_step(t, tool, {}) for t in range(1, length + 1)]
@@ -368,6 +380,7 @@ def trajectory_episode(
 ) -> Episode:
     """Wrap a synthetic trajectory as a failed finished episode against a
     task, so trajectory corpora flow through the standard log format."""
+    _check_labels(model_id, scaffold)
     return Episode(
         episode_id=episode_id,
         task_id=task.task_id,

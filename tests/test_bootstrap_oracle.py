@@ -7,9 +7,9 @@ interpolation meets an infinite statistic is its upper neighbour, not nan. The f
 within a tolerance, because it draws the same indices and feeds the same
 statistic in the same order. ``vaf`` computes its interval from per-pool
 level counts instead of calling ``bootstrap_ci``; ``bootstrap_ci`` over
-``_variance_ratio`` is its oracle, again exactly. ``_vaf_intervals``, which
-feeds many pairs one pass over shared index rows, must give each pair
-exactly what that pair gets alone.
+``_variance_ratio`` is its oracle, again exactly. ``_vafs``, which feeds
+many selections one pass over shared index rows, must give each selection
+exactly what that selection gets alone.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import make_task
 from reliakit import DegenerateStatisticError, MetricError, bootstrap_ci, vaf
 from reliakit import metrics, rng
-from reliakit.metrics import _vaf_intervals, _variance_ratio
+from reliakit.metrics import DEFAULT_VAF_DENOMINATOR, DEFAULT_VAF_NUMERATOR, _vafs, _variance_ratio
 from reliakit.rng import _resample_chunks, substream
 
 
@@ -180,14 +180,23 @@ def test_temporaries_do_not_grow_with_b():
     assert large < 8 * chunk * sum(sizes) * 8
 
 
-def _vaf_outcome(num, den, **kwargs):
-    """vaf's interval over the two pools in order, or its MetricError message."""
+# Numerator tasks n00.. are long, denominator tasks d00.. short.
+_REGISTRY = {f"{side}{i:02d}": make_task(f"{side}{i:02d}", bucket=bucket)
+             for side, bucket in (("n", "long"), ("d", "short")) for i in range(60)}
+
+
+def _per_task(num, den):
+    """Per-task fractions whose numerator and denominator pools, in sorted
+    task order, are ``num`` and ``den``."""
     per_task = {f"n{i:02d}": v for i, v in enumerate(num)}
     per_task.update({f"d{i:02d}": v for i, v in enumerate(den)})
-    meta = {task_id: make_task(task_id, bucket="long" if task_id[0] == "n" else "short")
-            for task_id in per_task}
+    return per_task
+
+
+def _vaf_outcome(num, den, **kwargs):
+    """vaf's interval over the two pools in order, or its MetricError message."""
     try:
-        result = vaf(per_task, meta, **kwargs)
+        result = vaf(_per_task(num, den), _REGISTRY, **kwargs)
     except MetricError as exc:
         return str(exc)
     return result.ci_low, result.ci_high
@@ -269,10 +278,16 @@ def _pair_outcomes(pairs, b, level, seed):
             for num, den in pairs]
 
 
-def _batch_outcomes(pairs, b, level, seed):
-    """``_vaf_intervals`` with each MetricError as its message."""
-    return [str(r) if isinstance(r, MetricError) else r
-            for r in _vaf_intervals(pairs, b, level, seed)]
+def _batch(per_tasks, b, level, seed):
+    """``_vafs`` over one selection per per-task mapping."""
+    return _vafs([(f"m{s}", per_task) for s, per_task in enumerate(per_tasks)], _REGISTRY,
+                 DEFAULT_VAF_NUMERATOR, DEFAULT_VAF_DENOMINATOR, b, level, seed)
+
+
+def _batch_outcomes(per_tasks, b, level, seed):
+    """``_batch``'s intervals, with each MetricError as its message."""
+    return [str(r) if isinstance(r, MetricError) else (r.ci_low, r.ci_high)
+            for r in _batch(per_tasks, b, level, seed)]
 
 
 @st.composite
@@ -290,12 +305,15 @@ def _pairs(draw):
        seed=st.integers(0, 2 ** 32 - 1), level=st.sampled_from([0.9, 0.95]))
 @settings(max_examples=30, deadline=None)
 def test_batched_intervals_equal_each_pair_alone(pairs, b, level, seed):
-    batch = _batch_outcomes(pairs, b, level, seed)
-    assert batch == _pair_outcomes(pairs, b, level, seed)
+    batch = _batch_outcomes([_per_task(num, den) for num, den in pairs], b, level, seed)
     for (num, den), outcome in zip(pairs, batch):
+        assert _vaf_outcome(num, den, b=b, ci_level=level, seed=seed) == outcome
         # vaf refuses a degenerate point estimate before drawing any resample.
-        if not isinstance(_outcome(_variance_ratio, num, den), str):
-            assert _vaf_outcome(num, den, b=b, ci_level=level, seed=seed) == outcome
+        point = _outcome(_variance_ratio, num, den)
+        if isinstance(point, str):
+            assert outcome == point
+        else:
+            assert outcome == _pair_outcomes([(num, den)], b, level, seed)[0]
 
 
 def test_batch_mixes_refused_signed_zero_and_infinite_members():
@@ -307,7 +325,7 @@ def test_batch_mixes_refused_signed_zero_and_infinite_members():
         ([0.0, -0.0, 1 / 3, 1.0, 2 / 3, -0.0], [-0.0, 0.0, 1 / 3, 1 / 3, 1.0, 0.0, -0.0]),
         ([-0.0, 1 / 3, 0.0, 2 / 3, 1.0, 0.0], [1 / 3, -0.0, 0.0, 1.0, 2 / 3, 0.0, -0.0]),
     ]
-    batch = _batch_outcomes(pairs, 1000, 0.9, 0)
+    batch = _batch_outcomes([_per_task(num, den) for num, den in pairs], 1000, 0.9, 0)
     assert "degenerate on" in batch[0]
     assert batch[2] == (0.0, math.inf)
     assert batch == _pair_outcomes(pairs, 1000, 0.9, 0)
@@ -329,27 +347,45 @@ def test_one_draw_pass_per_distinct_size_pair(monkeypatch):
     pairs = [([fractions[(i + j) % 4] for j in range(n_num)],
               [fractions[(i + 2 * j) % 4] for j in range(n_den)])
              for i, (n_num, n_den) in enumerate(sizes)]
-    _vaf_intervals(pairs, 1000, 0.95, 0)
+    _batch([_per_task(num, den) for num, den in pairs], 1000, 0.95, 0)
     assert sorted(calls) == [(3, 4), (4, 3), (5, 4)]
 
 
 def test_batch_never_holds_every_index_row():
     fractions = [0.0, 1 / 3, 2 / 3, 1.0]
     n_selections, n_tasks, b = 32, 24, 10000
-    pairs = []
+    per_tasks = []
     for s in range(n_selections):
         draws = np.random.default_rng(s).integers(0, 4, size=2 * n_tasks)
-        num = [fractions[d] for d in draws[:n_tasks]]
-        den = [fractions[d] for d in draws[n_tasks:]]
-        pairs.append((num, den))
-    _vaf_intervals(pairs[:1], 1000, 0.95, 1)  # lazy imports and caches, not per-call memory
+        per_tasks.append(_per_task([fractions[d] for d in draws[:n_tasks]],
+                                   [fractions[d] for d in draws[n_tasks:]]))
+    _batch(per_tasks[:1], 1000, 0.95, 1)  # lazy imports and caches, not per-call memory
     tracemalloc.start()
     try:
-        intervals = _vaf_intervals(pairs, b, 0.95, 0)
+        results = _batch(per_tasks, b, 0.95, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(isinstance(interval, tuple) for interval in intervals)
+    assert not any(isinstance(result, MetricError) for result in results)
     # One (b, 48) int64 index matrix, plus the b float64 statistics per
     # selection that its percentiles are taken over.
     assert peak < b * 2 * n_tasks * 8 + n_selections * b * 8
+
+
+def test_unknown_task_fails_only_its_own_selection():
+    fractions = [0.0, 1 / 3, 2 / 3, 1.0]
+    pairs = [([fractions[(i + j) % 4] for j in range(5)],
+              [fractions[(i + 2 * j) % 4] for j in range(4)]) for i in range(3)]
+    per_tasks = [_per_task(num, den) for num, den in pairs]
+    # Both ids are unknown; the first in sorted order is the one named.
+    per_tasks[1].update({"x-late": 0.5, "u-early": 0.5})
+    message = "vaf: task 'u-early' not in registry"
+    batch = _batch_outcomes(per_tasks, 1000, 0.95, 4)
+    assert batch[1] == message
+    with pytest.raises(MetricError) as alone:
+        vaf(per_tasks[1], _REGISTRY)
+    assert str(alone.value) == message
+    # The neighbours share one draw pass; each gets what it gets alone.
+    for s in (0, 2):
+        assert batch[s] == _batch_outcomes(per_tasks[s:s + 1], 1000, 0.95, 4)[0]
+        assert isinstance(batch[s], tuple) and batch[s][0] < batch[s][1]

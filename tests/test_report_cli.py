@@ -379,6 +379,13 @@ class TestEmitReport:
         for path in sorted(a.iterdir()):
             assert path.read_bytes() == (b / path.name).read_bytes()
 
+    def test_out_dir_that_is_a_file_is_input_error(self, tmp_path):
+        blocker = tmp_path / "afile"
+        blocker.write_text("", encoding="utf-8")
+        with pytest.raises(InputError, match="emit: cannot write"):
+            emit_report(tiny_bundle(), "csv", blocker)
+        assert blocker.read_text(encoding="utf-8") == ""
+
     def test_series_sidecars_with_safe_names(self, tmp_path):
         bundle = ReportBundle(
             run_metadata={}, tables={},
@@ -469,6 +476,12 @@ class TestCli:
     @pytest.mark.parametrize("argv, code", [
         (["--mode", "steps", "--gamma", "nan"], 2),
         (["--mode", "study", "--p", "0.5"], 1),
+        # Corpora the log parser would reject: step_limit, bad_scaffold, bad_model_id.
+        (["--mode", "trajectories", "--length", "71"], 2),
+        (["--mode", "study", "--scaffold", "foo"], 2),
+        (["--mode", "trajectories", "--scaffold", "foo"], 2),
+        (["--mode", "study", "--model-id", ""], 2),
+        (["--mode", "trajectories", "--model-id", ""], 2),
     ])
     def test_refused_simulate_creates_no_out_dir(self, tmp_path, capsys, argv, code):
         out = tmp_path / "never"
@@ -580,6 +593,35 @@ class TestCli:
         lines = (out / "cost.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "model_id,n_episodes,tokens_in,tokens_out,total_cost"
         assert lines[-1].startswith("(all),8,0,0,")
+
+    @pytest.mark.parametrize("command", ["cost", "mop"])
+    def test_out_creates_nested_parents(self, tmp_path, capsys, command):
+        out = tmp_path / "nested" / "deeper"
+        assert main([*self._csv_command(tmp_path, command), "--out", str(out)]) == 0
+        assert (out / f"{command}.csv").read_text(encoding="utf-8").count("\n") > 1
+
+    @pytest.mark.parametrize("command", ["cost", "mop"])
+    def test_out_below_a_file_is_exit_2(self, tmp_path, capsys, command):
+        argv = self._csv_command(tmp_path, command)
+        blocker = tmp_path / "afile"
+        blocker.write_text("", encoding="utf-8")
+        capsys.readouterr()
+        assert main([*argv, "--out", str(blocker / "x")]) == 2
+        assert f"input error: emit: cannot write {blocker / 'x' / command}.csv" \
+            in capsys.readouterr().err
+        assert blocker.read_text(encoding="utf-8") == ""
+
+    @staticmethod
+    def _csv_command(tmp_path, command):
+        """``cost`` or ``mop`` over a two-trajectory log, without ``--out``."""
+        data = tmp_path / "data"
+        main(["simulate", "--mode", "trajectories", "--count", "2", "--out", str(data)])
+        argv = [command, "--logs", str(data / "episodes.jsonl")]
+        if command == "cost":
+            pricing = tmp_path / "pricing.jsonl"
+            pricing.write_text(PRICING_LINES[0] + "\n", encoding="utf-8")
+            argv += ["--pricing", str(pricing)]
+        return argv
 
     def test_analyze_runs_are_byte_identical(self, tmp_path):
         data = tmp_path / "data"

@@ -229,6 +229,11 @@ class TestAgentStudy:
             simulate_agent_study({"hourly": 0.5}, 5, 3, seed=0)
         with pytest.raises(SimulationError, match="outside"):
             simulate_agent_study({"short": 1.5}, 5, 3, seed=0)
+        # Labels the log parser rejects (bad_model_id, bad_scaffold).
+        with pytest.raises(SimulationError, match="model_id must be non-empty"):
+            simulate_agent_study({"short": 0.5}, 5, 3, seed=0, model_id="")
+        with pytest.raises(SimulationError, match="scaffold 'foo' not one of"):
+            simulate_agent_study({"short": 0.5}, 5, 3, seed=0, scaffold="foo")
 
 
 class TestTrajectories:
@@ -281,6 +286,10 @@ class TestTrajectories:
     def test_length_validation(self):
         with pytest.raises(SimulationError, match="length"):
             generate_trajectory(TrajectoryProfile("rote"), 9, seed=0)
+        # One step past the harness limit the parser enforces (MAX_STEPS).
+        with pytest.raises(SimulationError, match="length must be in 10..70, got 71"):
+            generate_trajectory(TrajectoryProfile("rote"), 71, seed=0)
+        assert len(generate_trajectory(TrajectoryProfile("rote"), 70, seed=0)) == 70
         with pytest.raises(SimulationError, match="below length"):
             generate_trajectory(TrajectoryProfile("spiral", spiral_start=30), 30, 0)
 
@@ -292,6 +301,10 @@ class TestTrajectories:
         assert ep.evaluator_score == 0.0
         assert ep.subtask_outcomes == (False,) * 4
         assert ep.steps == tuple(steps)
+        with pytest.raises(SimulationError, match="model_id must be non-empty"):
+            trajectory_episode("e1", task, steps, model_id="")
+        with pytest.raises(SimulationError, match="scaffold 'foo' not one of"):
+            trajectory_episode("e1", task, steps, scaffold="foo")
 
 
 class TestSubstream:
