@@ -36,6 +36,7 @@ from .report import (
     InputError,
     PipelineError,
     PipelineOptions,
+    _FORMATS,
     _cost_rows,
     _csv_text,
     _load_logs,
@@ -73,8 +74,6 @@ from .trajectory import (
 )
 
 __all__ = ["build_parser", "entrypoint", "main"]
-
-_FORMATS = ("csv", "json", "markdown")
 
 
 class _UsageError(Exception):
@@ -221,7 +220,6 @@ def build_parser() -> _Parser:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    formats = list(dict.fromkeys(args.format)) if args.format else list(_FORMATS)
     options = PipelineOptions(
         seed=args.seed,
         bootstrap_b=args.bootstrap_b,
@@ -235,14 +233,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         emit_series=args.emit_series,
     )
     bundle = run_pipeline(args.logs, args.registry, args.pricing, options)
-    written: list[Path] = []
-    for fmt in formats:
-        written.extend(emit_report(bundle, fmt, args.out))
+    written = emit_report(bundle, args.format or _FORMATS, args.out)
     counts = bundle.run_metadata["episodes"]
     print(f"analyzed {counts['analyzed']} episodes"
           f" ({counts['infra_excluded']} infra-excluded,"
           f" {counts['join_excluded']} join-excluded);"
-          f" wrote {len(set(written))} files to {args.out}")
+          f" wrote {len(written)} files to {args.out}")
     return 0
 
 
@@ -360,6 +356,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         subtasks=(Subtask("s1", 0.25, ""), Subtask("s2", 0.35, ""),
                   Subtask("s3", 0.20, ""), Subtask("s4", 0.20, "")),
     )
+    if args.count < 1:
+        raise SimulationError(f"count must be >= 1, got {args.count}")
     episodes = []
     for i in range(args.count):
         steps = generate_trajectory(profile, args.length, args.seed + i)

@@ -605,6 +605,9 @@ def _safe_filename(episode_id: str) -> str:
     return cleaned
 
 
+_FORMATS = ("csv", "json", "markdown")
+
+
 def _write(path: Path, text: str) -> Path:
     """Write ``text`` to ``path``, creating its parent directories."""
     try:
@@ -615,49 +618,54 @@ def _write(path: Path, text: str) -> Path:
     return path
 
 
-def emit_report(bundle: ReportBundle, fmt: str, out_dir: str | Path) -> list[Path]:
-    """Render every table of the bundle in one format, plus run metadata
-    and any entropy-series sidecars. Returns the written paths.
+def emit_report(bundle: ReportBundle, fmt: str | Sequence[str],
+                out_dir: str | Path) -> list[Path]:
+    """Render every table of the bundle in one format, or in each of a
+    sequence of formats, plus run metadata and any entropy-series sidecars,
+    each written once. Returns the written paths.
 
     Markdown renders fractions as one-decimal percentages and suppressed
     cells as "---"; csv leaves suppressed cells empty and json renders
     them as null, with full float precision in both.
     """
-    if fmt not in ("csv", "json", "markdown"):
-        raise InputError(f"emit: unknown format {fmt!r}")
+    formats = (fmt,) if isinstance(fmt, str) else tuple(dict.fromkeys(fmt))
+    for name in formats:
+        if name not in _FORMATS:
+            raise InputError(f"emit: unknown format {name!r}")
     out = Path(out_dir)
     written: list[Path] = []
     written.append(_write(
         out / "run_metadata.json",
         json.dumps(bundle.run_metadata, indent=2, sort_keys=True) + "\n"))
 
-    for name in TABLE_ORDER:
-        table = bundle.tables.get(name)
-        if table is None:
-            continue
-        if fmt == "csv":
-            text = _csv_text([c.name for c in table.columns], table.rows)
-            written.append(_write(out / f"{name}.csv", text))
-        elif fmt == "json":
-            payload = {
-                "name": table.name,
-                "columns": [{"name": c.name, "kind": c.kind} for c in table.columns],
-                "rows": [
-                    {c.name: v for c, v in zip(table.columns, row)}
-                    for row in table.rows
-                ],
-            }
-            written.append(_write(out / f"{name}.json",
-                                  json.dumps(payload, indent=2) + "\n"))
-        else:
-            lines = [
-                "| " + " | ".join(c.name for c in table.columns) + " |",
-                "| " + " | ".join("---" for _ in table.columns) + " |",
-            ]
-            for row in table.rows:
-                cells = [_format_markdown(v, c.kind) for c, v in zip(table.columns, row)]
-                lines.append("| " + " | ".join(cells) + " |")
-            written.append(_write(out / f"{name}.md", "\n".join(lines) + "\n"))
+    for fmt in formats:
+        for name in TABLE_ORDER:
+            table = bundle.tables.get(name)
+            if table is None:
+                continue
+            if fmt == "csv":
+                text = _csv_text([c.name for c in table.columns], table.rows)
+                written.append(_write(out / f"{name}.csv", text))
+            elif fmt == "json":
+                payload = {
+                    "name": table.name,
+                    "columns": [{"name": c.name, "kind": c.kind} for c in table.columns],
+                    "rows": [
+                        {c.name: v for c, v in zip(table.columns, row)}
+                        for row in table.rows
+                    ],
+                }
+                written.append(_write(out / f"{name}.json",
+                                      json.dumps(payload, indent=2) + "\n"))
+            else:
+                lines = [
+                    "| " + " | ".join(c.name for c in table.columns) + " |",
+                    "| " + " | ".join("---" for _ in table.columns) + " |",
+                ]
+                for row in table.rows:
+                    cells = [_format_markdown(v, c.kind) for c, v in zip(table.columns, row)]
+                    lines.append("| " + " | ".join(cells) + " |")
+                written.append(_write(out / f"{name}.md", "\n".join(lines) + "\n"))
 
     for episode_id in sorted(bundle.series):
         payload = {

@@ -142,7 +142,8 @@ class TaskSpec:
 @dataclass(frozen=True, slots=True)
 class ToolStep:
     """A single tool invocation. Step indices are 1-based and contiguous.
-    Parsed steps without unknown fields share one read-only empty ``extras``."""
+    Within one parse, equal tool names are one shared string, and steps
+    without unknown fields share one read-only empty ``extras``."""
 
     index: int
     tool: str
@@ -162,6 +163,10 @@ class Episode:
     1e-9; the parser rejects records violating that. ``subtask_outcomes``
     is positional against the task's subtasks and is validated against the
     registry at join time, not at parse time.
+
+    Within one parse, equal ``task_id``, ``model_id``, ``scaffold``,
+    ``termination`` and ``subtask_outcomes`` values are one shared object,
+    and episodes without unknown fields share one read-only empty ``extras``.
     """
 
     episode_id: str
@@ -294,7 +299,12 @@ def _task_from_record(record: Mapping[str, Any]) -> TaskSpec:
     minutes = record["human_minutes_estimate"]
     if isinstance(minutes, bool) or not isinstance(minutes, (int, Decimal)):
         raise ValueError("human_minutes_estimate must be numeric")
-    minutes = float(minutes)
+    try:
+        minutes = float(minutes)
+    except OverflowError:
+        minutes = math.inf
+    if not math.isfinite(minutes):
+        raise ValueError("human_minutes_estimate must be finite as a float")
     if minutes <= 0:
         raise ValueError("human_minutes_estimate must be positive")
     steps_estimate = record["agent_steps_estimate"]
@@ -373,9 +383,10 @@ _STEP_FIELDS = {
 
 
 class _NoExtras(Mapping[str, Any]):
-    """The read-only empty ``extras`` shared by parsed steps without unknown
-    fields. Unlike ``types.MappingProxyType({})`` it can be pickled and
-    deep-copied, as the one shared instance, so parsed episodes still can."""
+    """The read-only empty ``extras`` shared by parsed steps and episodes
+    without unknown fields. Unlike ``types.MappingProxyType({})`` it can be
+    pickled and deep-copied, as the one shared instance, so parsed episodes
+    still can."""
 
     __slots__ = ()
 
@@ -436,13 +447,17 @@ def _valid_timestamp(value: Any) -> bool:
     return True
 
 
-def _parse_steps(raw: Any, errors: list[ValidationIssue],
-                 args_seen: dict[str, str]) -> tuple[ToolStep, ...]:
+def _parse_steps(raw: Any, errors: list[ValidationIssue], args_seen: dict[str, str],
+                 shared: dict[Any, Any]) -> tuple[ToolStep, ...]:
     """The steps of one record, or () after appending its first error.
 
     ``args_seen`` maps each raw argument string to its canonical_args result
     (the raw string itself when already canonical), so a parse does the JSON
-    work once per distinct argument string."""
+    work once per distinct argument string. ``shared`` maps each value to
+    the first equal object the parse kept, so equal tool names are one
+    string. The two stay apart: a tool name equal to a non-canonical raw
+    argument string must not become that string's canonical form.
+    Timestamps and counts are not shared, since real logs rarely repeat them."""
     if not isinstance(raw, list):
         errors.append(ValidationIssue("bad_steps", "steps must be an array"))
         return ()
@@ -494,12 +509,14 @@ def _parse_steps(raw: Any, errors: list[ValidationIssue],
             canonical = canonical_args(args)
         extras = (_NO_EXTRAS if rec.keys() <= _STEP_FIELDS
                   else {k: v for k, v in rec.items() if k not in _STEP_FIELDS})
-        steps.append(ToolStep(pos, tool, canonical, *counts, timestamp, extras))
+        steps.append(ToolStep(pos, shared.setdefault(tool, tool), canonical, *counts,
+                              timestamp, extras))
     return tuple(steps)
 
 
 def _episode_from_record(record: Mapping[str, Any], errors: list[ValidationIssue],
-                         args_seen: dict[str, str]) -> Episode | None:
+                         args_seen: dict[str, str],
+                         shared: dict[Any, Any]) -> Episode | None:
     def need(key: str, kind: type, predicate=None, describe: str = "") -> Any:
         value = record.get(key)
         if isinstance(value, bool) and kind is not bool:
@@ -533,7 +550,7 @@ def _episode_from_record(record: Mapping[str, Any], errors: list[ValidationIssue
     else:
         outcomes = tuple(outcomes_raw)
 
-    steps = _parse_steps(record.get("steps", []), errors, args_seen)
+    steps = _parse_steps(record.get("steps", []), errors, args_seen, shared)
 
     if passed is not None and score is not None:
         at_full_score = abs(score - 1.0) <= _SCORE_TOLERANCE
@@ -545,13 +562,16 @@ def _episode_from_record(record: Mapping[str, Any], errors: list[ValidationIssue
 
     if errors:
         return None
-    extras = {k: v for k, v in record.items() if k not in _EPISODE_FIELDS}
+    share = shared.setdefault
+    extras = (_NO_EXTRAS if record.keys() <= _EPISODE_FIELDS
+              else {k: v for k, v in record.items() if k not in _EPISODE_FIELDS})
     return Episode(
-        episode_id=episode_id, task_id=task_id, model_id=model_id,
-        scaffold=scaffold, repeat_index=repeat_index, steps=steps,
-        nudges_used=nudges, termination=termination,
-        subtask_outcomes=outcomes, evaluator_score=float(score), passed=passed,
-        extras=extras,
+        episode_id=episode_id, task_id=share(task_id, task_id),
+        model_id=share(model_id, model_id), scaffold=share(scaffold, scaffold),
+        repeat_index=repeat_index, steps=steps, nudges_used=nudges,
+        termination=share(termination, termination),
+        subtask_outcomes=share(outcomes, outcomes), evaluator_score=float(score),
+        passed=passed, extras=extras,
     )
 
 
@@ -570,6 +590,7 @@ def parse_episode_log(
     reports: list[ValidationReport] = []
     seen: set[str] = set()
     args_seen: dict[str, str] = {}
+    shared: dict[Any, Any] = {}
     for lineno, line in _iter_lines(source):
         if isinstance(line, UnicodeDecodeError):
             problem = f"not UTF-8: {line}"
@@ -594,7 +615,7 @@ def parse_episode_log(
             continue
 
         errors: list[ValidationIssue] = []
-        episode = _episode_from_record(record, errors, args_seen)
+        episode = _episode_from_record(record, errors, args_seen, shared)
         if episode is None:
             reports.append(ValidationReport(episode_id=label, errors=tuple(errors)))
             continue

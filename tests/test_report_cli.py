@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -29,6 +30,7 @@ from reliakit import (
     write_episode_log,
     write_task_registry,
 )
+from reliakit import report
 from reliakit.cli import main
 from reliakit.report import Column, PricingEntry, Table
 from reliakit.trajectory import RegistryError
@@ -386,6 +388,18 @@ class TestEmitReport:
             emit_report(tiny_bundle(), "csv", blocker)
         assert blocker.read_text(encoding="utf-8") == ""
 
+    def test_several_formats_write_shared_files_once(self, tmp_path):
+        bundle = replace(tiny_bundle(), series={"plain": ((5, 0.2),)})
+        apart, together = tmp_path / "apart", tmp_path / "together"
+        for fmt in ("csv", "json", "markdown"):
+            emit_report(bundle, fmt, apart)
+        paths = emit_report(bundle, ["csv", "json", "markdown", "csv"], together)
+        assert len(paths) == len(set(paths)) == 5
+        assert sorted(p.relative_to(together) for p in paths) == \
+               sorted(p.relative_to(apart) for p in apart.rglob("*") if p.is_file())
+        for path in paths:
+            assert path.read_bytes() == (apart / path.relative_to(together)).read_bytes()
+
     def test_series_sidecars_with_safe_names(self, tmp_path):
         bundle = ReportBundle(
             run_metadata={}, tables={},
@@ -482,12 +496,56 @@ class TestCli:
         (["--mode", "trajectories", "--scaffold", "foo"], 2),
         (["--mode", "study", "--model-id", ""], 2),
         (["--mode", "trajectories", "--model-id", ""], 2),
+        # A corpus without episodes, which analyze rejects.
+        (["--mode", "trajectories", "--count", "0"], 2),
+        (["--mode", "trajectories", "--count", "-1"], 2),
     ])
     def test_refused_simulate_creates_no_out_dir(self, tmp_path, capsys, argv, code):
         out = tmp_path / "never"
         assert main(["simulate", *argv, "--out", str(out)]) == code
         assert "error" in capsys.readouterr().err
         assert not out.exists()
+
+    # A JSON integer too large for a float, and a float literal that
+    # overflows to infinity.
+    @pytest.mark.parametrize("minutes", ["1" + "0" * 400, "1e400"],
+                             ids=["400_digits", "1e400"])
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    def test_minutes_not_finite_as_float_is_exit_2(self, tmp_path, capsys, minutes, command):
+        log, registry = write_corpus(tmp_path, small_corpus())
+        lines = registry.read_text(encoding="utf-8").splitlines()
+        lines[1] = re.sub(r'"human_minutes_estimate":[^,]*',
+                          f'"human_minutes_estimate":{minutes}', lines[1])
+        registry.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [command, "--logs", str(log), "--registry", str(registry)]
+        if command == "analyze":
+            argv += ["--bootstrap-b", "0", "--out", str(out)]
+        assert main(argv) == 2
+        assert ("registry line 2: human_minutes_estimate must be finite"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_analyze_writes_each_file_once(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "traj"
+        assert main(["simulate", "--mode", "trajectories", "--count", "3",
+                     "--out", str(data)]) == 0
+        written = []
+        real_write = report._write
+
+        def counting_write(path, text):
+            written.append(path)
+            return real_write(path, text)
+
+        monkeypatch.setattr(report, "_write", counting_write)
+        out = tmp_path / "out"
+        assert main(["analyze", "--logs", str(data / "episodes.jsonl"),
+                     "--registry", str(data / "tasks.jsonl"), "--bootstrap-b", "0",
+                     "--emit-series", "--out", str(out)]) == 0
+        assert len(written) == len(set(written))
+        assert sorted(written) == sorted(p for p in out.rglob("*") if p.is_file())
+        assert (out / "series").is_dir() and (out / "rdc.md").exists()
+        assert f"wrote {len(written)} files" in capsys.readouterr().out
 
     def test_validate_reports_errors_with_exit_2(self, tmp_path, capsys):
         log = tmp_path / "bad.jsonl"

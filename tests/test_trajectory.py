@@ -1,8 +1,10 @@
 """Data-model tests: registry loading, episode parsing, GDS, round-trips."""
 from __future__ import annotations
 
+import copy
 import io
 import json
+import pickle
 import sys
 from datetime import datetime
 
@@ -104,6 +106,18 @@ class TestRegistry:
         line = registry_line(bucket="long", human_minutes_estimate=2.5)
         with pytest.warns(RegistryWarning, match="inconsistent"):
             load_task_registry(io.StringIO(line))
+
+    # A JSON integer too large for a float, and a float literal that
+    # overflows to infinity.
+    @pytest.mark.parametrize("minutes", ["1" + "0" * 400, "1e400"],
+                             ids=["400_digits", "1e400"])
+    def test_minutes_not_finite_as_float_rejected(self, minutes):
+        line = registry_line(human_minutes_estimate=0).replace(
+            '"human_minutes_estimate": 0', f'"human_minutes_estimate": {minutes}')
+        stream = io.StringIO(registry_line(task_id="t-0000") + "\n" + line)
+        with pytest.raises(RegistryError,
+                           match="registry line 2: human_minutes_estimate must be finite"):
+            load_task_registry(stream)
 
     def test_unknown_domain_rejected(self):
         with pytest.raises(RegistryError, match="domain"):
@@ -233,6 +247,45 @@ class TestParseEpisodeLog:
         rec["provider"] = "mirror-a"
         (ep,), _ = parse_episode_log(io.StringIO(json.dumps(rec)))
         assert ep.extras["provider"] == "mirror-a"
+
+
+class TestParseSharesValues:
+    """Within one parse, equal bounded-vocabulary values are one object."""
+
+    def test_equal_values_are_one_object(self):
+        task = make_task()
+        lines = [serialize_episode(make_episode(
+            f"e{i}", task, steps=steps_from_tools(["read_file", "edit", "read_file"])))
+            for i in range(2)]
+        first, second = parse_episode_log(lines)[0]
+        assert first.steps[0].tool is first.steps[2].tool is second.steps[0].tool
+        assert first.steps[1].tool is second.steps[1].tool
+        for name in ("task_id", "model_id", "scaffold", "termination", "subtask_outcomes"):
+            assert getattr(first, name) is getattr(second, name), name
+
+    @pytest.mark.parametrize("tool_first", [True, False])
+    def test_tool_equal_to_non_canonical_args_keeps_its_value(self, tool_first):
+        raw = '{"b": 1, "a": 2}'
+        rec = json.loads(serialize_episode(make_episode(
+            "e1", make_task(), steps=steps_from_tools(["a", "b"]))))
+        named, called = rec["steps"] if tool_first else rec["steps"][::-1]
+        named["tool"] = raw
+        called["args_canonical"] = raw
+        (ep,), _ = parse_episode_log([json.dumps(rec)])
+        assert ep.steps[named["index"] - 1].tool == raw
+        assert ep.steps[called["index"] - 1].args_canonical == '{"a":2,"b":1}'
+
+    def test_episode_without_unknown_keys_has_read_only_empty_extras(self):
+        task = make_task()
+        lines = [serialize_episode(make_episode(f"e{i}", task, steps=steps_from_tools(["a"])))
+                 for i in range(2)]
+        first, second = parse_episode_log(lines)[0]
+        assert first.extras == {}
+        assert first.extras is second.extras
+        with pytest.raises(TypeError):
+            first.extras["provider"] = "mirror-a"  # type: ignore[index]
+        assert pickle.loads(pickle.dumps(first)) == first
+        assert copy.deepcopy(first) == first
 
 
 # (timestamp, accepted): the verdicts of datetime.fromisoformat on Python
