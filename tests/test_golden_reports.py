@@ -1,12 +1,17 @@
 """Golden sha256 hashes of every file the report emitter writes for two
-fixed runs, so a change that shifts any reported value, even uniformly
-across reruns, fails here rather than passing the determinism tests.
+fixed runs, and of the stdout of the other log-reading subcommands, so a
+change that shifts any reported value, even uniformly across reruns, fails
+here rather than passing the determinism tests.
 
 - ``fixture_study_b1000``: the acceptance pass-rate study corpus, analyzed
   with a 1000-resample VAF bootstrap.
 - ``spiral_corpus_b0``: a simulated study whose failed episodes carry
   40-step spiral trajectories, analyzed with pricing, entropy-series
   sidecars and the bootstrap off.
+- ``spiral_corpus_stdout``: ``mop`` (detection, ``--calibrate f1`` and
+  ``--calibrate baseline``), ``cost`` and ``validate`` (with and without
+  ``--registry``) over that corpus plus a second log holding a cross-file
+  duplicate, an episode of an unknown task and a malformed line.
 
 A change meant to move report bytes regenerates the hashes with
 ``PYTHONPATH=src python tests/test_golden_reports.py`` and names the
@@ -15,7 +20,9 @@ change in CHANGES.md.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -33,6 +40,7 @@ from reliakit import (
     write_episode_log,
     write_task_registry,
 )
+from reliakit.cli import main
 from reliakit.simulate import (
     TrajectoryProfile,
     generate_trajectory,
@@ -86,11 +94,64 @@ def report_hashes(name: str) -> dict[str, str]:
             for path in sorted(out.rglob("*")) if path.is_file()}
 
 
+STDOUT_RUN = "spiral_corpus_stdout"
+# Subcommand arguments after ``--logs``, and the exit code each must return
+# (the malformed line is a validation error).
+COMMANDS = {
+    "mop": (["mop"], 0),
+    "mop_f1": (["mop", "--calibrate", "f1", "--labels", "labels.jsonl"], 0),
+    "mop_baseline": (["mop", "--calibrate", "baseline"], 0),
+    "cost": (["cost", "--pricing", "pricing.jsonl"], 0),
+    "validate": (["validate"], 2),
+    "validate_registry": (["validate", "--registry", "tasks.jsonl"], 2),
+}
+
+
+def stdout_hashes() -> dict[str, str]:
+    """Build the spiral corpus under the current directory, add a second log
+    with a cross-file duplicate, an episode of a task the registry lacks and
+    a malformed line, plus a label per episode (failed ones melted). Then run
+    every subcommand of COMMANDS in process from inside the corpus directory
+    and hash its stdout. Paths are relative because validate prints them."""
+    data = Path(STDOUT_RUN)
+    data.mkdir()
+    _spiral_corpus(data)
+    records = [json.loads(line) for line in
+               (data / "episodes.jsonl").read_text(encoding="utf-8").splitlines()]
+    records.append(dict(records[5], episode_id="orphan-0001", task_id="no-such-task"))
+    (data / "second.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in (records[3], records[-1])) + "{broken\n",
+        encoding="utf-8")
+    (data / "labels.jsonl").write_text("".join(
+        json.dumps({"episode_id": r["episode_id"], "meltdown": not r["passed"]}) + "\n"
+        for r in records), encoding="utf-8")
+    cwd = os.getcwd()
+    os.chdir(data)
+    try:
+        hashes = {}
+        for name, (argv, code) in COMMANDS.items():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                exit_code = main([argv[0], "--logs", "episodes.jsonl", "second.jsonl",
+                                  *argv[1:]])
+            assert exit_code == code, (name, exit_code)
+            hashes[name] = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    finally:
+        os.chdir(cwd)
+    return hashes
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_report_bytes_match_golden(name, tmp_path, monkeypatch):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     monkeypatch.chdir(tmp_path)
     assert report_hashes(name) == golden[name]
+
+
+def test_subcommand_stdout_matches_golden(tmp_path, monkeypatch):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    monkeypatch.chdir(tmp_path)
+    assert stdout_hashes() == golden[STDOUT_RUN]
 
 
 if __name__ == "__main__":
@@ -99,6 +160,7 @@ if __name__ == "__main__":
         os.chdir(work)
         try:
             hashes = {name: report_hashes(name) for name in sorted(RUNS)}
+            hashes[STDOUT_RUN] = stdout_hashes()
         finally:
             os.chdir(cwd)
     GOLDEN.parent.mkdir(exist_ok=True)
