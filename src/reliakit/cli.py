@@ -20,15 +20,19 @@ import math
 import sys
 import warnings
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from .meltdown import (
+    DEFAULT_F1_GRID_DELTA,
+    DEFAULT_F1_GRID_THETA,
     MeltdownError,
     MopConfig,
-    calibrate_mop_baseline,
-    calibrate_mop_f1,
+    _baseline_terms,
+    _baseline_theta,
+    _best_f1,
+    _largest_rises,
     detect_mop,
 )
 from .metrics import _CI_METHODS, MetricError, REGRESSORS
@@ -37,12 +41,14 @@ from .report import (
     PipelineError,
     PipelineOptions,
     _FORMATS,
+    _cost_report,
     _cost_rows,
+    _cost_terms,
     _csv_text,
     _load_logs,
     _load_reference,
+    _without_steps,
     _write,
-    compute_cost,
     emit_report,
     load_pricing,
     run_pipeline,
@@ -74,6 +80,8 @@ from .trajectory import (
 )
 
 __all__ = ["build_parser", "entrypoint", "main"]
+
+_S = TypeVar("_S")
 
 
 class _UsageError(Exception):
@@ -233,8 +241,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         emit_series=args.emit_series,
     )
     bundle = run_pipeline(args.logs, args.registry, args.pricing, options)
-    written = emit_report(bundle, args.format or _FORMATS, args.out)
     counts = bundle.run_metadata["episodes"]
+    _print_counts(counts)
+    written = emit_report(bundle, args.format or _FORMATS, args.out)
     print(f"analyzed {counts['analyzed']} episodes"
           f" ({counts['infra_excluded']} infra-excluded,"
           f" {counts['join_excluded']} join-excluded);"
@@ -242,14 +251,21 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_episodes(paths: Sequence[str]) -> list[Episode]:
-    """The pipeline's log loader, with its line accounting on stderr."""
-    logs = _load_logs(paths)
-    print("read logs: " + " ".join(f"{k}={v}" for k, v in logs.counts().items()),
-          file=sys.stderr)
-    if not logs.episodes:
+def _print_counts(counts: dict[str, int]) -> None:
+    """The line accounting of the logs read, on stderr."""
+    print("read logs: " + " ".join(
+        f"{k}={counts[k]}" for k in ("log_lines", "parse_errors", "duplicates", "parsed")),
+        file=sys.stderr)
+
+
+def _read_logs(paths: Sequence[str], summarize: Callable[[Episode], _S]) -> list[_S]:
+    """The pipeline's log loader, with its line accounting on stderr: the
+    summary of each kept episode, refusing logs without one."""
+    logs = _load_logs(paths, summarize)
+    _print_counts(logs.counts())
+    if not logs.summaries:
         raise InputError("parse: no valid episodes")
-    return logs.episodes
+    return logs.summaries
 
 
 def _label(record: dict) -> tuple[str, bool]:
@@ -277,30 +293,34 @@ def _write_csv(out_dir: str | None, name: str, header: Sequence[str],
 def _cmd_mop(args: argparse.Namespace) -> int:
     if args.calibrate == "f1" and not args.labels:
         raise _UsageError("--calibrate f1 requires --labels")
-    episodes = _read_episodes(args.logs)
+    w = args.mop_window
     if args.calibrate == "f1":
+        rises = _read_logs(args.logs, lambda ep: (
+            ep.episode_id, _largest_rises(ep, DEFAULT_F1_GRID_THETA, w)))
         labels, _ = _load_reference(_load_labels, args.labels, "labels")
-        missing = sorted(ep.episode_id for ep in episodes
-                         if ep.episode_id not in labels)
+        missing = sorted(episode_id for episode_id, _ in rises if episode_id not in labels)
         if missing:
             raise InputError(f"labels: no label for episodes: {', '.join(missing[:5])}"
                              + (" ..." if len(missing) > 5 else ""))
-        labeled = [(ep, labels[ep.episode_id]) for ep in episodes]
-        result = calibrate_mop_f1(labeled, w=args.mop_window)
+        result = _best_f1([(r, labels[episode_id]) for episode_id, r in rises],
+                          DEFAULT_F1_GRID_THETA, DEFAULT_F1_GRID_DELTA)
         print(f"theta_h={result.theta_h} delta={result.delta}"
               f" f1={result.f1:.4f} precision={result.precision:.4f}"
               f" recall={result.recall:.4f}")
         return 0
     if args.calibrate == "baseline":
-        theta, delta = calibrate_mop_baseline(episodes, percentile=args.percentile,
-                                              w=args.mop_window)
+        terms = _read_logs(args.logs, lambda ep: _baseline_terms(ep, w))
+        theta, delta = _baseline_theta(terms, args.percentile, w)
         print(f"theta_h={theta} delta={delta}")
         return 0
 
-    config = MopConfig(window_w=args.mop_window, theta_h=args.mop_theta,
-                       delta=args.mop_delta)
-    rows = [(r.episode_id, r.onset_step, r.max_entropy, r.too_short, r.melted)
-            for r in (detect_mop(ep, config) for ep in episodes)]
+    config = MopConfig(window_w=w, theta_h=args.mop_theta, delta=args.mop_delta)
+
+    def row(episode: Episode) -> tuple:
+        r = detect_mop(episode, config)
+        return r.episode_id, r.onset_step, r.max_entropy, r.too_short, r.melted
+
+    rows = _read_logs(args.logs, row)
     path = _write_csv(args.out, "mop.csv",
                       ("episode_id", "onset_step", "max_entropy", "too_short", "melted"), rows)
     if path:
@@ -372,11 +392,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    logs = _load_logs(args.logs)
+    logs = _load_logs(args.logs, _without_steps)
+    _print_counts(logs.counts())
     reports = logs.reports
     if args.registry:
         tasks, _ = _load_reference(load_task_registry, args.registry, "registry")
-        reports = reports + cross_validate(logs.episodes, {t.task_id: t for t in tasks})[1]
+        reports = reports + cross_validate(logs.summaries, {t.task_id: t for t in tasks})[1]
     n_errors = 0
     n_warnings = 0
     for report in reports:
@@ -386,14 +407,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         for issue in report.warnings:
             n_warnings += 1
             print(f"WARNING {report.episode_id} {issue.code}: {issue.message}")
-    print(f"{len(logs.episodes)} episodes parsed, {n_errors} errors, {n_warnings} warnings")
+    print(f"{len(logs.summaries)} episodes parsed, {n_errors} errors, {n_warnings} warnings")
     return 2 if n_errors else 0
 
 
 def _cmd_cost(args: argparse.Namespace) -> int:
-    episodes = _read_episodes(args.logs)
+    # Pricing is read first, because each episode is priced as it is read.
     pricing, _ = _load_reference(load_pricing, args.pricing, "cost")
-    rows = _cost_rows(compute_cost(episodes, pricing))
+    prices = {p.model_id: p for p in pricing}
+    rows = _cost_rows(_cost_report(_read_logs(args.logs, lambda ep: (
+        ep.episode_id, ep.model_id, *_cost_terms(ep, prices)))))
     path = _write_csv(args.out, "cost.csv",
                       ("model_id", "n_episodes", "tokens_in", "tokens_out", "total_cost"), rows)
     if path:

@@ -232,38 +232,49 @@ def calibrate_mop_f1(
 
     Ties prefer the lower theta_h, then the lower delta. Entropy series are
     computed once per episode and scanned once per theta; every delta then
-    costs one comparison per episode.
+    costs one comparison per episode. Defined over ``_largest_rises`` per
+    episode and ``_best_f1`` over them, which ``mop --calibrate f1`` calls
+    as it reads each episode.
     """
     _check_window(w, "calibrate_mop_f1")
     if not labeled:
         raise MeltdownError("calibrate_mop_f1: empty labeled set")
     if not grid_theta or not grid_delta:
         raise MeltdownError("calibrate_mop_f1: empty grid")
-    labels = [bool(label) for _, label in labeled]
+    return _best_f1([(_largest_rises(source, grid_theta, w), bool(label))
+                     for source, label in labeled], grid_theta, grid_delta)
+
+
+def _largest_rises(source: Episode | Sequence[ToolStep], grid_theta: Sequence[float],
+                   w: int) -> tuple[float, ...]:
+    """Per theta of the grid, the episode's largest one-window entropy rise
+    over eligible steps whose entropy exceeds theta.
+
+    An episode is detected at (theta, delta) exactly when that rise exceeds
+    delta, so one scan per theta serves every delta. Too-short episodes
+    have no eligible step and a largest rise of -inf."""
+    _, steps = _steps_of(source)
+    levels = [h for _, h in entropy_series(steps, w)]
+    eligible = [(h, h - earlier) for h, earlier in zip(levels[w:], levels)]
+    return tuple(max((rise for h, rise in eligible if h > theta), default=-math.inf)
+                 for theta in grid_theta)
+
+
+def _best_f1(prepared: Sequence[tuple[tuple[float, ...], bool]], grid_theta: Sequence[float],
+             grid_delta: Sequence[float]) -> CalibrationResult:
+    """calibrate_mop_f1's search over (largest rises per theta, label) pairs,
+    which must hold both labels."""
+    labels = [label for _, label in prepared]
     if not any(labels):
         raise MeltdownError("calibrate_mop_f1: no positive labels")
     if all(labels):
         raise MeltdownError("calibrate_mop_f1: no negative labels")
-
-    # An episode is detected at (theta, delta) exactly when its largest
-    # one-window rise over eligible steps above theta exceeds delta, so one
-    # scan per theta serves every delta. Too-short episodes have no
-    # eligible step and a largest rise of -inf.
-    prepared = []
-    for source, label in labeled:
-        _, steps = _steps_of(source)
-        levels = [h for _, h in entropy_series(steps, w)]
-        eligible = [(h, h - earlier) for h, earlier in zip(levels[w:], levels)]
-        rises = {theta: max((rise for h, rise in eligible if h > theta), default=-math.inf)
-                 for theta in grid_theta}
-        prepared.append((rises, bool(label)))
-
     best: CalibrationResult | None = None
-    for theta in grid_theta:
+    for i, theta in enumerate(grid_theta):
         for delta in grid_delta:
             tp = fp = fn = 0
             for rises, label in prepared:
-                detected = rises[theta] > delta
+                detected = rises[i] > delta
                 if detected and label:
                     tp += 1
                 elif detected:
@@ -291,25 +302,32 @@ def calibrate_mop_baseline(
 
     Episodes too short for even one window contribute nothing; if no
     episode reaches detection eligibility (2w steps) the baseline cannot
-    calibrate a detector and that is an error.
+    calibrate a detector and that is an error. Defined over
+    ``_baseline_terms`` per episode and ``_baseline_theta`` over them,
+    which ``mop --calibrate baseline`` calls as it reads each episode.
     """
     _check_window(w, "calibrate_mop_baseline")
     if not baseline:
         raise MeltdownError("calibrate_mop_baseline: empty baseline")
     if not 0.0 <= percentile <= 1.0:
         raise MeltdownError(f"calibrate_mop_baseline: percentile {percentile} outside [0, 1]")
-    maxima = []
-    any_eligible = False
-    for source in baseline:
-        _, steps = _steps_of(source)
-        if len(steps) >= 2 * w:
-            any_eligible = True
-        series = entropy_series(steps, w)
-        if series:
-            maxima.append(max(h for _, h in series))
-    if not any_eligible:
+    return _baseline_theta([_baseline_terms(source, w) for source in baseline], percentile, w)
+
+
+def _baseline_terms(source: Episode | Sequence[ToolStep], w: int) -> tuple[bool, float | None]:
+    """Whether the episode reaches detection eligibility (2w steps), and its
+    maximum window entropy (None without a full window)."""
+    _, steps = _steps_of(source)
+    return len(steps) >= 2 * w, max((h for _, h in entropy_series(steps, w)), default=None)
+
+
+def _baseline_theta(terms: Sequence[tuple[bool, float | None]], percentile: float,
+                    w: int) -> tuple[float, float]:
+    """calibrate_mop_baseline's threshold over per-episode _baseline_terms."""
+    if not any(eligible for eligible, _ in terms):
         raise MeltdownError(
             f"calibrate_mop_baseline: every baseline episode is shorter than 2w={2 * w} steps")
+    maxima = [h for _, h in terms if h is not None]
     theta = float(np.percentile(maxima, percentile * 100.0))
     return theta, 0.0
 
@@ -334,33 +352,38 @@ def meltdown_table(
 
     The rate denominator is every non-infra episode in the cell, including
     too-short ones (tracked separately). Medians use the lower median and
-    are suppressed below MIN_EVENTS_FOR_MEDIAN events.
+    are suppressed below MIN_EVENTS_FOR_MEDIAN events. Defined over
+    ``_mop_outcome`` per episode and ``_meltdown_cells`` over them, which
+    the pipeline calls as it reads each episode.
     """
-    return _meltdown_cells(episodes, registry, config, keep_series=False)[0]
+    config = config or MopConfig()
+    return _meltdown_cells(
+        (ep.model_id, task.bucket, *_mop_outcome(ep, config, keep_series=False)[:2])
+        for ep, task in _joined(episodes, registry, MeltdownError))
+
+
+def _mop_outcome(
+    episode: Episode, config: MopConfig, keep_series: bool,
+) -> tuple[int | None, bool, tuple[tuple[int, float], ...] | None]:
+    """What the meltdown table needs of one episode: its onset step, its
+    too-short flag and, when ``keep_series``, its entropy series (else None)."""
+    result = detect_mop(episode, config)
+    return result.onset_step, result.too_short, result.entropy_series if keep_series else None
 
 
 def _meltdown_cells(
-    episodes: Iterable[Episode],
-    registry: Mapping[str, TaskSpec],
-    config: MopConfig | None,
-    keep_series: bool,
-) -> tuple[dict[tuple[str, str], MeltdownCell], dict[str, tuple[tuple[int, float], ...]]]:
-    """meltdown_table's cells, and each episode's entropy series by
-    episode_id when ``keep_series`` (else an empty dict)."""
-    config = config or MopConfig()
-    outcomes: dict[tuple[str, str], list[tuple[int | None, bool]]] = {}
-    series: dict[str, tuple[tuple[int, float], ...]] = {}
-    for ep, task in _joined(episodes, registry, MeltdownError):
-        result = detect_mop(ep, config)
-        if keep_series:
-            series[ep.episode_id] = result.entropy_series
-        outcomes.setdefault((ep.model_id, task.bucket), []).append(
-            (result.onset_step, result.too_short))
+    outcomes: Iterable[tuple[str, str, int | None, bool]],
+) -> dict[tuple[str, str], MeltdownCell]:
+    """meltdown_table's cells over (model_id, bucket, onset step, too short)
+    per joined, non-infra episode."""
+    cells: dict[tuple[str, str], list[tuple[int | None, bool]]] = {}
+    for model_id, bucket, onset, too_short in outcomes:
+        cells.setdefault((model_id, bucket), []).append((onset, too_short))
 
     table: dict[tuple[str, str], MeltdownCell] = {}
-    for model_id in sorted({m for m, _ in outcomes}):
+    for model_id in sorted({m for m, _ in cells}):
         for bucket in BUCKETS:
-            cell = outcomes.get((model_id, bucket))
+            cell = cells.get((model_id, bucket))
             if cell is None:
                 continue
             events = sorted(onset for onset, _ in cell if onset is not None)
@@ -372,7 +395,7 @@ def _meltdown_cells(
                 n_episodes=len(cell),
                 n_too_short=sum(too_short for _, too_short in cell),
             )
-    return table, series
+    return table
 
 
 def entropy_precursor(

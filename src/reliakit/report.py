@@ -15,13 +15,16 @@ and maps to exit code 2 in the CLI; PipelineError marks internal failures
 (exit code 3). Both carry the owning stage name in their message. A bundle
 is only returned, and files only written, after every stage has finished,
 so partial table sets are never written on stage failure.
+
+Stages fail in this order: the registry, the pricing file, the logs (which
+are read one episode at a time and reduced to per-episode summaries), the
+registry join, then the tables, where a model without a price is reported.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-import gc
 import hashlib
 import io
 import json
@@ -29,9 +32,10 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import (Any, Callable, Generic, Iterable, Iterator, Mapping, NamedTuple, Sequence,
+                    TypeVar)
 
-from .meltdown import MopConfig, _meltdown_cells, meltdown_table
+from .meltdown import MopConfig, _meltdown_cells, _mop_outcome
 from .metrics import (
     DEFAULT_VAF_DENOMINATOR,
     DEFAULT_VAF_NUMERATOR,
@@ -57,10 +61,10 @@ from .trajectory import (
     TaskSpec,
     ValidationIssue,
     ValidationReport,
+    _parse_lines,
     _read_records,
     cross_validate,
     load_task_registry,
-    parse_episode_log,
 )
 
 __all__ = [
@@ -79,6 +83,9 @@ __all__ = [
     "load_pricing",
     "run_pipeline",
 ]
+
+
+_S = TypeVar("_S")
 
 
 class InputError(Exception):
@@ -113,7 +120,13 @@ def _pricing_entry(record: Mapping[str, Any]) -> PricingEntry:
         value = record.get(key)
         if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
             raise ValueError(f"{key} must be a non-negative number")
-        prices[key] = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be finite as a float")
+        prices[key] = value
     return PricingEntry(model_id=model_id, **prices)
 
 
@@ -146,42 +159,69 @@ def compute_cost(episodes: Iterable[Episode], pricing: Sequence[PricingEntry]) -
 
     Every model present in the episodes must have a pricing entry; the
     error lists all that are missing. Aggregation uses exact summation so
-    the grand total equals the sum of per-episode costs.
+    the grand total equals the sum of per-episode costs; a total too large
+    for a float is an InputError. Defined over ``_cost_terms`` per episode
+    and ``_cost_report`` over them, which the pipeline and ``cost`` call as
+    they read each episode.
     """
     prices = {p.model_id: p for p in pricing}
-    episode_list = list(episodes)
-    missing = sorted({ep.model_id for ep in episode_list} - set(prices))
+    return _cost_report((ep.episode_id, ep.model_id, *_cost_terms(ep, prices))
+                        for ep in episodes)
+
+
+def _cost_terms(episode: Episode,
+                prices: Mapping[str, PricingEntry]) -> tuple[int, int, float | None]:
+    """One episode's token sums and the exact sum of its per-step costs, or
+    None as the cost when its model has no price. A cost too large for a
+    float is inf, which _cost_report refuses."""
+    steps = episode.steps
+    entry = prices.get(episode.model_id)
+    cost = None if entry is None else _exact_sum(
+        (s.tokens_in * entry.input_per_million + s.tokens_out * entry.output_per_million) / 1e6
+        for s in steps)
+    return sum(s.tokens_in for s in steps), sum(s.tokens_out for s in steps), cost
+
+
+def _exact_sum(values: Iterable[float]) -> float:
+    """math.fsum, with inf in place of an OverflowError (a count too large
+    for a float, or an intermediate sum beyond the float range)."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
+def _finite(total: float, what: str) -> float:
+    """``total``, refused with InputError unless finite."""
+    if not math.isfinite(total):
+        raise InputError(f"cost: {what} is not finite as a float")
+    return total
+
+
+def _cost_report(rows: Iterable[tuple[str, str, int, int, float | None]]) -> CostReport:
+    """compute_cost's report over (episode_id, model_id, *_cost_terms) rows,
+    in episode order."""
+    per_episode = [EpisodeCost(*row) for row in rows]
+    missing = sorted({c.model_id for c in per_episode if c.cost is None})
     if missing:
         raise InputError(f"cost: no pricing entry for models: {', '.join(missing)}")
-    per_episode: list[EpisodeCost] = []
     by_model: dict[str, list[EpisodeCost]] = {}
-    for ep in episode_list:
-        entry = prices[ep.model_id]
-        step_costs = [
-            (s.tokens_in * entry.input_per_million + s.tokens_out * entry.output_per_million) / 1e6
-            for s in ep.steps
-        ]
-        per_episode.append(EpisodeCost(
-            episode_id=ep.episode_id,
-            model_id=ep.model_id,
-            tokens_in=sum(s.tokens_in for s in ep.steps),
-            tokens_out=sum(s.tokens_out for s in ep.steps),
-            cost=math.fsum(step_costs),
-        ))
-        by_model.setdefault(ep.model_id, []).append(per_episode[-1])
+    for row in per_episode:
+        by_model.setdefault(row.model_id, []).append(row)
     per_model = {
         model_id: ModelCost(
             n_episodes=len(rows),
             tokens_in=sum(c.tokens_in for c in rows),
             tokens_out=sum(c.tokens_out for c in rows),
-            total_cost=math.fsum(c.cost for c in rows),
+            total_cost=_finite(_exact_sum(c.cost for c in rows),
+                               f"the total cost of model {model_id!r}"),
         )
         for model_id, rows in sorted(by_model.items())
     }
     return CostReport(
         per_episode=tuple(per_episode),
         per_model=per_model,
-        total_cost=math.fsum(c.cost for c in per_episode),
+        total_cost=_finite(_exact_sum(c.cost for c in per_episode), "the total cost"),
     )
 
 
@@ -292,8 +332,8 @@ def _load_reference(loader: Callable[[Iterable[str]], Any], path: str | Path,
 
 
 @dataclass(frozen=True)
-class _Logs:
-    episodes: list[Episode]
+class _Logs(Generic[_S]):
+    summaries: list[_S]
     reports: list[ValidationReport]
     inputs: list[dict[str, Any]]
 
@@ -305,45 +345,68 @@ class _Logs:
             "parse_errors": sum(1 for r in self.reports if r.fatal),
             "duplicates": sum(1 for r in self.reports
                               if any(i.code == "duplicate_episode_id" for i in r.warnings)),
-            "parsed": len(self.episodes),
+            "parsed": len(self.summaries),
         }
 
 
-def _load_logs(paths: Sequence[str | Path]) -> _Logs:
+def _load_logs(paths: Sequence[str | Path], summarize: Callable[[Episode], _S]) -> _Logs[_S]:
     """Parse every log through the streaming reader, keeping the first
-    record of an episode_id across files as within one.
+    record of an episode_id across files as within one, and keep only
+    ``summarize(episode)`` of each kept episode, in order. Each episode,
+    steps and all, can be freed as soon as it is summarized, so memory
+    grows with the summaries, not with the steps.
 
-    The cyclic garbage collector is paused meanwhile: parsed records form
-    no reference cycles, and every pass it would make scans a heap that
-    only grows, which costs more the larger the logs."""
-    episodes: list[Episode] = []
+    Reports come in parse_episode_log's order per file, each file's
+    cross-file duplicate warnings after its parse reports."""
+    summaries: list[_S] = []
     reports: list[ValidationReport] = []
     inputs = []
     seen_ids: set[str] = set()
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for path in paths:
-            meta: dict[str, Any] = {}
-            file_eps, file_reports = parse_episode_log(_read_lines(path, "parse", meta))
-            reports.extend(file_reports)
-            for ep in file_eps:
-                if ep.episode_id in seen_ids:
-                    reports.append(ValidationReport(
-                        episode_id=ep.episode_id,
-                        warnings=(ValidationIssue(
-                            "duplicate_episode_id",
-                            f"{path}: duplicate of {ep.episode_id!r} from an earlier log;"
-                            " keeping the first"),),
-                    ))
-                    continue
-                seen_ids.add(ep.episode_id)
-                episodes.append(ep)
-            inputs.append(meta)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return _Logs(episodes, reports, inputs)
+    for path in paths:
+        meta: dict[str, Any] = {}
+        duplicates: list[ValidationReport] = []
+        for item in _parse_lines(_read_lines(path, "parse", meta)):
+            if isinstance(item, ValidationReport):
+                reports.append(item)
+            elif item.episode_id in seen_ids:
+                duplicates.append(ValidationReport(
+                    episode_id=item.episode_id,
+                    warnings=(ValidationIssue(
+                        "duplicate_episode_id",
+                        f"{path}: duplicate of {item.episode_id!r} from an earlier log;"
+                        " keeping the first"),),
+                ))
+            else:
+                seen_ids.add(item.episode_id)
+                summaries.append(summarize(item))
+        reports.extend(duplicates)
+        inputs.append(meta)
+    return _Logs(summaries, reports, inputs)
+
+
+def _without_steps(episode: Episode) -> Episode:
+    """The episode with its steps dropped; a stepless one is returned as is."""
+    return dataclasses.replace(episode, steps=()) if episode.steps else episode
+
+
+class _Summary(NamedTuple):
+    """What analyze keeps of one parsed episode: the episode without its
+    steps, its _mop_outcome and, with pricing, its _cost_terms (else None)."""
+
+    episode: Episode
+    onset: int | None
+    too_short: bool
+    series: tuple[tuple[int, float], ...] | None
+    tokens_in: int | None = None
+    tokens_out: int | None = None
+    cost: float | None = None
+
+
+def _analyzed(summaries: Sequence[_Summary], joined: Sequence[Episode]) -> list[_Summary]:
+    """The summaries, in order, of the joined episodes that are not infra
+    failures."""
+    kept = {ep.episode_id for ep in joined if not ep.is_infra_failure}
+    return [s for s in summaries if s.episode.episode_id in kept]
 
 
 def run_pipeline(
@@ -361,23 +424,31 @@ def run_pipeline(
 
     tasks, registry_meta = _load_reference(load_task_registry, registry_path, "registry")
     registry = {t.task_id: t for t in tasks}
-    logs = _load_logs(log_paths)
-    episodes = logs.episodes
-    if not episodes:
+    # Pricing is read before the logs, because each episode is priced as it
+    # is read; a missing price is still reported after the parse and join.
+    prices = pricing_meta = None
+    if pricing_path is not None:
+        pricing, pricing_meta = _load_reference(load_pricing, pricing_path, "cost")
+        prices = {p.model_id: p for p in pricing}
+
+    def summarize(episode: Episode) -> _Summary:
+        return _Summary(_without_steps(episode),
+                        *_mop_outcome(episode, opts.mop, opts.emit_series),
+                        *(() if prices is None else _cost_terms(episode, prices)))
+
+    logs = _load_logs(log_paths, summarize)
+    if not logs.summaries:
         raise InputError("parse: no valid episodes")
 
-    joined, join_reports = cross_validate(episodes, registry)
-    analysis = [ep for ep in joined if not ep.is_infra_failure]
+    joined, join_reports = cross_validate((s.episode for s in logs.summaries), registry)
+    analysis = _analyzed(logs.summaries, joined)
     if not analysis:
         raise InputError("join: no valid episodes remain after registry join"
                          " and infra exclusion")
 
-    pricing = pricing_meta = None
-    if pricing_path is not None:
-        pricing, pricing_meta = _load_reference(load_pricing, pricing_path, "cost")
-
     try:
-        tables, series = _build_tables(analysis, episodes, registry, pricing, opts)
+        tables, series = _build_tables(analysis, logs.summaries, registry,
+                                       prices is not None, opts)
     except (InputError, PipelineError):
         raise
     except Exception as exc:  # pragma: no cover - defensive stage wrapper
@@ -424,12 +495,17 @@ def _package_version() -> str:
 
 
 def _build_tables(
-    analysis: Sequence[Episode],
-    all_parsed: Sequence[Episode],
+    analyzed: Sequence[_Summary],
+    summaries: Sequence[_Summary],
     registry: Mapping[str, TaskSpec],
-    pricing: Sequence[PricingEntry] | None,
+    priced: bool,
     opts: PipelineOptions,
 ) -> tuple[dict[str, Table], dict[str, tuple[tuple[int, float], ...]]]:
+    """Every table over the analyzed (joined, non-infra) episodes' summaries,
+    plus the cost table over every parsed one when ``priced``; and each
+    analyzed episode's entropy series by episode_id when ``opts.emit_series``
+    (else an empty dict)."""
+    analysis = [s.episode for s in analyzed]
     by_selection: dict[tuple[str, str], list[TaskOutcomeGroup]] = {}
     for group in outcome_groups(analysis, registry):
         by_selection.setdefault((group.model_id, group.scaffold), []).append(group)
@@ -498,13 +574,9 @@ def _build_tables(
         for row in scaffold_delta(analysis, registry)
     ]
 
-    # Without series the table comes from the public meltdown_table, so
-    # spans wrapped around that name (the benchmark's layer timings) still
-    # time it. With series, one detect_mop pass yields both.
-    if opts.emit_series:
-        melt, series = _meltdown_cells(analysis, registry, opts.mop, keep_series=True)
-    else:
-        melt, series = meltdown_table(analysis, registry, opts.mop), {}
+    melt = _meltdown_cells((s.episode.model_id, registry[s.episode.task_id].bucket, s.onset,
+                            s.too_short) for s in analyzed)
+    series = {s.episode.episode_id: s.series for s in analyzed} if opts.emit_series else {}
     melt_rows = [
         (model_id, bucket, cell.rate, cell.median_onset, cell.n_events,
          cell.n_episodes, cell.n_too_short)
@@ -549,9 +621,11 @@ def _build_tables(
         Column("rate", "fraction"), Column("median_onset", "int"),
         Column("n_events", "int"), Column("n_episodes", "int"), Column("n_too_short", "int"),
     ), tuple(melt_rows))
-    if pricing is not None:
+    if priced:
         cost_rows = [(*row, row[4] / row[1])
-                     for row in _cost_rows(compute_cost(all_parsed, pricing))]
+                     for row in _cost_rows(_cost_report(
+                         (s.episode.episode_id, s.episode.model_id, s.tokens_in, s.tokens_out,
+                          s.cost) for s in summaries))]
         tables["cost"] = Table("cost", (
             Column("model_id", "str"), Column("n_episodes", "int"),
             Column("tokens_in", "int"), Column("tokens_out", "int"),

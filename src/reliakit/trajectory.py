@@ -585,9 +585,25 @@ def parse_episode_log(
     report a warning. Episodes with ``termination == "infra_error"`` are
     returned (they are data) but carry an advisory warning; downstream
     metric code excludes them from every denominator.
+
+    The lists collect what ``_parse_lines`` yields, which is how the
+    pipeline reads logs one episode at a time.
     """
     episodes: list[Episode] = []
     reports: list[ValidationReport] = []
+    for item in _parse_lines(source):
+        (episodes if isinstance(item, Episode) else reports).append(item)
+    return episodes, reports
+
+
+def _parse_lines(
+    source: str | Path | IO[str] | Iterable[str],
+) -> Iterator[Episode | ValidationReport]:
+    """parse_episode_log's results in line order: each accepted Episode and
+    each ValidationReport as its line is read (an infra_error episode's
+    warning comes just before the episode). One call keeps one argument
+    memo, one sharing memo and one set of episode_ids for dedup, so the
+    caller may drop each episode once it has what it needs."""
     seen: set[str] = set()
     args_seen: dict[str, str] = {}
     shared: dict[Any, Any] = {}
@@ -601,42 +617,38 @@ def parse_episode_log(
             except json.JSONDecodeError as exc:
                 problem = str(exc)
         if problem:
-            reports.append(ValidationReport(
+            yield ValidationReport(
                 episode_id=f"<line {lineno}>",
                 errors=(ValidationIssue("malformed_line", f"line {lineno}: {problem}"),),
-            ))
+            )
             continue
         label = record.get("episode_id")
         label = label if isinstance(label, str) and label else f"<line {lineno}>"
         problem = _check_schema_version(record)
         if problem:
-            reports.append(ValidationReport(
-                episode_id=label, errors=(ValidationIssue("schema_version", problem),)))
+            yield ValidationReport(
+                episode_id=label, errors=(ValidationIssue("schema_version", problem),))
             continue
 
         errors: list[ValidationIssue] = []
         episode = _episode_from_record(record, errors, args_seen, shared)
         if episode is None:
-            reports.append(ValidationReport(episode_id=label, errors=tuple(errors)))
+            yield ValidationReport(episode_id=label, errors=tuple(errors))
             continue
         if episode.episode_id in seen:
-            reports.append(ValidationReport(
+            yield ValidationReport(
                 episode_id=episode.episode_id,
                 warnings=(ValidationIssue(
                     "duplicate_episode_id",
                     f"line {lineno}: duplicate of {episode.episode_id!r}; keeping the first"),),
-            ))
+            )
             continue
         seen.add(episode.episode_id)
-        warns: list[ValidationIssue] = []
         if episode.is_infra_failure:
-            warns.append(ValidationIssue(
+            yield ValidationReport(episode_id=episode.episode_id, warnings=(ValidationIssue(
                 "infra_excluded",
-                "infrastructure failure: retained in storage, excluded from metric denominators"))
-        if warns:
-            reports.append(ValidationReport(episode_id=episode.episode_id, warnings=tuple(warns)))
-        episodes.append(episode)
-    return episodes, reports
+                "infrastructure failure: retained in storage, excluded from metric denominators"),))
+        yield episode
 
 
 def cross_validate(

@@ -468,7 +468,8 @@ class TestCli:
         # A one-scaffold corpus skips the scaffold comparison: one plain line,
         # not Python's "file:line: MetricWarning" format.
         assert captured.err.splitlines() == [
-            "warning: scaffold_delta: model 'sim-agent' has only ['react']; skipped"]
+            "warning: scaffold_delta: model 'sim-agent' has only ['react']; skipped",
+            "read logs: log_lines=32 parse_errors=0 duplicates=0 parsed=32"]
         assert (out / "rdc.md").exists()
         assert (out / "run_metadata.json").exists()
         assert not (out / "rdc.csv").exists()  # only the requested format
@@ -708,7 +709,9 @@ class TestEverySubcommandReadsLogsAlike:
     def run(command, log, tmp_path):
         pricing = tmp_path / "pricing.jsonl"
         pricing.write_text(PRICING_LINES[0] + "\n", encoding="utf-8")
-        extra = {"validate": [], "mop": [], "cost": ["--pricing", str(pricing)]}
+        extra = {"validate": [], "mop": [], "cost": ["--pricing", str(pricing)],
+                 "analyze": ["--registry", str(tmp_path / "corpus-tasks.jsonl"),
+                             "--out", str(tmp_path / "report"), "--bootstrap-b", "0"]}
         return main([command, "--logs", *map(str, log), *extra[command]])
 
     @pytest.mark.parametrize("command", ["validate", "mop", "cost"])
@@ -747,20 +750,23 @@ class TestEverySubcommandReadsLogsAlike:
         parsed = bundle.run_metadata["episodes"]["parsed"]
         assert out.splitlines()[-1].startswith(f"{parsed} episodes parsed, 0 errors")
 
-    @pytest.mark.parametrize("command", ["mop", "cost"])
+    @pytest.mark.parametrize("command", ["validate", "analyze", "mop", "cost"])
     def test_accounting_line_on_stderr(self, tmp_path, capsys, command):
         corpus = small_corpus()
         log, registry = write_corpus(tmp_path, corpus)
         second = tmp_path / "second.jsonl"
         write_episode_log(corpus.episodes[:3], second)
         second.write_text("{broken\n" + second.read_text(encoding="utf-8"), encoding="utf-8")
-        assert self.run(command, [log, second], tmp_path) == 0
+        # validate reports the broken line as an error
+        assert self.run(command, [log, second], tmp_path) == (2 if command == "validate" else 0)
         captured = capsys.readouterr()
         bundle = run_pipeline([log, second], registry, options=PipelineOptions(bootstrap_b=0))
         counts = bundle.run_metadata["episodes"]
         assert (counts["log_lines"], counts["parse_errors"], counts["duplicates"]) == (36, 1, 3)
-        assert captured.err == ("read logs: log_lines=36 parse_errors=1 duplicates=3"
-                                f" parsed={counts['parsed']}\n")
+        # analyze also warns that the one-scaffold corpus skips scaffold_delta
+        assert [line for line in captured.err.splitlines()
+                if not line.startswith("warning: ")] == [
+            f"read logs: log_lines=36 parse_errors=1 duplicates=3 parsed={counts['parsed']}"]
         assert "read logs" not in captured.out
 
     def test_loading_streams_the_log(self, tmp_path):
@@ -775,7 +781,7 @@ class TestEverySubcommandReadsLogsAlike:
         assert size > 3_000_000
         tracemalloc.start()
         try:
-            logs = _load_logs([log])
+            logs = _load_logs([log], lambda episode: episode)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -793,13 +799,41 @@ class TestEverySubcommandReadsLogsAlike:
         was_enabled = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
-            assert _load_logs([log]).counts()["parsed"] > 0
+            assert _load_logs([log], lambda episode: episode.episode_id).counts()["parsed"] > 0
             assert gc.isenabled() is enabled
             with pytest.raises(InputError):
-                _load_logs([log, tmp_path / "missing.jsonl"])
+                _load_logs([log, tmp_path / "missing.jsonl"],
+                           lambda episode: episode.episode_id)
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was_enabled else gc.disable)()
+
+    def test_bad_pricing_is_reported_before_a_bad_log(self, tmp_path, capsys):
+        """analyze and cost read pricing before the logs, because they price
+        each episode as it is read. A missing price is still reported after
+        the parse and the join."""
+        log, registry = write_corpus(tmp_path, small_corpus())
+        bad_pricing = tmp_path / "bad-pricing.jsonl"
+        bad_pricing.write_text("{broken\n", encoding="utf-8")
+        other_pricing = tmp_path / "other-pricing.jsonl"
+        other_pricing.write_text(PRICING_LINES[1] + "\n", encoding="utf-8")
+        empty_log = tmp_path / "empty.jsonl"
+        empty_log.write_text("{broken\n", encoding="utf-8")
+        for command in ("analyze", "cost"):
+            argv = [command, "--logs", str(tmp_path / "missing.jsonl")]
+            if command == "analyze":
+                argv += ["--registry", str(registry), "--out", str(tmp_path / "out")]
+            capsys.readouterr()
+            assert main([*argv, "--pricing", str(bad_pricing)]) == 2
+            assert capsys.readouterr().err.startswith("input error: cost: pricing line 1:")
+            argv[2] = str(empty_log)
+            assert main([*argv, "--pricing", str(other_pricing)]) == 2
+            assert capsys.readouterr().err.endswith("input error: parse: no valid episodes\n")
+            argv[2] = str(log)
+            assert main([*argv, "--pricing", str(other_pricing)]) == 2
+            assert capsys.readouterr().err.endswith(
+                "input error: cost: no pricing entry for models: sim-agent\n")
+        assert not (tmp_path / "out").exists()
 
     def test_duplicate_label_is_exit_2(self, tmp_path, capsys):
         data = tmp_path / "traj"
@@ -826,3 +860,79 @@ class TestEverySubcommandReadsLogsAlike:
         assert proc.returncode == 0, proc.stderr
         assert "wrote 4 tasks and 4 episodes" in proc.stdout
         assert (tmp_path / "data" / "episodes.jsonl").exists()
+
+
+class TestEachEpisodeIsReducedAsItIsRead:
+    """Every log-reading subcommand keeps a summary of each episode, not its
+    steps: while the logs load, memory stays far below what the same
+    episodes take with their steps."""
+
+    EPISODES = 400
+    STEPS = 70
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("reduced")
+        tasks = [make_task(f"t-{bucket}", bucket=bucket) for bucket in BUCKETS]
+        episodes = [
+            make_episode(f"ep-{e:04d}", tasks[e % 4], passed=e % 3 == 0, model_id="sim-agent",
+                         steps=[make_step(i, f"tool-{(i * (e % 5 + 1)) % 7}",
+                                          args={"path": f"f{i % 5}"})
+                                for i in range(1, self.STEPS + 1)])
+            for e in range(self.EPISODES)]
+        write_episode_log(episodes, root / "episodes.jsonl")
+        write_task_registry(tasks, root / "tasks.jsonl")
+        (root / "pricing.jsonl").write_text(PRICING_LINES[0] + "\n", encoding="utf-8")
+        (root / "labels.jsonl").write_text("".join(
+            json.dumps({"episode_id": ep.episode_id, "meltdown": not ep.passed}) + "\n"
+            for ep in episodes), encoding="utf-8")
+        return root
+
+    @pytest.fixture(scope="class")
+    def with_steps(self, corpus):
+        """Traced bytes the corpus's episodes hold with their steps."""
+        logs, held, _ = self.traced_load(report._load_logs, [corpus / "episodes.jsonl"],
+                                         lambda episode: episode)
+        assert logs.counts()["parsed"] == self.EPISODES
+        assert held > self.EPISODES * self.STEPS * 150
+        return held
+
+    @staticmethod
+    def traced_load(load, paths, summarize):
+        """``load(paths, summarize)``, the traced bytes its result holds and
+        the traced peak while it runs, both above what was allocated before."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            logs = load(paths, summarize)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return logs, held - before, peak - before
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--registry", "tasks.jsonl", "--pricing", "pricing.jsonl",
+         "--out", "out", "--bootstrap-b", "0"],
+        ["validate", "--registry", "tasks.jsonl"],
+        ["mop"],
+        ["mop", "--calibrate", "f1", "--labels", "labels.jsonl"],
+        ["mop", "--calibrate", "baseline"],
+        ["cost", "--pricing", "pricing.jsonl"],
+    ], ids=["analyze", "validate", "mop", "mop_f1", "mop_baseline", "cost"])
+    def test_peak_is_below_a_quarter_of_the_steps(self, corpus, with_steps, argv, monkeypatch):
+        from reliakit import cli
+
+        load = report._load_logs
+        peaks = []
+
+        def traced(paths, summarize):
+            logs, _, peak = self.traced_load(load, paths, summarize)
+            peaks.append(peak)
+            return logs
+
+        monkeypatch.setattr(cli, "_load_logs", traced)
+        monkeypatch.setattr(report, "_load_logs", traced)
+        monkeypatch.chdir(corpus)
+        assert main([argv[0], "--logs", "episodes.jsonl", *argv[1:]]) == 0
+        assert len(peaks) == 1
+        assert peaks[0] < with_steps / 4
