@@ -20,7 +20,7 @@ import math
 import sys
 import warnings
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -80,8 +80,6 @@ from .trajectory import (
 )
 
 __all__ = ["build_parser", "entrypoint", "main"]
-
-_S = TypeVar("_S")
 
 
 class _UsageError(Exception):
@@ -258,7 +256,7 @@ def _print_counts(counts: dict[str, int]) -> None:
         file=sys.stderr)
 
 
-def _read_logs(paths: Sequence[str], summarize: Callable[[Episode], _S]) -> list[_S]:
+def _read_logs(paths: Sequence[str], summarize: Callable[[Episode], Any]) -> list:
     """The pipeline's log loader, with its line accounting on stderr: the
     summary of each kept episode, refusing logs without one."""
     logs = _load_logs(paths, summarize)
