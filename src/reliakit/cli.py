@@ -43,8 +43,8 @@ from .report import (
     _FORMATS,
     _cost_report,
     _cost_rows,
-    _cost_terms,
     _csv_text,
+    _episode_cost,
     _load_logs,
     _load_reference,
     _without_steps,
@@ -413,8 +413,8 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     # Pricing is read first, because each episode is priced as it is read.
     pricing, _ = _load_reference(load_pricing, args.pricing, "cost")
     prices = {p.model_id: p for p in pricing}
-    rows = _cost_rows(_cost_report(_read_logs(args.logs, lambda ep: (
-        ep.episode_id, ep.model_id, *_cost_terms(ep, prices)))))
+    rows = _cost_rows(_cost_report(_read_logs(args.logs,
+                                              lambda ep: _episode_cost(ep, prices))))
     path = _write_csv(args.out, "cost.csv",
                       ("model_id", "n_episodes", "tokens_in", "tokens_out", "total_cost"), rows)
     if path:

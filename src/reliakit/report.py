@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import (Any, Callable, Generic, Iterable, Iterator, Mapping, NamedTuple, Sequence,
                     TypeVar)
 
-from .meltdown import MopConfig, _meltdown_cells, _mop_outcome
+from .meltdown import MeltdownCell, MopConfig, _meltdown_cells, _mop_outcome
 from .metrics import (
     DEFAULT_VAF_DENOMINATOR,
     DEFAULT_VAF_NUMERATOR,
@@ -160,26 +160,25 @@ def compute_cost(episodes: Iterable[Episode], pricing: Sequence[PricingEntry]) -
     Every model present in the episodes must have a pricing entry; the
     error lists all that are missing. Aggregation uses exact summation so
     the grand total equals the sum of per-episode costs; a total too large
-    for a float is an InputError. Defined over ``_cost_terms`` per episode
+    for a float is an InputError. Defined over ``_episode_cost`` per episode
     and ``_cost_report`` over them, which the pipeline and ``cost`` call as
     they read each episode.
     """
     prices = {p.model_id: p for p in pricing}
-    return _cost_report((ep.episode_id, ep.model_id, *_cost_terms(ep, prices))
-                        for ep in episodes)
+    return _cost_report(_episode_cost(ep, prices) for ep in episodes)
 
 
-def _cost_terms(episode: Episode,
-                prices: Mapping[str, PricingEntry]) -> tuple[int, int, float | None]:
-    """One episode's token sums and the exact sum of its per-step costs, or
-    None as the cost when its model has no price. A cost too large for a
-    float is inf, which _cost_report refuses."""
+def _episode_cost(episode: Episode, prices: Mapping[str, PricingEntry]) -> EpisodeCost:
+    """One episode's token sums and the exact sum of its per-step costs.
+    Its cost is None when its model has no price, and inf when it is too
+    large for a float; _cost_report refuses both."""
     steps = episode.steps
     entry = prices.get(episode.model_id)
     cost = None if entry is None else _exact_sum(
         (s.tokens_in * entry.input_per_million + s.tokens_out * entry.output_per_million) / 1e6
         for s in steps)
-    return sum(s.tokens_in for s in steps), sum(s.tokens_out for s in steps), cost
+    return EpisodeCost(episode.episode_id, episode.model_id, sum(s.tokens_in for s in steps),
+                       sum(s.tokens_out for s in steps), cost)
 
 
 def _exact_sum(values: Iterable[float]) -> float:
@@ -198,10 +197,10 @@ def _finite(total: float, what: str) -> float:
     return total
 
 
-def _cost_report(rows: Iterable[tuple[str, str, int, int, float | None]]) -> CostReport:
-    """compute_cost's report over (episode_id, model_id, *_cost_terms) rows,
-    in episode order."""
-    per_episode = [EpisodeCost(*row) for row in rows]
+def _cost_report(costs: Iterable[EpisodeCost]) -> CostReport:
+    """compute_cost's report over _episode_cost's per-episode costs, in
+    episode order."""
+    per_episode = tuple(costs)
     missing = sorted({c.model_id for c in per_episode if c.cost is None})
     if missing:
         raise InputError(f"cost: no pricing entry for models: {', '.join(missing)}")
@@ -219,7 +218,7 @@ def _cost_report(rows: Iterable[tuple[str, str, int, int, float | None]]) -> Cos
         for model_id, rows in sorted(by_model.items())
     }
     return CostReport(
-        per_episode=tuple(per_episode),
+        per_episode=per_episode,
         per_model=per_model,
         total_cost=_finite(_exact_sum(c.cost for c in per_episode), "the total cost"),
     )
@@ -390,16 +389,15 @@ def _without_steps(episode: Episode) -> Episode:
 
 
 class _Summary(NamedTuple):
-    """What analyze keeps of one parsed episode: the episode without its
-    steps, its _mop_outcome and, with pricing, its _cost_terms (else None)."""
+    """What analyze keeps of one parsed episode until the tables fold it:
+    the episode without its steps, its _mop_outcome and, with pricing, its
+    _episode_cost (else None)."""
 
     episode: Episode
     onset: int | None
     too_short: bool
     series: tuple[tuple[int, float], ...] | None
-    tokens_in: int | None = None
-    tokens_out: int | None = None
-    cost: float | None = None
+    cost: EpisodeCost | None
 
 
 def _analyzed(summaries: Sequence[_Summary], joined: Sequence[Episode]) -> list[_Summary]:
@@ -432,31 +430,39 @@ def run_pipeline(
         prices = {p.model_id: p for p in pricing}
 
     def summarize(episode: Episode) -> _Summary:
-        return _Summary(_without_steps(episode),
-                        *_mop_outcome(episode, opts.mop, opts.emit_series),
-                        *(() if prices is None else _cost_terms(episode, prices)))
+        # An infra failure is never analyzed, so it needs no MOP outcome.
+        mop = ((None, False, None) if episode.is_infra_failure
+               else _mop_outcome(episode, opts.mop, opts.emit_series))
+        return _Summary(_without_steps(episode), *mop,
+                        None if prices is None else _episode_cost(episode, prices))
 
     logs = _load_logs(log_paths, summarize)
     if not logs.summaries:
         raise InputError("parse: no valid episodes")
 
     joined, join_reports = cross_validate((s.episode for s in logs.summaries), registry)
-    analysis = _analyzed(logs.summaries, joined)
-    if not analysis:
+    analyzed = _analyzed(logs.summaries, joined)
+    if not analyzed:
         raise InputError("join: no valid episodes remain after registry join"
                          " and infra exclusion")
 
+    counts = logs.counts()
+    counts.update(join_excluded=len(join_reports),
+                  infra_excluded=len(joined) - len(analyzed), analyzed=len(analyzed))
     try:
-        tables, series = _build_tables(analysis, logs.summaries, registry,
-                                       prices is not None, opts)
+        melt, cost_rows, series = _fold(analyzed, logs.summaries, registry,
+                                        prices is not None, opts)
+        # Every MOP outcome and cost is now in its cell: drop the summaries
+        # before the bootstrap, so the tables hold no more per episode than
+        # the episode without its steps.
+        analysis = [s.episode for s in analyzed]
+        del analyzed
+        logs.summaries.clear()
+        tables = _build_tables(analysis, melt, cost_rows, registry, opts)
     except (InputError, PipelineError):
         raise
     except Exception as exc:  # pragma: no cover - defensive stage wrapper
         raise PipelineError(f"metrics: {exc!r}") from exc
-
-    counts = logs.counts()
-    counts.update(join_excluded=len(join_reports),
-                  infra_excluded=len(joined) - len(analysis), analyzed=len(analysis))
     conservation = (
         counts["log_lines"] == counts["parse_errors"] + counts["duplicates"] + counts["parsed"]
         and counts["parsed"] == (counts["join_excluded"] + counts["infra_excluded"]
@@ -494,18 +500,34 @@ def _package_version() -> str:
     return __version__
 
 
-def _build_tables(
+def _fold(
     analyzed: Sequence[_Summary],
     summaries: Sequence[_Summary],
     registry: Mapping[str, TaskSpec],
     priced: bool,
     opts: PipelineOptions,
-) -> tuple[dict[str, Table], dict[str, tuple[tuple[int, float], ...]]]:
-    """Every table over the analyzed (joined, non-infra) episodes' summaries,
-    plus the cost table over every parsed one when ``priced``; and each
-    analyzed episode's entropy series by episode_id when ``opts.emit_series``
-    (else an empty dict)."""
-    analysis = [s.episode for s in analyzed]
+) -> tuple[dict[tuple[str, str], MeltdownCell], list[tuple] | None,
+           dict[str, tuple[tuple[int, float], ...]]]:
+    """The meltdown cells over the analyzed (joined, non-infra) episodes'
+    summaries; the cost rows over every parsed one when ``priced`` (else
+    None); and each analyzed episode's entropy series by episode_id when
+    ``opts.emit_series`` (else an empty dict)."""
+    melt = _meltdown_cells((s.episode.model_id, registry[s.episode.task_id].bucket, s.onset,
+                            s.too_short) for s in analyzed)
+    cost_rows = _cost_rows(_cost_report(s.cost for s in summaries)) if priced else None
+    series = {s.episode.episode_id: s.series for s in analyzed} if opts.emit_series else {}
+    return melt, cost_rows, series
+
+
+def _build_tables(
+    analysis: Sequence[Episode],
+    melt: Mapping[tuple[str, str], MeltdownCell],
+    cost_rows: Sequence[tuple] | None,
+    registry: Mapping[str, TaskSpec],
+    opts: PipelineOptions,
+) -> dict[str, Table]:
+    """Every table over the analyzed episodes, with _fold's meltdown cells
+    and, when priced, its cost rows."""
     by_selection: dict[tuple[str, str], list[TaskOutcomeGroup]] = {}
     for group in outcome_groups(analysis, registry):
         by_selection.setdefault((group.model_id, group.scaffold), []).append(group)
@@ -574,9 +596,6 @@ def _build_tables(
         for row in scaffold_delta(analysis, registry)
     ]
 
-    melt = _meltdown_cells((s.episode.model_id, registry[s.episode.task_id].bucket, s.onset,
-                            s.too_short) for s in analyzed)
-    series = {s.episode.episode_id: s.series for s in analyzed} if opts.emit_series else {}
     melt_rows = [
         (model_id, bucket, cell.rate, cell.median_onset, cell.n_events,
          cell.n_episodes, cell.n_too_short)
@@ -621,16 +640,12 @@ def _build_tables(
         Column("rate", "fraction"), Column("median_onset", "int"),
         Column("n_events", "int"), Column("n_episodes", "int"), Column("n_too_short", "int"),
     ), tuple(melt_rows))
-    if priced:
-        cost_rows = [(*row, row[4] / row[1])
-                     for row in _cost_rows(_cost_report(
-                         (s.episode.episode_id, s.episode.model_id, s.tokens_in, s.tokens_out,
-                          s.cost) for s in summaries))]
+    if cost_rows is not None:
         tables["cost"] = Table("cost", (
             Column("model_id", "str"), Column("n_episodes", "int"),
             Column("tokens_in", "int"), Column("tokens_out", "int"),
             Column("total_cost", "currency"), Column("mean_cost_per_episode", "currency"),
-        ), tuple(cost_rows))
+        ), tuple((*row, row[4] / row[1]) for row in cost_rows))
     tables["decomposition"] = Table("decomposition", (
         Column("model_id", "str"), Column("scaffold", "str"),
         Column("pass1_short", "fraction"), Column("pass1_very_long", "fraction"),
@@ -638,7 +653,7 @@ def _build_tables(
         Column("regressor", "str"),
     ), tuple(decomp_rows))
 
-    return tables, series
+    return tables
 
 
 # --- emission ----------------------------------------------------------------
