@@ -4,188 +4,25 @@ Parses episode trajectory logs, computes duration-bucketed reliability
 metrics (pass@1, pass^k, RDC, RDS, VAF, GDS), detects entropy-based
 meltdown onsets (MOP), replays harness guards, and generates synthetic
 corpora with known statistical properties for estimator validation.
+
+Each module's ``__all__`` is the one list of its public names; the package
+exports their union.
 """
 
-from .meltdown import (
-    CalibrationResult,
-    GuardReplay,
-    MeltdownCell,
-    MeltdownError,
-    MopConfig,
-    MopResult,
-    calibrate_mop_baseline,
-    calibrate_mop_f1,
-    detect_mop,
-    entropy_precursor,
-    entropy_series,
-    meltdown_table,
-    replay_guards,
-    window_distribution,
-    window_entropy,
-)
-from .metrics import (
-    CurvePoint,
-    DegenerateStatisticError,
-    DomainTable,
-    MetricCurve,
-    MetricError,
-    MetricWarning,
-    ScaffoldComparison,
-    VafResult,
-    bootstrap_ci,
-    decomposition_gain,
-    domain_stratify,
-    early_failure_rate,
-    geometric_baseline,
-    ols_slope,
-    outcome_groups,
-    pass_at_1,
-    pass_pow_k,
-    per_task_pass1,
-    rdc,
-    rds,
-    scaffold_delta,
-    superlinearity_ratio,
-    vaf,
-    wald_interval,
-    wilson_interval,
-)
-from .report import (
-    CostReport,
-    InputError,
-    PipelineError,
-    PipelineOptions,
-    PricingEntry,
-    ReportBundle,
-    compute_cost,
-    emit_report,
-    load_pricing,
-    run_pipeline,
-)
-from .rng import substream
-from .simulate import (
-    MarkovCurve,
-    SimConfig,
-    SimulationError,
-    StudyCorpus,
-    TrajectoryProfile,
-    generate_trajectory,
-    markov_variance_curve,
-    predicted_failcount_variance,
-    predicted_success_bound,
-    simulate_agent_study,
-    simulate_steps,
-    trajectory_episode,
-)
-from .trajectory import (
-    BUCKETS,
-    DOMAINS,
-    SCAFFOLDS,
-    Episode,
-    RegistryError,
-    RegistryWarning,
-    Subtask,
-    TaskSpec,
-    ToolStep,
-    ValidationIssue,
-    ValidationReport,
-    bucket_for_minutes,
-    canonical_args,
-    cross_validate,
-    episode_gds,
-    load_task_registry,
-    parse_episode_log,
-    serialize_episode,
-    serialize_task,
-    write_episode_log,
-    write_task_registry,
-)
+from . import meltdown, metrics, report, rng, simulate, trajectory
+from .meltdown import *
+from .metrics import *
+from .report import *
+from .rng import *
+from .simulate import *
+from .trajectory import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUCKETS",
-    "DOMAINS",
-    "SCAFFOLDS",
-    "CalibrationResult",
-    "CostReport",
-    "CurvePoint",
-    "DegenerateStatisticError",
-    "DomainTable",
-    "Episode",
-    "GuardReplay",
-    "InputError",
-    "MarkovCurve",
-    "MeltdownCell",
-    "MeltdownError",
-    "MetricCurve",
-    "MetricError",
-    "MetricWarning",
-    "MopConfig",
-    "MopResult",
-    "PipelineError",
-    "PipelineOptions",
-    "PricingEntry",
-    "RegistryError",
-    "RegistryWarning",
-    "ReportBundle",
-    "ScaffoldComparison",
-    "SimConfig",
-    "SimulationError",
-    "StudyCorpus",
-    "Subtask",
-    "TaskSpec",
-    "ToolStep",
-    "TrajectoryProfile",
-    "VafResult",
-    "ValidationIssue",
-    "ValidationReport",
-    "bootstrap_ci",
-    "bucket_for_minutes",
-    "calibrate_mop_baseline",
-    "calibrate_mop_f1",
-    "canonical_args",
-    "compute_cost",
-    "cross_validate",
-    "decomposition_gain",
-    "detect_mop",
-    "domain_stratify",
-    "early_failure_rate",
-    "emit_report",
-    "entropy_precursor",
-    "entropy_series",
-    "episode_gds",
-    "generate_trajectory",
-    "geometric_baseline",
-    "load_pricing",
-    "load_task_registry",
-    "markov_variance_curve",
-    "meltdown_table",
-    "ols_slope",
-    "outcome_groups",
-    "parse_episode_log",
-    "pass_at_1",
-    "pass_pow_k",
-    "per_task_pass1",
-    "predicted_failcount_variance",
-    "predicted_success_bound",
-    "rdc",
-    "rds",
-    "replay_guards",
-    "run_pipeline",
-    "scaffold_delta",
-    "serialize_episode",
-    "serialize_task",
-    "simulate_agent_study",
-    "simulate_steps",
-    "substream",
-    "superlinearity_ratio",
-    "trajectory_episode",
-    "vaf",
-    "wald_interval",
-    "wilson_interval",
-    "window_distribution",
-    "window_entropy",
-    "write_episode_log",
-    "write_task_registry",
-]
+__all__ = []
+__all__ += meltdown.__all__
+__all__ += metrics.__all__
+__all__ += report.__all__
+__all__ += rng.__all__
+__all__ += simulate.__all__
+__all__ += trajectory.__all__

@@ -59,6 +59,7 @@ from .simulate import (
     SimConfig,
     SimulationError,
     TrajectoryProfile,
+    _check_size,
     generate_trajectory,
     predicted_failcount_variance,
     predicted_success_bound,
@@ -117,7 +118,8 @@ def _bounded(kind: type, ok: Callable[[Any], bool], rule: str) -> Callable[[str]
     return parse
 
 
-_bootstrap_b = _bounded(int, lambda b: b == 0 or b >= 1000, "0 (off) or at least 1000")
+_bootstrap_b = _bounded(int, lambda b: b == 0 or 1000 <= b <= sys.maxsize,
+                        f"0 (off) or in 1000..{sys.maxsize}")
 _ci_level = _bounded(float, lambda x: 0.0 < x < 1.0, "in (0, 1)")
 _mop_window = _bounded(int, lambda w: w >= 2, "at least 2")
 _mop_theta = _bounded(float, lambda x: 0.0 <= x < math.inf, "finite and at least 0")
@@ -374,8 +376,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         subtasks=(Subtask("s1", 0.25, ""), Subtask("s2", 0.35, ""),
                   Subtask("s3", 0.20, ""), Subtask("s4", 0.20, "")),
     )
-    if args.count < 1:
-        raise SimulationError(f"count must be >= 1, got {args.count}")
+    _check_size("count", args.count)
     episodes = []
     for i in range(args.count):
         steps = generate_trajectory(profile, args.length, args.seed + i)

@@ -24,12 +24,6 @@ from .metrics import _joined, ols_slope
 from .trajectory import BUCKETS, NUDGE_LIMIT, Episode, TaskSpec, ToolStep
 
 __all__ = [
-    "DEFAULT_BUDGET_TOKENS",
-    "DEFAULT_F1_GRID_DELTA",
-    "DEFAULT_F1_GRID_THETA",
-    "DEFAULT_LOOP_COUNT",
-    "DEFAULT_LOOP_WINDOW",
-    "MIN_EVENTS_FOR_MEDIAN",
     "CalibrationResult",
     "GuardReplay",
     "MeltdownCell",

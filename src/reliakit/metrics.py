@@ -23,21 +23,13 @@ from .rng import _resample_chunks
 from .trajectory import BUCKETS, Episode, TaskSpec, episode_gds
 
 __all__ = [
-    "BUCKET_MINUTES_MIDPOINT",
-    "DEFAULT_GEOMETRIC_EXPONENTS",
-    "DEFAULT_VAF_DENOMINATOR",
-    "DEFAULT_VAF_NUMERATOR",
-    "REGRESSORS",
-    "SCAFFOLD_NEUTRAL_BAND",
     "CurvePoint",
     "DegenerateStatisticError",
     "MetricCurve",
     "MetricError",
     "MetricWarning",
     "ScaffoldComparison",
-    "DomainCell",
     "DomainTable",
-    "TaskOutcomeGroup",
     "VafResult",
     "bootstrap_ci",
     "decomposition_gain",
@@ -54,7 +46,6 @@ __all__ = [
     "scaffold_delta",
     "superlinearity_ratio",
     "vaf",
-    "wald_halfwidth",
     "wald_interval",
     "wilson_interval",
 ]

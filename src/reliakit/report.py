@@ -16,9 +16,11 @@ and maps to exit code 2 in the CLI; PipelineError marks internal failures
 is only returned, and files only written, after every stage has finished,
 so partial table sets are never written on stage failure.
 
-Stages fail in this order: the registry, the pricing file, the logs (which
-are read one episode at a time and reduced to per-episode summaries), the
+Stages fail in this order: the registry, the pricing file, the logs, the
 registry join, then the tables, where a model without a price is reported.
+The logs are read one episode at a time, and each episode is joined, scanned
+for MOP and priced as it is read; a join with nothing left is still
+reported only after every log is read.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ import io
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Any, Callable, Generic, Iterable, Iterator, Mapping, NamedTuple, Sequence,
+from typing import (Any, Callable, Generic, Iterable, Iterator, Mapping, Sequence,
                     TypeVar)
 
 from .meltdown import MeltdownCell, MopConfig, _meltdown_cells, _mop_outcome
@@ -69,15 +72,11 @@ from .trajectory import (
 
 __all__ = [
     "CostReport",
-    "EpisodeCost",
     "InputError",
-    "ModelCost",
     "PipelineError",
     "PipelineOptions",
     "PricingEntry",
     "ReportBundle",
-    "Table",
-    "TABLE_ORDER",
     "compute_cost",
     "emit_report",
     "load_pricing",
@@ -248,9 +247,9 @@ class PipelineOptions:
     emit_series: bool = False
 
     def __post_init__(self) -> None:
-        if self.bootstrap_b != 0 and self.bootstrap_b < 1000:
-            raise InputError(
-                f"options: bootstrap_b must be 0 (off) or at least 1000, got {self.bootstrap_b}")
+        if self.bootstrap_b != 0 and not 1000 <= self.bootstrap_b <= sys.maxsize:
+            raise InputError(f"options: bootstrap_b must be 0 (off) or in 1000..{sys.maxsize},"
+                             f" got {self.bootstrap_b}")
         if not 0.0 < self.ci_level < 1.0:
             raise InputError(f"options: ci_level must be in (0, 1), got {self.ci_level}")
         if self.regressor not in REGRESSORS:
@@ -388,25 +387,6 @@ def _without_steps(episode: Episode) -> Episode:
     return dataclasses.replace(episode, steps=()) if episode.steps else episode
 
 
-class _Summary(NamedTuple):
-    """What analyze keeps of one parsed episode until the tables fold it:
-    the episode without its steps, its _mop_outcome and, with pricing, its
-    _episode_cost (else None)."""
-
-    episode: Episode
-    onset: int | None
-    too_short: bool
-    series: tuple[tuple[int, float], ...] | None
-    cost: EpisodeCost | None
-
-
-def _analyzed(summaries: Sequence[_Summary], joined: Sequence[Episode]) -> list[_Summary]:
-    """The summaries, in order, of the joined episodes that are not infra
-    failures."""
-    kept = {ep.episode_id for ep in joined if not ep.is_infra_failure}
-    return [s for s in summaries if s.episode.episode_id in kept]
-
-
 def run_pipeline(
     log_paths: Sequence[str | Path],
     registry_path: str | Path,
@@ -429,34 +409,47 @@ def run_pipeline(
         pricing, pricing_meta = _load_reference(load_pricing, pricing_path, "cost")
         prices = {p.model_id: p for p in pricing}
 
-    def summarize(episode: Episode) -> _Summary:
-        # An infra failure is never analyzed, so it needs no MOP outcome.
-        mop = ((None, False, None) if episode.is_infra_failure
-               else _mop_outcome(episode, opts.mop, opts.emit_series))
-        return _Summary(_without_steps(episode), *mop,
-                        None if prices is None else _episode_cost(episode, prices))
+    # Each episode is joined as it is read. Only a joined episode that is
+    # not an infra failure is scanned and kept, without its steps; with
+    # pricing, every parsed episode is priced, and its cost is what
+    # _load_logs keeps.
+    analysis: list[Episode] = []
+    outcomes: list[tuple[str, str, int | None, bool]] = []
+    series: dict[str, tuple[tuple[int, float], ...]] = {}
+    join_reports: list[ValidationReport] = []
+    infra_excluded = 0
+
+    def summarize(episode: Episode) -> EpisodeCost | None:
+        nonlocal infra_excluded
+        joined, reports = cross_validate((episode,), registry)
+        join_reports.extend(reports)
+        if joined and episode.is_infra_failure:
+            infra_excluded += 1
+        elif joined:
+            onset, too_short, entropy = _mop_outcome(episode, opts.mop, opts.emit_series)
+            outcomes.append((episode.model_id, registry[episode.task_id].bucket, onset, too_short))
+            if opts.emit_series:
+                series[episode.episode_id] = entropy
+            analysis.append(_without_steps(episode))
+        return None if prices is None else _episode_cost(episode, prices)
 
     logs = _load_logs(log_paths, summarize)
     if not logs.summaries:
         raise InputError("parse: no valid episodes")
-
-    joined, join_reports = cross_validate((s.episode for s in logs.summaries), registry)
-    analyzed = _analyzed(logs.summaries, joined)
-    if not analyzed:
+    if not analysis:
         raise InputError("join: no valid episodes remain after registry join"
                          " and infra exclusion")
 
     counts = logs.counts()
-    counts.update(join_excluded=len(join_reports),
-                  infra_excluded=len(joined) - len(analyzed), analyzed=len(analyzed))
+    counts.update(join_excluded=len(join_reports), infra_excluded=infra_excluded,
+                  analyzed=len(analysis))
     try:
-        melt, cost_rows, series = _fold(analyzed, logs.summaries, registry,
-                                        prices is not None, opts)
-        # Every MOP outcome and cost is now in its cell: drop the summaries
+        melt = _meltdown_cells(outcomes)
+        cost_rows = None if prices is None else _cost_rows(_cost_report(logs.summaries))
+        # Every MOP outcome and cost is now in its cell or row: drop them
         # before the bootstrap, so the tables hold no more per episode than
         # the episode without its steps.
-        analysis = [s.episode for s in analyzed]
-        del analyzed
+        outcomes.clear()
         logs.summaries.clear()
         tables = _build_tables(analysis, melt, cost_rows, registry, opts)
     except (InputError, PipelineError):
@@ -500,25 +493,6 @@ def _package_version() -> str:
     return __version__
 
 
-def _fold(
-    analyzed: Sequence[_Summary],
-    summaries: Sequence[_Summary],
-    registry: Mapping[str, TaskSpec],
-    priced: bool,
-    opts: PipelineOptions,
-) -> tuple[dict[tuple[str, str], MeltdownCell], list[tuple] | None,
-           dict[str, tuple[tuple[int, float], ...]]]:
-    """The meltdown cells over the analyzed (joined, non-infra) episodes'
-    summaries; the cost rows over every parsed one when ``priced`` (else
-    None); and each analyzed episode's entropy series by episode_id when
-    ``opts.emit_series`` (else an empty dict)."""
-    melt = _meltdown_cells((s.episode.model_id, registry[s.episode.task_id].bucket, s.onset,
-                            s.too_short) for s in analyzed)
-    cost_rows = _cost_rows(_cost_report(s.cost for s in summaries)) if priced else None
-    series = {s.episode.episode_id: s.series for s in analyzed} if opts.emit_series else {}
-    return melt, cost_rows, series
-
-
 def _build_tables(
     analysis: Sequence[Episode],
     melt: Mapping[tuple[str, str], MeltdownCell],
@@ -526,8 +500,8 @@ def _build_tables(
     registry: Mapping[str, TaskSpec],
     opts: PipelineOptions,
 ) -> dict[str, Table]:
-    """Every table over the analyzed episodes, with _fold's meltdown cells
-    and, when priced, its cost rows."""
+    """Every table over the analyzed episodes, with the meltdown cells
+    and, when priced, the cost rows."""
     by_selection: dict[tuple[str, str], list[TaskOutcomeGroup]] = {}
     for group in outcome_groups(analysis, registry):
         by_selection.setdefault((group.model_id, group.scaffold), []).append(group)

@@ -23,6 +23,7 @@ trajectory generators where episode-level addressing matters.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -43,7 +44,6 @@ from .trajectory import (
 )
 
 __all__ = [
-    "DEFAULT_TOOL_POOL",
     "MarkovCurve",
     "SimConfig",
     "SimulationError",
@@ -77,6 +77,12 @@ class SimulationError(ValueError):
     """Raised for infeasible or malformed simulation parameters."""
 
 
+def _check_size(name: str, value: int) -> None:
+    """Refuse a size below 1, or above sys.maxsize, which numpy cannot index."""
+    if not 1 <= value <= sys.maxsize:
+        raise SimulationError(f"{name} must be in 1..{sys.maxsize}, got {value}")
+
+
 def _check_labels(model_id: str, scaffold: str) -> None:
     """Refuse episode labels that the log parser would reject."""
     if not model_id:
@@ -100,10 +106,8 @@ class SimConfig:
             raise SimulationError(f"model {self.model!r} not one of {SIM_MODELS}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise SimulationError(f"epsilon {self.epsilon} outside [0, 1]")
-        if self.horizon_t < 1:
-            raise SimulationError("horizon_t must be >= 1")
-        if self.episodes < 1:
-            raise SimulationError("episodes must be >= 1")
+        _check_size("horizon_t", self.horizon_t)
+        _check_size("episodes", self.episodes)
         if not 0.0 <= self.rho <= 1.0:
             raise SimulationError(f"rho {self.rho} outside [0, 1]")
         if not 0.0 <= self.hazard_gamma < math.inf:
@@ -232,10 +236,8 @@ def simulate_agent_study(
     completed weight, which is always below 1. Passed episodes are all-true
     at score 1.
     """
-    if tasks_per_bucket < 1:
-        raise SimulationError("tasks_per_bucket must be >= 1")
-    if k < 1:
-        raise SimulationError("k must be >= 1")
+    _check_size("tasks_per_bucket", tasks_per_bucket)
+    _check_size("k", k)
     _check_labels(model_id, scaffold)
     for bucket, p in per_bucket_p.items():
         if bucket not in BUCKETS:

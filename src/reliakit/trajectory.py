@@ -26,13 +26,8 @@ import warnings
 
 __all__ = [
     "BUCKETS",
-    "BUCKET_MINUTES_UPPER",
     "DOMAINS",
-    "MAX_STEPS",
-    "NUDGE_LIMIT",
     "SCAFFOLDS",
-    "SCHEMA_VERSION",
-    "TERMINATIONS",
     "Episode",
     "RegistryError",
     "RegistryWarning",

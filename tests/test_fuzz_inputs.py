@@ -9,11 +9,17 @@ is an internal error). An ``analyze`` that exits 0 must keep the line
 accounting's ``conservation_holds`` and write only strict JSON (no NaN or
 Infinity). The second run must print and write the same bytes.
 
-Tier-1 runs a few dozen derandomized examples. A longer run with fresh
+The same contract holds for the CLI knobs: every option of ``analyze``,
+``mop``, ``simulate`` and ``cost`` other than a path or a flag, set to a
+boundary value. Each run must exit 0, 1 or 2, and a run that exits 1 or 2
+must leave no ``--out`` behind.
+
+Tier-1 runs a few hundred derandomized examples. A longer run with fresh
 draws: ``PYTHONPATH=src:tests python tests/test_fuzz_inputs.py 10000``.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -29,13 +35,14 @@ from hypothesis import given, settings, strategies as st
 
 from reliakit import (
     BUCKETS,
+    SCAFFOLDS,
     Subtask,
     TaskSpec,
     serialize_episode,
     serialize_task,
     simulate_agent_study,
 )
-from reliakit.cli import main
+from reliakit.cli import build_parser, main
 from reliakit.simulate import TrajectoryProfile, generate_trajectory, trajectory_episode
 
 HOSTILE = (None, True, False, 0, -1, 2 ** 70, 10 ** 400, math.nan, math.inf, -math.inf,
@@ -124,6 +131,12 @@ def cases(draw):
     return kind, edits, command, files
 
 
+def _write_files(work: Path, files) -> None:
+    for name, records in files.items():
+        (work / f"{name}.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+
 def _run(work: Path, argv):
     """Exit code, stdout and every output file of one in-process CLI run."""
     shutil.rmtree(work / "out", ignore_errors=True)
@@ -148,9 +161,7 @@ def check_case(case) -> None:
     kind, edits, command, files = case
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for name, records in files.items():
-            (work / f"{name}.jsonl").write_text(
-                "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        _write_files(work, files)
         argv = [COMMANDS[command][0], "--logs", "episodes.jsonl", *COMMANDS[command][1:]]
         first = _run(work, argv)
         code, _, written = first
@@ -192,7 +203,98 @@ def test_found_cases(kind, edits, command):
     check_case((kind, edits, command, files))
 
 
+# --- CLI knobs -------------------------------------------------------------
+
+KNOB_VALUES = ("0", "-1", "1", "2", "999", "1000", "nan", "inf", "-inf", "-0.0", "1e308",
+               str(2 ** 63), "", "0x10", "1_000")
+
+# A size is fed only small values, or values refused before anything is
+# allocated: an accepted large size would allocate or loop as far as it goes.
+SIZES = ("--tasks-per-bucket", "--count", "--episodes", "--horizon", "--k")
+NEVER = {flag: {"999", "1000", "1_000"} for flag in SIZES}
+
+# Values a knob's own parser accepts, besides its argparse choices.
+ACCEPTED = {"--vaf-num": BUCKETS, "--vaf-den": BUCKETS, "--scaffold": SCAFFOLDS}
+
+# Each command's corpus and arguments before its knobs are set; every run
+# also gets ``--out out``.
+KNOB_BASES = {
+    "analyze": ("study", ["--logs", "episodes.jsonl", "--registry", "tasks.jsonl",
+                          "--pricing", "pricing.jsonl", "--bootstrap-b", "0", "--emit-series"]),
+    "mop": ("trajectories", ["--logs", "episodes.jsonl", "--labels", "labels.jsonl"]),
+    "simulate": ("study", ["--mode", "study", "--tasks-per-bucket", "2", "--k", "2",
+                           "--episodes", "10", "--horizon", "10", "--count", "2"]),
+    "cost": ("trajectories", ["--logs", "episodes.jsonl", "--pricing", "pricing.jsonl"]),
+}
+
+
+def _knobs():
+    """Each command's knobs, read from the parser (every option but a path
+    or a flag), with the values each is fed."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    knobs = {}
+    for command in KNOB_BASES:
+        knobs[command] = []
+        for action in sub.choices[command]._actions:
+            flag = max(action.option_strings, key=len, default="")
+            if not flag or action.nargs == 0 or action.metavar in ("PATH", "DIR"):
+                continue
+            values = [v for v in KNOB_VALUES if v not in NEVER.get(flag, ())]
+            values += [*(action.choices or ()), *ACCEPTED.get(flag, ())]
+            if flag == "--p":  # one rate per bucket
+                values = [",".join([v] * len(BUCKETS)) for v in values]
+            knobs[command].append((flag, values))
+    return knobs
+
+
+KNOBS = _knobs()
+
+
+@st.composite
+def knob_cases(draw):
+    command = draw(st.sampled_from(sorted(KNOBS)))
+    knobs = KNOBS[command]
+    argv = []
+    for _ in range(draw(st.integers(1, 3)) if knobs else 0):
+        flag, values = draw(st.sampled_from(knobs))
+        argv.append(f"{flag}={draw(st.sampled_from(values))}")
+    return command, argv
+
+
+def check_knob_case(case) -> None:
+    command, knobs = case
+    kind, base = KNOB_BASES[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        _write_files(work, CORPORA[kind])
+        code, stdout, _ = _run(work, [command, *base, "--out", "out", *knobs])
+        assert code in (0, 1, 2), (command, knobs, stdout)
+        assert code == 0 or not (work / "out").exists(), (command, knobs, code)
+
+
+def test_knob_cases_cover_every_knob():
+    assert {flag for flag, _ in KNOBS["analyze"]} >= {
+        "--seed", "--bootstrap-b", "--ci-level", "--ci-method", "--mop-theta",
+        "--mop-delta", "--mop-window", "--vaf-num", "--vaf-den", "--regressor", "--format"}
+    assert {flag for flag, _ in KNOBS["simulate"]} >= {"--mode", "--p", *SIZES}
+    assert KNOBS["cost"] == []
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(knob_cases())
+def test_knobs_at_their_boundaries_never_fail_internally(case):
+    check_knob_case(case)
+
+
+@pytest.mark.parametrize("flag", SIZES)
+def test_a_size_numpy_cannot_index_is_refused(flag):
+    mode = {"--count": "trajectories", "--episodes": "steps", "--horizon": "steps"}
+    check_knob_case(("simulate", [f"--mode={mode.get(flag, 'study')}", f"{flag}={2 ** 63}"]))
+
+
 if __name__ == "__main__":
     examples = int(sys.argv[1]) if len(sys.argv) > 1 else 10_000
     settings(max_examples=examples, deadline=None, database=None)(given(cases())(check_case))()
-    print(f"{examples} examples: no internal error")
+    settings(max_examples=examples, deadline=None, database=None)(
+        given(knob_cases())(check_knob_case))()
+    print(f"{examples} examples of fields and of knobs: no internal error")

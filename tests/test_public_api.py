@@ -42,8 +42,22 @@ def test_rng_exports_only_substream():
     assert rng.__all__ == ["substream"]
 
 
-@pytest.mark.parametrize("module", ["reliakit", "reliakit.rng"])
+MODULES = ["meltdown", "metrics", "report", "rng", "simulate", "trajectory"]
+
+
+@pytest.mark.parametrize("module", ["reliakit", *(f"reliakit.{m}" for m in MODULES)])
 def test_every_listed_name_imports(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+    bound: dict = {}
+    exec(f"from {module} import *", bound)
+    bound.pop("__builtins__")
+    assert sorted(bound) == sorted(mod.__all__)
+
+
+def test_each_name_is_listed_by_one_module():
+    lists = [importlib.import_module(f"reliakit.{m}").__all__ for m in MODULES]
+    names = [name for names in lists for name in names]
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(reliakit.__all__) == PUBLIC_NAMES

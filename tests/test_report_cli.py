@@ -18,6 +18,7 @@ import reliakit
 from conftest import make_episode, make_step, make_task
 from reliakit import (
     BUCKETS,
+    Episode,
     InputError,
     MopConfig,
     PipelineOptions,
@@ -138,7 +139,7 @@ class TestPipelineOptions:
         with pytest.raises(InputError, match="vaf_denominator"):
             PipelineOptions(vaf_denominator=())
 
-    @pytest.mark.parametrize("b", [1, 500, 999, -5])
+    @pytest.mark.parametrize("b", [1, 500, 999, -5, 2 ** 63])
     def test_bootstrap_b_is_zero_or_at_least_1000(self, b):
         with pytest.raises(InputError, match="bootstrap_b"):
             PipelineOptions(bootstrap_b=b)
@@ -217,7 +218,35 @@ class TestRunPipeline:
         assert bundle.run_metadata["conservation_holds"]
         assert bundle.run_metadata["validation_issues"]["unknown_task"] == 1
 
-    @pytest.mark.parametrize("blank_like", ["\u00a0", " \u00a0\t"])
+    def test_only_analyzed_episodes_get_a_mop_scan(self, tmp_path, monkeypatch):
+        from reliakit import meltdown
+
+        task, ghost = make_task("t-0001"), make_task("ghost-task")
+        steps = [make_step(i, f"tool-{i % 3}") for i in range(1, 21)]
+        episodes = [make_episode(f"ep-{e}", task, passed=e % 2 == 0, repeat_index=e + 1,
+                                 steps=steps) for e in range(4)]
+        episodes += [
+            make_episode("x-ghost", ghost, steps=steps),
+            make_episode("x-mismatch", task, outcomes=(True,), steps=steps),
+            make_episode("x-infra", task, passed=False, termination="infra_error", steps=steps),
+        ]
+        log, registry = tmp_path / "episodes.jsonl", tmp_path / "tasks.jsonl"
+        write_episode_log(episodes, log)
+        write_task_registry([task], registry)
+        detect, scanned = meltdown.detect_mop, []
+
+        def counted(*args, **kwargs):
+            scanned.append(args[0].episode_id)
+            return detect(*args, **kwargs)
+
+        monkeypatch.setattr(meltdown, "detect_mop", counted)
+        bundle = run_pipeline([log], registry, options=PipelineOptions(bootstrap_b=0))
+        counts = bundle.run_metadata["episodes"]
+        assert (counts["join_excluded"], counts["infra_excluded"]) == (2, 1)
+        assert len(scanned) == counts["analyzed"] == 4
+        assert bundle.run_metadata["validation_issues"]["subtask_mismatch"] == 1
+
+    @pytest.mark.parametrize("blank_like",["\u00a0", " \u00a0\t"])
     def test_line_of_unicode_whitespace_is_not_counted(self, tmp_path, blank_like):
         log, registry = write_corpus(tmp_path, small_corpus())
         lines = log.read_text(encoding="utf-8").splitlines()
@@ -431,6 +460,7 @@ class TestCli:
         assert "input error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("knob", [("--bootstrap-b", "500"), ("--bootstrap-b", "-5"),
+                                      ("--bootstrap-b", str(2 ** 63)),
                                       ("--ci-level", "1.5"), ("--mop-window", "1"),
                                       ("--mop-theta", "-0.5"), ("--mop-theta", "inf"),
                                       ("--mop-delta", "nan"), ("--mop-delta", "inf"),
@@ -939,18 +969,21 @@ class TestEachEpisodeIsReducedAsItIsRead:
         assert len(peaks) == 1
         assert peaks[0] < with_steps / 4
 
-    def test_analyze_drops_its_summaries_before_the_bootstrap(self, corpus, monkeypatch):
+    def test_analyze_drops_steps_and_costs_before_the_bootstrap(self, corpus, monkeypatch):
         import gc
 
         vafs = report._vafs
         alive = []
 
         def checked(*args, **kwargs):
-            alive.append(sum(isinstance(o, report._Summary) for o in gc.get_objects()))
+            objects = gc.get_objects()
+            alive.append((sum(isinstance(o, report.EpisodeCost) for o in objects),
+                          sum(isinstance(o, Episode) and bool(o.steps) for o in objects)))
             return vafs(*args, **kwargs)
 
         monkeypatch.setattr(report, "_vafs", checked)
         bundle = run_pipeline([corpus / "episodes.jsonl"], corpus / "tasks.jsonl",
                               corpus / "pricing.jsonl", PipelineOptions(bootstrap_b=0))
         assert bundle.run_metadata["episodes"]["analyzed"] == self.EPISODES
-        assert alive == [0]
+        assert bundle.tables["cost"].rows[-1][1] == self.EPISODES
+        assert alive == [(0, 0)]
