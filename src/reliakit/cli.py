@@ -35,7 +35,7 @@ from .meltdown import (
     _largest_rises,
     detect_mop,
 )
-from .metrics import _CI_METHODS, MetricError, REGRESSORS
+from .metrics import _CI_METHODS, _MAX_BOOTSTRAP_B, MetricError, REGRESSORS
 from .report import (
     InputError,
     PipelineError,
@@ -118,8 +118,8 @@ def _bounded(kind: type, ok: Callable[[Any], bool], rule: str) -> Callable[[str]
     return parse
 
 
-_bootstrap_b = _bounded(int, lambda b: b == 0 or 1000 <= b <= sys.maxsize,
-                        f"0 (off) or in 1000..{sys.maxsize}")
+_bootstrap_b = _bounded(int, lambda b: b == 0 or 1000 <= b <= _MAX_BOOTSTRAP_B,
+                        f"0 (off) or in 1000..{_MAX_BOOTSTRAP_B}")
 _ci_level = _bounded(float, lambda x: 0.0 < x < 1.0, "in (0, 1)")
 _mop_window = _bounded(int, lambda w: w >= 2, "at least 2")
 _mop_theta = _bounded(float, lambda x: 0.0 <= x < math.inf, "finite and at least 0")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -69,6 +70,10 @@ class MetricWarning(UserWarning):
 BUCKET_MINUTES_MIDPOINT = {"short": 2.5, "medium": 17.5, "long": 75.0, "very_long": 150.0}
 
 REGRESSORS = ("bucket_index_1to4", "bucket_index_0to3", "human_minutes_midpoint")
+
+# The most resamples whose float64 buffer numpy can allocate: its bytes
+# must not exceed sys.maxsize.
+_MAX_BOOTSTRAP_B = sys.maxsize // 8
 
 DEFAULT_VAF_NUMERATOR = ("long", "very_long")
 DEFAULT_VAF_DENOMINATOR = ("short", "medium")
@@ -543,6 +548,9 @@ def _percentile_bootstrap(
     interval."""
     if b < 1000:
         raise MetricError(f"bootstrap_ci: b={b} is below the 1000-resample floor")
+    if b > _MAX_BOOTSTRAP_B:
+        raise MetricError(f"bootstrap_ci: b={b} is above {_MAX_BOOTSTRAP_B}, the most"
+                          " resamples numpy can hold")
     if not 0.0 < level < 1.0:
         raise MetricError(f"bootstrap_ci: level {level} outside (0, 1)")
     if any(n == 0 for n in sizes):

@@ -7,7 +7,10 @@ decomposition). emit_report renders a bundle to files in one format.
 
 Determinism contract: the bundle and every emitted byte are a pure
 function of (input file contents, options). Nothing here reads clocks,
-hostnames, or environment.
+hostnames, or environment variables. The log loader reads the CPU affinity
+and the count of live Python threads, but only to choose how many byte
+ranges, each in its own process, to read a log in; the ranges are folded
+in line order, so no byte depends on that choice.
 
 Error taxonomy: InputError marks problems with what the user supplied
 (unreadable paths, malformed registry, no valid episodes, missing pricing)
@@ -19,8 +22,8 @@ so partial table sets are never written on stage failure.
 Stages fail in this order: the registry, the pricing file, the logs, the
 registry join, then the tables, where a model without a price is reported.
 The logs are read one episode at a time, and each episode is joined, scanned
-for MOP and priced as it is read; a join with nothing left is still
-reported only after every log is read.
+for MOP and priced as it is read, in whichever process reads its range; a
+join with nothing left is still reported only after every log is read.
 """
 
 from __future__ import annotations
@@ -31,12 +34,17 @@ import hashlib
 import io
 import json
 import math
+import os
+import pickle
 import re
 import sys
+import tempfile
+import threading
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Any, Callable, Generic, Iterable, Iterator, Mapping, Sequence,
-                    TypeVar)
+from typing import (Any, BinaryIO, Callable, Generator, Generic, Iterable, Iterator, Mapping,
+                    NamedTuple, Sequence, TypeVar)
 
 from .meltdown import MeltdownCell, MopConfig, _meltdown_cells, _mop_outcome
 from .metrics import (
@@ -47,6 +55,7 @@ from .metrics import (
     REGRESSORS,
     TaskOutcomeGroup,
     _CI_METHODS,
+    _MAX_BOOTSTRAP_B,
     _curve,
     _vafs,
     decomposition_gain,
@@ -64,6 +73,8 @@ from .trajectory import (
     TaskSpec,
     ValidationIssue,
     ValidationReport,
+    _dedup,
+    _iter_lines,
     _parse_lines,
     _read_records,
     cross_validate,
@@ -247,9 +258,9 @@ class PipelineOptions:
     emit_series: bool = False
 
     def __post_init__(self) -> None:
-        if self.bootstrap_b != 0 and not 1000 <= self.bootstrap_b <= sys.maxsize:
-            raise InputError(f"options: bootstrap_b must be 0 (off) or in 1000..{sys.maxsize},"
-                             f" got {self.bootstrap_b}")
+        if self.bootstrap_b != 0 and not 1000 <= self.bootstrap_b <= _MAX_BOOTSTRAP_B:
+            raise InputError("options: bootstrap_b must be 0 (off) or in"
+                             f" 1000..{_MAX_BOOTSTRAP_B}, got {self.bootstrap_b}")
         if not 0.0 < self.ci_level < 1.0:
             raise InputError(f"options: ci_level must be in (0, 1), got {self.ci_level}")
         if self.regressor not in REGRESSORS:
@@ -296,26 +307,39 @@ class ReportBundle:
 
 # --- pipeline ---------------------------------------------------------------
 
-def _read_lines(path: str | Path, stage: str, meta: dict[str, Any]) -> Iterator[str]:
-    """Stream one input file's lines, each stripped ("" when blank). Lines
-    end only at line feeds and each is decoded on its own, so the file is
-    never held whole. At the end ``meta`` holds the path, the sha256 of
-    the raw bytes and the count of non-blank lines."""
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise InputError(f"{stage}: cannot read {path}: {exc}") from exc
-    sha, lines = hashlib.sha256(), 0
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            sha.update(raw)
+def _read_lines(path: str | Path, stage: str, meta: dict[str, Any], start: int = 0,
+                stop: int | None = None, lineno: int = 1) -> Iterator[str]:
+    """Stream one input file's lines, each stripped ("" when blank), or the
+    lines of its bytes [start, stop), which begin line ``lineno``. Lines end
+    only at line feeds and each is decoded on its own, so the file is never
+    held whole. At the end ``meta`` holds the count of non-blank lines read
+    and, for a whole file, its path and the sha256 of its bytes."""
+    whole = start == 0 and stop is None
+    sha, lines, left = hashlib.sha256(), 0, math.inf if stop is None else stop - start
+    with _open(path, stage) as fh:
+        fh.seek(start)
+        for lineno, raw in enumerate(fh, start=lineno):
+            if left <= 0:
+                break
+            left -= len(raw)
+            if whole:
+                sha.update(raw)
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:
                 raise InputError(f"{stage}: {path} is not UTF-8: line {lineno}: {exc}") from exc
             lines += bool(line)
             yield line
-    meta.update(path=str(path), sha256=sha.hexdigest(), lines=lines)
+    if whole:
+        meta.update(path=str(path), sha256=sha.hexdigest())
+    meta["lines"] = lines
+
+
+def _open(path: str | Path, stage: str) -> BinaryIO:
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise InputError(f"{stage}: cannot read {path}: {exc}") from exc
 
 
 def _load_reference(loader: Callable[[Iterable[str]], Any], path: str | Path,
@@ -347,13 +371,18 @@ class _Logs(Generic[_S]):
         }
 
 
-def _load_logs(paths: Sequence[str | Path], summarize: Callable[[Episode], _S]) -> _Logs[_S]:
-    """Parse every log through the streaming reader, keeping the first
-    record of an episode_id across files as within one, and keep only
-    ``summarize(episode)`` of each kept episode, in order. Each episode,
-    steps and all, can be freed as soon as it is summarized, so memory
-    grows with the summaries, not with the steps.
+def _load_logs(paths: Sequence[str | Path], summarize: Callable[[Episode], _S],
+               _ranges: int | None = None) -> _Logs[_S]:
+    """Parse every log, keeping the first record of an episode_id across
+    files as within one, and keep only ``summarize(episode)`` of each kept
+    episode, in order. Each episode, steps and all, can be freed as soon as
+    it is summarized, so memory grows with the summaries, not with the
+    steps. ``summarize`` must be pure: it may run in a worker process, and
+    on episodes that are then dropped as duplicates.
 
+    Each log is read in byte ranges (see ``_read_log``; ``_ranges`` forces
+    their number, for tests), and the ranges' results are folded here in
+    line order, so nothing returned depends on how many there were.
     Reports come in parse_episode_log's order per file, each file's
     cross-file duplicate warnings after its parse reports."""
     summaries: list[_S] = []
@@ -363,23 +392,260 @@ def _load_logs(paths: Sequence[str | Path], summarize: Callable[[Episode], _S]) 
     for path in paths:
         meta: dict[str, Any] = {}
         duplicates: list[ValidationReport] = []
-        for item in _parse_lines(_read_lines(path, "parse", meta)):
-            if isinstance(item, ValidationReport):
-                reports.append(item)
-            elif item.episode_id in seen_ids:
-                duplicates.append(ValidationReport(
-                    episode_id=item.episode_id,
-                    warnings=(ValidationIssue(
-                        "duplicate_episode_id",
-                        f"{path}: duplicate of {item.episode_id!r} from an earlier log;"
-                        " keeping the first"),),
-                ))
-            else:
-                seen_ids.add(item.episode_id)
-                summaries.append(summarize(item))
+        items = _read_log(path, summarize, meta, _ranges)
+        try:
+            for item in _dedup(items):
+                if isinstance(item, ValidationReport):
+                    reports.append(item)
+                    continue
+                _, episode_id, _, summary = item
+                if episode_id in seen_ids:
+                    duplicates.append(ValidationReport(
+                        episode_id=episode_id,
+                        warnings=(ValidationIssue(
+                            "duplicate_episode_id",
+                            f"{path}: duplicate of {episode_id!r} from an earlier log;"
+                            " keeping the first"),),
+                    ))
+                    continue
+                seen_ids.add(episode_id)
+                if type(summary) is _Raised:
+                    raise summary.exc
+                summaries.append(summary)
+        finally:
+            items.close()
         reports.extend(duplicates)
         inputs.append(meta)
     return _Logs(summaries, reports, inputs)
+
+
+# The smallest byte range worth a worker process. On a 1.3 MB log of
+# episodes without steps, two ranges saved no wall time and raised peak RSS.
+_MIN_RANGE_BYTES = 1 << 20
+# The hash pass reads at most this much at a time; 1 MiB blocks raised the
+# traced peak of reading a 3 MB log past a quarter of the file's size.
+_HASH_BLOCK = 1 << 16
+
+
+@dataclass(frozen=True)
+class _Raised:
+    """An exception caught where a log range is read, re-raised by the fold
+    in the parent when it reaches that point in line order."""
+    exc: Exception
+
+
+def _range_items(path: str | Path, summarize: Callable[[Episode], _S], meta: dict[str, Any],
+                 start: int = 0, stop: int | None = None,
+                 lineno: int = 1) -> Iterator[ValidationReport | tuple[int, str, bool, Any]]:
+    """``_parse_lines`` over one byte range of a log, each episode's payload
+    its summary, or the ``_Raised`` exception that ``summarize`` raised: it
+    is raised only if the episode is kept."""
+    def payload(episode: Episode) -> Any:
+        try:
+            return summarize(episode)
+        except Exception as exc:
+            return _Raised(exc)
+
+    return _parse_lines(_iter_lines(_read_lines(path, "parse", meta, start, stop, lineno),
+                                    lineno), payload)
+
+
+def _range_count(path: str | Path, forced: int | None) -> int:
+    """How many byte ranges to read a log in: one per usable CPU, each at
+    least _MIN_RANGE_BYTES, or ``forced``. One wherever a worker cannot be
+    forked safely: without os.fork, or while another Python thread runs."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if forced is not None:
+        return forced
+    try:
+        size = os.path.getsize(path)
+    except OSError:
+        return 1  # _read_lines reports it
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, size // _MIN_RANGE_BYTES))
+
+
+def _plan_ranges(path: str | Path, n: int, meta: dict[str, Any]) -> list[tuple[int, int, int]]:
+    """(start, stop, first line number) of up to ``n`` byte ranges that
+    split the file at line starts near even offsets. Reads the file once,
+    in blocks of _HASH_BLOCK, and puts its path and sha256 in ``meta``."""
+    sha = hashlib.sha256()
+    starts = [(0, 1)]
+    with _open(path, "parse") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        targets = [size * i // n for i in range(n - 1, 0, -1)]  # popped in ascending order
+        pos = newlines = 0
+        while block := fh.read(_HASH_BLOCK):
+            sha.update(block)
+            while targets:
+                # The first line start at or after the target: just past the
+                # first line feed at or after the byte before it.
+                if targets[-1] <= starts[-1][0]:
+                    targets.pop()
+                    continue
+                feed = block.find(b"\n", max(targets[-1] - 1 - pos, 0))
+                if feed < 0:
+                    break
+                starts.append((pos + feed + 1, newlines + block.count(b"\n", 0, feed + 1) + 1))
+                targets.pop()
+            newlines += block.count(b"\n")
+            pos += len(block)
+    meta.update(path=str(path), sha256=sha.hexdigest())
+    if len(starts) > 1 and starts[-1][0] >= pos:  # a range would start at the end
+        starts.pop()
+    stops = [start for start, _ in starts[1:]] + [pos]
+    return [(start, stop, lineno) for (start, lineno), stop in zip(starts, stops)]
+
+
+def _read_log(path: str | Path, summarize: Callable[[Episode], _S], meta: dict[str, Any],
+              forced: int | None) -> Iterator[ValidationReport | tuple[int, str, bool, Any]]:
+    """``_range_items`` over each byte range of one log, in line order; at
+    the end ``meta`` holds the file's path, sha256 and non-blank lines.
+
+    The parent reads the first range itself while a forked worker reads
+    each other one, summarizing as it goes and pickling its items to an
+    anonymous temporary file (a pipe would fill and stall the worker until
+    the parent got to it). The parent then reads each worker's file back,
+    one item at a time. A worker is forked, not spawned, so that it shares
+    the caller's ``summarize`` closure without pickling it. Closing this
+    generator early kills and reaps every worker it started; none outlives
+    it. A one-range read forks nothing."""
+    n = _range_count(path, forced)
+    if n == 1:
+        yield from _range_items(path, summarize, meta)
+        return
+    ranges = _plan_ranges(path, n, meta)
+    workers: list[_Worker | None] = []
+    try:
+        for start, stop, lineno in ranges[1:]:
+            workers.append(_fork_range(path, summarize, start, stop, lineno))
+        lines = 0
+        for (start, stop, lineno), worker in zip(ranges, [None, *workers]):
+            part: dict[str, Any] = {}
+            if worker is None:  # the first range, or one whose fork failed
+                yield from _range_items(path, summarize, part, start, stop, lineno)
+                lines += part["lines"]
+            else:
+                lines += yield from _worker_items(path, worker)
+    finally:
+        _reap(workers)
+    meta["lines"] = lines
+
+
+class _Worker:
+    """A forked worker process and the temporary file it writes; ``pid`` is
+    None once the worker is reaped."""
+
+    def __init__(self, pid: int, out: BinaryIO) -> None:
+        self.pid: int | None = pid
+        self.out = out
+
+
+def _fork_range(path: str | Path, summarize: Callable[[Episode], Any], start: int, stop: int,
+                lineno: int) -> _Worker | None:
+    """A forked worker reading one byte range into a temporary file; None
+    when the fork fails, so that the parent reads the range itself."""
+    out = tempfile.TemporaryFile()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 and later warn on a fork while another OS thread
+            # runs, which numpy's BLAS threads do. The worker touches no BLAS.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        out.close()
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            meta: dict[str, Any] = {}
+            _write_items(out, _range_items(path, summarize, meta, start, stop, lineno), meta)
+            status = 0
+        finally:
+            os._exit(status)
+    return _Worker(pid, out)
+
+
+def _write_items(out: BinaryIO, items: Iterator[Any], meta: dict[str, Any]) -> None:
+    """A worker's output: one pickle per item, then the count of non-blank
+    lines read, or the ``_Raised`` exception that stopped the read."""
+    try:
+        for item in items:
+            out.write(pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
+        end: Any = meta["lines"]
+    except Exception as exc:
+        end = _Raised(exc)
+    out.write(pickle.dumps(end, pickle.HIGHEST_PROTOCOL))
+    out.flush()
+
+
+def _worker_items(path: str | Path, worker: _Worker) -> Generator[Any, None, int]:
+    """A worker's items, read back once it has exited; returns its count of
+    non-blank lines, or raises the exception that stopped it."""
+    _, status = os.waitpid(worker.pid, 0)
+    worker.pid = None
+    worker.out.seek(0)
+    while True:
+        try:
+            item = pickle.load(worker.out)
+        except (EOFError, pickle.UnpicklingError) as exc:
+            raise PipelineError(f"parse: the worker reading {path} exited with status"
+                                f" {os.waitstatus_to_exitcode(status)} ({exc!r})") from exc
+        if type(item) is int:
+            return item
+        if type(item) is _Raised:
+            raise item.exc
+        yield item
+
+
+def _reap(workers: Sequence[_Worker | None]) -> None:
+    """Kill and reap every worker not yet reaped, and close every file."""
+    for worker in workers:
+        if worker is None:
+            continue
+        worker.out.close()
+        if worker.pid is not None:
+            import signal
+            os.kill(worker.pid, signal.SIGKILL)
+            os.waitpid(worker.pid, 0)
+            worker.pid = None
+
+
+class _Read(NamedTuple):
+    """What analyze keeps of one parsed episode, from its read in any
+    process. A joined episode that is not an infra failure keeps itself
+    without its steps, its (model_id, bucket, onset, too short) row for the
+    meltdown cells and, under emit_series, its entropy series; with
+    pricing, every parsed episode keeps its cost."""
+    join_reports: Sequence[ValidationReport]
+    infra: bool
+    episode: Episode | None
+    outcome: tuple[str, str, int | None, bool] | None
+    series: tuple[tuple[int, float], ...] | None
+    cost: EpisodeCost | None
+
+
+def _fold(reads: Iterable[_Read], emit_series: bool) -> tuple[
+        list[Episode], list[tuple[str, str, int | None, bool]],
+        dict[str, tuple[tuple[int, float], ...]], list[ValidationReport], int]:
+    """The analyzed episodes, their meltdown rows, their entropy series
+    (under ``emit_series``), the join reports and the infra count, from
+    each kept episode's _Read in line order."""
+    analysis: list[Episode] = []
+    outcomes: list[tuple[str, str, int | None, bool]] = []
+    series: dict[str, tuple[tuple[int, float], ...]] = {}
+    join_reports: list[ValidationReport] = []
+    infra_excluded = 0
+    for read in reads:
+        join_reports.extend(read.join_reports)
+        infra_excluded += read.infra
+        if read.episode is not None:
+            analysis.append(read.episode)
+            outcomes.append(read.outcome)
+            if emit_series:
+                series[read.episode.episode_id] = read.series
+    return analysis, outcomes, series, join_reports, infra_excluded
 
 
 def _without_steps(episode: Episode) -> Episode:
@@ -409,31 +675,19 @@ def run_pipeline(
         pricing, pricing_meta = _load_reference(load_pricing, pricing_path, "cost")
         prices = {p.model_id: p for p in pricing}
 
-    # Each episode is joined as it is read. Only a joined episode that is
-    # not an infra failure is scanned and kept, without its steps; with
-    # pricing, every parsed episode is priced, and its cost is what
-    # _load_logs keeps.
-    analysis: list[Episode] = []
-    outcomes: list[tuple[str, str, int | None, bool]] = []
-    series: dict[str, tuple[tuple[int, float], ...]] = {}
-    join_reports: list[ValidationReport] = []
-    infra_excluded = 0
-
-    def summarize(episode: Episode) -> EpisodeCost | None:
-        nonlocal infra_excluded
-        joined, reports = cross_validate((episode,), registry)
-        join_reports.extend(reports)
-        if joined and episode.is_infra_failure:
-            infra_excluded += 1
-        elif joined:
-            onset, too_short, entropy = _mop_outcome(episode, opts.mop, opts.emit_series)
-            outcomes.append((episode.model_id, registry[episode.task_id].bucket, onset, too_short))
-            if opts.emit_series:
-                series[episode.episode_id] = entropy
-            analysis.append(_without_steps(episode))
-        return None if prices is None else _episode_cost(episode, prices)
+    def summarize(episode: Episode) -> _Read:
+        joined, join_reports = cross_validate((episode,), registry)
+        cost = None if prices is None else _episode_cost(episode, prices)
+        if not joined or episode.is_infra_failure:
+            return _Read(join_reports, bool(joined), None, None, None, cost)
+        onset, too_short, entropy = _mop_outcome(episode, opts.mop, opts.emit_series)
+        return _Read((), False, _without_steps(episode),
+                     (episode.model_id, registry[episode.task_id].bucket, onset, too_short),
+                     entropy, cost)
 
     logs = _load_logs(log_paths, summarize)
+    analysis, outcomes, series, join_reports, infra_excluded = _fold(logs.summaries,
+                                                                     opts.emit_series)
     if not logs.summaries:
         raise InputError("parse: no valid episodes")
     if not analysis:
@@ -445,7 +699,8 @@ def run_pipeline(
                   analyzed=len(analysis))
     try:
         melt = _meltdown_cells(outcomes)
-        cost_rows = None if prices is None else _cost_rows(_cost_report(logs.summaries))
+        cost_rows = None if prices is None else _cost_rows(_cost_report(
+            read.cost for read in logs.summaries))
         # Every MOP outcome and cost is now in its cell or row: drop them
         # before the bootstrap, so the tables hold no more per episode than
         # the episode without its steps.

@@ -77,10 +77,15 @@ class SimulationError(ValueError):
     """Raised for infeasible or malformed simulation parameters."""
 
 
-def _check_size(name: str, value: int) -> None:
-    """Refuse a size below 1, or above sys.maxsize, which numpy cannot index."""
+def _check_size(name: str, value: int, elements: int = 0) -> None:
+    """Refuse a size below 1, or above sys.maxsize, which numpy cannot index;
+    and ``elements`` float64 draws that it shapes, more than numpy can
+    allocate (their bytes must not exceed sys.maxsize)."""
     if not 1 <= value <= sys.maxsize:
         raise SimulationError(f"{name} must be in 1..{sys.maxsize}, got {value}")
+    if elements * 8 > sys.maxsize:
+        raise SimulationError(f"{name} {value} needs {elements} float64 draws, more than"
+                              f" numpy can allocate ({sys.maxsize // 8})")
 
 
 def _check_labels(model_id: str, scaffold: str) -> None:
@@ -107,7 +112,7 @@ class SimConfig:
         if not 0.0 <= self.epsilon <= 1.0:
             raise SimulationError(f"epsilon {self.epsilon} outside [0, 1]")
         _check_size("horizon_t", self.horizon_t)
-        _check_size("episodes", self.episodes)
+        _check_size("episodes", self.episodes, self.episodes * self.horizon_t)
         if not 0.0 <= self.rho <= 1.0:
             raise SimulationError(f"rho {self.rho} outside [0, 1]")
         if not 0.0 <= self.hazard_gamma < math.inf:
@@ -237,7 +242,7 @@ def simulate_agent_study(
     at score 1.
     """
     _check_size("tasks_per_bucket", tasks_per_bucket)
-    _check_size("k", k)
+    _check_size("k", k, k)
     _check_labels(model_id, scaffold)
     for bucket, p in per_bucket_p.items():
         if bucket not in BUCKETS:

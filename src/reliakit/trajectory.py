@@ -202,16 +202,17 @@ class ValidationReport:
 
 
 def _iter_lines(
-    source: str | Path | IO[str] | Iterable[str],
+    source: str | Path | IO[str] | Iterable[str], first: int = 1,
 ) -> Iterator[tuple[int, str | UnicodeDecodeError]]:
-    """Yield (1-based line number, stripped line), skipping blank lines.
-    A path is read with lines ending only at line feeds, each decoded on its
-    own; a line that is not UTF-8 is yielded as its UnicodeDecodeError."""
+    """Yield (line number, stripped line), skipping blank lines; the first
+    line is number ``first``. A path is read with lines ending only at line
+    feeds, each decoded on its own; a line that is not UTF-8 is yielded as
+    its UnicodeDecodeError."""
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
-            yield from _iter_lines(fh)
+            yield from _iter_lines(fh, first)
         return
-    for lineno, raw in enumerate(source, start=1):
+    for lineno, raw in enumerate(source, start=first):
         if isinstance(raw, bytes):
             try:
                 raw = raw.decode("utf-8")
@@ -581,28 +582,30 @@ def parse_episode_log(
     returned (they are data) but carry an advisory warning; downstream
     metric code excludes them from every denominator.
 
-    The lists collect what ``_parse_lines`` yields, which is how the
-    pipeline reads logs one episode at a time.
+    The lists collect what ``_dedup`` passes on of ``_parse_lines``,
+    which is also how the pipeline reads each byte range of a log.
     """
     episodes: list[Episode] = []
     reports: list[ValidationReport] = []
-    for item in _parse_lines(source):
-        (episodes if isinstance(item, Episode) else reports).append(item)
+    for item in _dedup(_parse_lines(_iter_lines(source), lambda episode: episode)):
+        if isinstance(item, ValidationReport):
+            reports.append(item)
+        else:
+            episodes.append(item[3])
     return episodes, reports
 
 
 def _parse_lines(
-    source: str | Path | IO[str] | Iterable[str],
-) -> Iterator[Episode | ValidationReport]:
-    """parse_episode_log's results in line order: each accepted Episode and
-    each ValidationReport as its line is read (an infra_error episode's
-    warning comes just before the episode). One call keeps one argument
-    memo, one sharing memo and one set of episode_ids for dedup, so the
-    caller may drop each episode once it has what it needs."""
-    seen: set[str] = set()
+    lines: Iterable[tuple[int, str | UnicodeDecodeError]], payload: Callable[[Episode], _T],
+) -> Iterator[ValidationReport | tuple[int, str, bool, _T]]:
+    """Each (line number, non-blank line) parsed, in line order: the
+    ValidationReport that rejects the line, or (line number, episode_id, is
+    infra failure, ``payload(episode)``). One call keeps one argument memo
+    and one sharing memo (see ``_parse_steps``), so the caller may drop each
+    episode once ``payload`` has what it needs."""
     args_seen: dict[str, str] = {}
     shared: dict[Any, Any] = {}
-    for lineno, line in _iter_lines(source):
+    for lineno, line in lines:
         if isinstance(line, UnicodeDecodeError):
             problem = f"not UTF-8: {line}"
         else:
@@ -630,20 +633,38 @@ def _parse_lines(
         if episode is None:
             yield ValidationReport(episode_id=label, errors=tuple(errors))
             continue
-        if episode.episode_id in seen:
+        yield lineno, episode.episode_id, episode.is_infra_failure, payload(episode)
+
+
+def _dedup(
+    items: Iterable[ValidationReport | tuple[int, str, bool, _T]],
+) -> Iterator[ValidationReport | tuple[int, str, bool, _T]]:
+    """The within-file dedup of one log's per-line results, in line order.
+
+    Each episode comes as (line number, episode_id, is infra failure, any
+    payload). The first of an episode_id is kept and passed on, just after
+    an advisory warning when it is an infra failure; each later one becomes
+    a duplicate warning. Reports pass through as they are."""
+    seen: set[str] = set()
+    for item in items:
+        if isinstance(item, ValidationReport):
+            yield item
+            continue
+        lineno, episode_id, infra, _ = item
+        if episode_id in seen:
             yield ValidationReport(
-                episode_id=episode.episode_id,
+                episode_id=episode_id,
                 warnings=(ValidationIssue(
                     "duplicate_episode_id",
-                    f"line {lineno}: duplicate of {episode.episode_id!r}; keeping the first"),),
+                    f"line {lineno}: duplicate of {episode_id!r}; keeping the first"),),
             )
             continue
-        seen.add(episode.episode_id)
-        if episode.is_infra_failure:
-            yield ValidationReport(episode_id=episode.episode_id, warnings=(ValidationIssue(
+        seen.add(episode_id)
+        if infra:
+            yield ValidationReport(episode_id=episode_id, warnings=(ValidationIssue(
                 "infra_excluded",
                 "infrastructure failure: retained in storage, excluded from metric denominators"),))
-        yield episode
+        yield item
 
 
 def cross_validate(

@@ -206,12 +206,16 @@ def test_found_cases(kind, edits, command):
 # --- CLI knobs -------------------------------------------------------------
 
 KNOB_VALUES = ("0", "-1", "1", "2", "999", "1000", "nan", "inf", "-inf", "-0.0", "1e308",
-               str(2 ** 63), "", "0x10", "1_000")
+               str(2 ** 62), str(2 ** 63), "", "0x10", "1_000")
 
 # A size is fed only small values, or values refused before anything is
 # allocated: an accepted large size would allocate or loop as far as it goes.
+# 2^62 is refused where it shapes a float64 array (--episodes, --horizon and
+# --k), but a loop count below sys.maxsize is accepted.
 SIZES = ("--tasks-per-bucket", "--count", "--episodes", "--horizon", "--k")
 NEVER = {flag: {"999", "1000", "1_000"} for flag in SIZES}
+for flag in ("--tasks-per-bucket", "--count"):
+    NEVER[flag].add(str(2 ** 62))
 
 # Values a knob's own parser accepts, besides its argparse choices.
 ACCEPTED = {"--vaf-num": BUCKETS, "--vaf-den": BUCKETS, "--scaffold": SCAFFOLDS}
@@ -290,6 +294,17 @@ def test_knobs_at_their_boundaries_never_fail_internally(case):
 def test_a_size_numpy_cannot_index_is_refused(flag):
     mode = {"--count": "trajectories", "--episodes": "steps", "--horizon": "steps"}
     check_knob_case(("simulate", [f"--mode={mode.get(flag, 'study')}", f"{flag}={2 ** 63}"]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--mode", "steps", "--episodes", str(2 ** 62), "--horizon", "1"],
+    ["simulate", "--mode", "steps", "--episodes", "2", "--horizon", str(2 ** 62)],
+    ["simulate", "--mode", "study", "--tasks-per-bucket", "1", "--k", str(2 ** 62)],
+], ids=["episodes", "horizon", "k"])
+def test_a_size_numpy_can_index_but_not_allocate_is_refused(argv, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert "more than numpy can allocate" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 if __name__ == "__main__":

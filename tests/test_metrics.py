@@ -464,6 +464,8 @@ class TestBootstrap:
         mean = lambda sample: math.fsum(sample) / len(sample)
         with pytest.raises(MetricError, match="1000"):
             bootstrap_ci(mean, [1, 2], b=999)
+        with pytest.raises(MetricError, match="the most resamples numpy can hold"):
+            bootstrap_ci(mean, [1, 2], b=2 ** 62)
         with pytest.raises(MetricError, match="level"):
             bootstrap_ci(mean, [1, 2], b=1000, level=0.0)
         with pytest.raises(MetricError, match="empty"):

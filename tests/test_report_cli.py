@@ -139,7 +139,7 @@ class TestPipelineOptions:
         with pytest.raises(InputError, match="vaf_denominator"):
             PipelineOptions(vaf_denominator=())
 
-    @pytest.mark.parametrize("b", [1, 500, 999, -5, 2 ** 63])
+    @pytest.mark.parametrize("b", [1, 500, 999, -5, 2 ** 62, 2 ** 63])
     def test_bootstrap_b_is_zero_or_at_least_1000(self, b):
         with pytest.raises(InputError, match="bootstrap_b"):
             PipelineOptions(bootstrap_b=b)
@@ -460,6 +460,7 @@ class TestCli:
         assert "input error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("knob", [("--bootstrap-b", "500"), ("--bootstrap-b", "-5"),
+                                      ("--bootstrap-b", str(2 ** 62)),
                                       ("--bootstrap-b", str(2 ** 63)),
                                       ("--ci-level", "1.5"), ("--mop-window", "1"),
                                       ("--mop-theta", "-0.5"), ("--mop-theta", "inf"),
@@ -821,6 +822,12 @@ class TestEverySubcommandReadsLogsAlike:
                                  "duplicates": 396, "parsed": 4}
         assert peak < size / 4
 
+    def test_loading_streams_the_log_in_three_ranges(self, tmp_path, monkeypatch):
+        load = report._load_logs
+        monkeypatch.setattr(report, "_load_logs",
+                            lambda paths, summarize: load(paths, summarize, 3))
+        self.test_loading_streams_the_log(tmp_path)
+
     @pytest.mark.parametrize("enabled", [True, False])
     def test_loading_leaves_the_gc_as_it_found_it(self, tmp_path, enabled):
         import gc
@@ -942,15 +949,17 @@ class TestEachEpisodeIsReducedAsItIsRead:
             tracemalloc.stop()
         return logs, held - before, peak - before
 
-    @pytest.mark.parametrize("argv", [
-        ["analyze", "--registry", "tasks.jsonl", "--pricing", "pricing.jsonl",
-         "--out", "out", "--bootstrap-b", "0"],
-        ["validate", "--registry", "tasks.jsonl"],
-        ["mop"],
-        ["mop", "--calibrate", "f1", "--labels", "labels.jsonl"],
-        ["mop", "--calibrate", "baseline"],
-        ["cost", "--pricing", "pricing.jsonl"],
-    ], ids=["analyze", "validate", "mop", "mop_f1", "mop_baseline", "cost"])
+    COMMANDS = {
+        "analyze": ["analyze", "--registry", "tasks.jsonl", "--pricing", "pricing.jsonl",
+                    "--out", "out", "--bootstrap-b", "0"],
+        "validate": ["validate", "--registry", "tasks.jsonl"],
+        "mop": ["mop"],
+        "mop_f1": ["mop", "--calibrate", "f1", "--labels", "labels.jsonl"],
+        "mop_baseline": ["mop", "--calibrate", "baseline"],
+        "cost": ["cost", "--pricing", "pricing.jsonl"],
+    }
+
+    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
     def test_peak_is_below_a_quarter_of_the_steps(self, corpus, with_steps, argv, monkeypatch):
         from reliakit import cli
 
@@ -968,6 +977,14 @@ class TestEachEpisodeIsReducedAsItIsRead:
         assert main([argv[0], "--logs", "episodes.jsonl", *argv[1:]]) == 0
         assert len(peaks) == 1
         assert peaks[0] < with_steps / 4
+
+    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+    def test_peak_is_below_a_quarter_of_the_steps_in_three_ranges(self, corpus, with_steps,
+                                                                   argv, monkeypatch):
+        load = report._load_logs
+        monkeypatch.setattr(report, "_load_logs",
+                            lambda paths, summarize: load(paths, summarize, 3))
+        self.test_peak_is_below_a_quarter_of_the_steps(corpus, with_steps, argv, monkeypatch)
 
     def test_analyze_drops_steps_and_costs_before_the_bootstrap(self, corpus, monkeypatch):
         import gc
