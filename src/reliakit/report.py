@@ -44,7 +44,7 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (Any, BinaryIO, Callable, Generator, Generic, Iterable, Iterator, Mapping,
-                    NamedTuple, Sequence, TypeVar)
+                    Sequence, TypeVar)
 
 from .meltdown import MeltdownCell, MopConfig, _meltdown_cells, _mop_outcome
 from .metrics import (
@@ -427,11 +427,13 @@ _MIN_RANGE_BYTES = 1 << 20
 _HASH_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
 class _Raised:
     """An exception caught where a log range is read, re-raised by the fold
     in the parent when it reaches that point in line order."""
-    exc: Exception
+    __slots__ = ("exc",)
+
+    def __init__(self, exc: Exception) -> None:
+        self.exc = exc
 
 
 def _range_items(path: str | Path, summarize: Callable[[Episode], _S], meta: dict[str, Any],
@@ -536,6 +538,7 @@ def _read_log(path: str | Path, summarize: Callable[[Episode], _S], meta: dict[s
 class _Worker:
     """A forked worker process and the temporary file it writes; ``pid`` is
     None once the worker is reaped."""
+    __slots__ = ("pid", "out")
 
     def __init__(self, pid: int, out: BinaryIO) -> None:
         self.pid: int | None = pid
@@ -545,39 +548,39 @@ class _Worker:
 def _fork_range(path: str | Path, summarize: Callable[[Episode], Any], start: int, stop: int,
                 lineno: int) -> _Worker | None:
     """A forked worker reading one byte range into a temporary file; None
-    when the fork fails, so that the parent reads the range itself."""
-    out = tempfile.TemporaryFile()
+    when the file or the fork fails, so that the parent reads the range."""
+    out = None
     try:
+        out = tempfile.TemporaryFile()
         with warnings.catch_warnings():
             # Python 3.12 and later warn on a fork while another OS thread
             # runs, which numpy's BLAS threads do. The worker touches no BLAS.
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
     except OSError:
-        out.close()
+        if out is not None:
+            out.close()
         return None
     if pid == 0:
+        # The worker writes one pickle per item, then the count of non-blank
+        # lines read, or the _Raised exception that stopped the read. Each
+        # item is pickled whole before it is written, so a failure leaves no
+        # partial item in the file.
         status = 1
         try:
             meta: dict[str, Any] = {}
-            _write_items(out, _range_items(path, summarize, meta, start, stop, lineno), meta)
+            try:
+                for item in _range_items(path, summarize, meta, start, stop, lineno):
+                    out.write(pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
+                end: Any = meta["lines"]
+            except Exception as exc:
+                end = _Raised(exc)
+            out.write(pickle.dumps(end, pickle.HIGHEST_PROTOCOL))
+            out.flush()
             status = 0
         finally:
             os._exit(status)
     return _Worker(pid, out)
-
-
-def _write_items(out: BinaryIO, items: Iterator[Any], meta: dict[str, Any]) -> None:
-    """A worker's output: one pickle per item, then the count of non-blank
-    lines read, or the ``_Raised`` exception that stopped the read."""
-    try:
-        for item in items:
-            out.write(pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
-        end: Any = meta["lines"]
-    except Exception as exc:
-        end = _Raised(exc)
-    out.write(pickle.dumps(end, pickle.HIGHEST_PROTOCOL))
-    out.flush()
 
 
 def _worker_items(path: str | Path, worker: _Worker) -> Generator[Any, None, int]:
@@ -612,39 +615,30 @@ def _reap(workers: Sequence[_Worker | None]) -> None:
             worker.pid = None
 
 
-class _Read(NamedTuple):
-    """What analyze keeps of one parsed episode, from its read in any
-    process. A joined episode that is not an infra failure keeps itself
-    without its steps, its (model_id, bucket, onset, too short) row for the
-    meltdown cells and, under emit_series, its entropy series; with
-    pricing, every parsed episode keeps its cost."""
-    join_reports: Sequence[ValidationReport]
-    infra: bool
-    episode: Episode | None
-    outcome: tuple[str, str, int | None, bool] | None
-    series: tuple[tuple[int, float], ...] | None
-    cost: EpisodeCost | None
-
-
-def _fold(reads: Iterable[_Read], emit_series: bool) -> tuple[
+def _fold(reads: Iterable[tuple], emit_series: bool) -> tuple[
         list[Episode], list[tuple[str, str, int | None, bool]],
         dict[str, tuple[tuple[int, float], ...]], list[ValidationReport], int]:
     """The analyzed episodes, their meltdown rows, their entropy series
-    (under ``emit_series``), the join reports and the infra count, from
-    each kept episode's _Read in line order."""
+    (under ``emit_series``), the join reports and the infra count, from what
+    analyze kept of each episode, in line order: (join reports, is a joined
+    infra failure, the episode without its steps, its (model_id, bucket,
+    onset, too short) meltdown row, its entropy series, its cost). The
+    episode and its row are None unless it joined and is not an infra
+    failure; the series is None without ``emit_series``, and the cost
+    without pricing."""
     analysis: list[Episode] = []
     outcomes: list[tuple[str, str, int | None, bool]] = []
     series: dict[str, tuple[tuple[int, float], ...]] = {}
     join_reports: list[ValidationReport] = []
     infra_excluded = 0
-    for read in reads:
-        join_reports.extend(read.join_reports)
-        infra_excluded += read.infra
-        if read.episode is not None:
-            analysis.append(read.episode)
-            outcomes.append(read.outcome)
+    for reports, infra, episode, outcome, entropy, _ in reads:
+        join_reports.extend(reports)
+        infra_excluded += infra
+        if episode is not None:
+            analysis.append(episode)
+            outcomes.append(outcome)
             if emit_series:
-                series[read.episode.episode_id] = read.series
+                series[episode.episode_id] = entropy
     return analysis, outcomes, series, join_reports, infra_excluded
 
 
@@ -675,15 +669,16 @@ def run_pipeline(
         pricing, pricing_meta = _load_reference(load_pricing, pricing_path, "cost")
         prices = {p.model_id: p for p in pricing}
 
-    def summarize(episode: Episode) -> _Read:
+    def summarize(episode: Episode) -> tuple:
+        """What _fold needs of one episode, in any process."""
         joined, join_reports = cross_validate((episode,), registry)
         cost = None if prices is None else _episode_cost(episode, prices)
         if not joined or episode.is_infra_failure:
-            return _Read(join_reports, bool(joined), None, None, None, cost)
+            return join_reports, bool(joined), None, None, None, cost
         onset, too_short, entropy = _mop_outcome(episode, opts.mop, opts.emit_series)
-        return _Read((), False, _without_steps(episode),
-                     (episode.model_id, registry[episode.task_id].bucket, onset, too_short),
-                     entropy, cost)
+        return ((), False, _without_steps(episode),
+                (episode.model_id, registry[episode.task_id].bucket, onset, too_short),
+                entropy, cost)
 
     logs = _load_logs(log_paths, summarize)
     analysis, outcomes, series, join_reports, infra_excluded = _fold(logs.summaries,
@@ -700,7 +695,7 @@ def run_pipeline(
     try:
         melt = _meltdown_cells(outcomes)
         cost_rows = None if prices is None else _cost_rows(_cost_report(
-            read.cost for read in logs.summaries))
+            cost for *_, cost in logs.summaries))
         # Every MOP outcome and cost is now in its cell or row: drop them
         # before the bootstrap, so the tables hold no more per episode than
         # the episode without its steps.
