@@ -371,14 +371,17 @@ class _Logs(Generic[_S]):
         }
 
 
-def _load_logs(paths: Sequence[str | Path], summarize: Callable[[Episode], _S],
+def _load_logs(paths: Sequence[str | Path], summarize: Callable[[Episode], Any],
+               keep: Callable[[Any], _S] | None = None, *,
                _ranges: int | None = None) -> _Logs[_S]:
     """Parse every log, keeping the first record of an episode_id across
     files as within one, and keep only ``summarize(episode)`` of each kept
-    episode, in order. Each episode, steps and all, can be freed as soon as
-    it is summarized, so memory grows with the summaries, not with the
-    steps. ``summarize`` must be pure: it may run in a worker process, and
-    on episodes that are then dropped as duplicates.
+    episode, in order, or what ``keep`` returns of it. Each episode, steps
+    and all, can be freed as soon as it is summarized, so memory grows with
+    the summaries, not with the steps. ``summarize`` must be pure: it may
+    run in a worker process, and on episodes that are then dropped as
+    duplicates. ``keep`` runs here, on each kept episode's summary in line
+    order.
 
     Each log is read in byte ranges (see ``_read_log``; ``_ranges`` forces
     their number, for tests), and the ranges' results are folded here in
@@ -411,7 +414,7 @@ def _load_logs(paths: Sequence[str | Path], summarize: Callable[[Episode], _S],
                 seen_ids.add(episode_id)
                 if type(summary) is _Raised:
                     raise summary.exc
-                summaries.append(summary)
+                summaries.append(summary if keep is None else keep(summary))
         finally:
             items.close()
         reports.extend(duplicates)
@@ -615,33 +618,6 @@ def _reap(workers: Sequence[_Worker | None]) -> None:
             worker.pid = None
 
 
-def _fold(reads: Iterable[tuple], emit_series: bool) -> tuple[
-        list[Episode], list[tuple[str, str, int | None, bool]],
-        dict[str, tuple[tuple[int, float], ...]], list[ValidationReport], int]:
-    """The analyzed episodes, their meltdown rows, their entropy series
-    (under ``emit_series``), the join reports and the infra count, from what
-    analyze kept of each episode, in line order: (join reports, is a joined
-    infra failure, the episode without its steps, its (model_id, bucket,
-    onset, too short) meltdown row, its entropy series, its cost). The
-    episode and its row are None unless it joined and is not an infra
-    failure; the series is None without ``emit_series``, and the cost
-    without pricing."""
-    analysis: list[Episode] = []
-    outcomes: list[tuple[str, str, int | None, bool]] = []
-    series: dict[str, tuple[tuple[int, float], ...]] = {}
-    join_reports: list[ValidationReport] = []
-    infra_excluded = 0
-    for reports, infra, episode, outcome, entropy, _ in reads:
-        join_reports.extend(reports)
-        infra_excluded += infra
-        if episode is not None:
-            analysis.append(episode)
-            outcomes.append(outcome)
-            if emit_series:
-                series[episode.episode_id] = entropy
-    return analysis, outcomes, series, join_reports, infra_excluded
-
-
 def _without_steps(episode: Episode) -> Episode:
     """The episode with its steps dropped; a stepless one is returned as is."""
     return dataclasses.replace(episode, steps=()) if episode.steps else episode
@@ -669,20 +645,43 @@ def run_pipeline(
         pricing, pricing_meta = _load_reference(load_pricing, pricing_path, "cost")
         prices = {p.model_id: p for p in pricing}
 
+    # Each episode is joined, scanned and priced as it is read, in whichever
+    # process reads it: summarize returns (join reports, is a joined infra
+    # failure, the episode without its steps, its (model_id, bucket, onset,
+    # too short) meltdown row, its entropy series, its cost). The episode and
+    # its row are None unless it joined and is not an infra failure; the
+    # series is None without emit_series, and the cost without pricing.
+    # keep then folds each kept episode's tuple here, in line order, and
+    # _load_logs keeps its cost.
+    analysis: list[Episode] = []
+    outcomes: list[tuple[str, str, int | None, bool]] = []
+    series: dict[str, tuple[tuple[int, float], ...]] = {}
+    join_reports: list[ValidationReport] = []
+    infra_excluded = 0
+
     def summarize(episode: Episode) -> tuple:
-        """What _fold needs of one episode, in any process."""
-        joined, join_reports = cross_validate((episode,), registry)
+        joined, reports = cross_validate((episode,), registry)
         cost = None if prices is None else _episode_cost(episode, prices)
         if not joined or episode.is_infra_failure:
-            return join_reports, bool(joined), None, None, None, cost
+            return reports, bool(joined), None, None, None, cost
         onset, too_short, entropy = _mop_outcome(episode, opts.mop, opts.emit_series)
         return ((), False, _without_steps(episode),
                 (episode.model_id, registry[episode.task_id].bucket, onset, too_short),
                 entropy, cost)
 
-    logs = _load_logs(log_paths, summarize)
-    analysis, outcomes, series, join_reports, infra_excluded = _fold(logs.summaries,
-                                                                     opts.emit_series)
+    def keep(read: tuple) -> EpisodeCost | None:
+        nonlocal infra_excluded
+        reports, infra, episode, outcome, entropy, cost = read
+        join_reports.extend(reports)
+        infra_excluded += infra
+        if episode is not None:
+            analysis.append(episode)
+            outcomes.append(outcome)
+            if opts.emit_series:
+                series[episode.episode_id] = entropy
+        return cost
+
+    logs = _load_logs(log_paths, summarize, keep)
     if not logs.summaries:
         raise InputError("parse: no valid episodes")
     if not analysis:
@@ -694,8 +693,7 @@ def run_pipeline(
                   analyzed=len(analysis))
     try:
         melt = _meltdown_cells(outcomes)
-        cost_rows = None if prices is None else _cost_rows(_cost_report(
-            cost for *_, cost in logs.summaries))
+        cost_rows = None if prices is None else _cost_rows(_cost_report(logs.summaries))
         # Every MOP outcome and cost is now in its cell or row: drop them
         # before the bootstrap, so the tables hold no more per episode than
         # the episode without its steps.

@@ -71,12 +71,12 @@ def load_all(paths, summarize=summary):
     one-range result and that no worker outlives the call."""
     results = []
     for ranges in RANGE_COUNTS:
-        logs = _load_logs(paths, summarize, ranges)
+        logs = _load_logs(paths, summarize, _ranges=ranges)
         assert_no_children()
         results.append((logs.summaries, logs.reports, logs.inputs))
     for ranges, result in zip(RANGE_COUNTS[1:], results[1:]):
         assert result == results[0], f"{ranges} ranges differ from one"
-    return _load_logs(paths, summarize, 1)
+    return _load_logs(paths, summarize, _ranges=1)
 
 
 @st.composite
@@ -131,7 +131,7 @@ def test_a_line_that_is_not_utf8_in_a_later_range_is_the_same_error(tmp_path):
     messages = set()
     for ranges in RANGE_COUNTS:
         with pytest.raises(InputError) as caught:
-            _load_logs([log], summary, ranges)
+            _load_logs([log], summary, _ranges=ranges)
         assert_no_children()
         messages.add(str(caught.value))
     assert len(messages) == 1
@@ -154,7 +154,7 @@ def test_an_exception_in_a_worker_is_raised_in_the_parent(tmp_path, error):
 
     for ranges in RANGE_COUNTS:
         with pytest.raises(error, match="^cannot summarize e-20$"):
-            _load_logs([log], summarize, ranges)
+            _load_logs([log], summarize, _ranges=ranges)
         assert_no_children()
 
 
@@ -171,7 +171,7 @@ def test_an_exception_on_a_dropped_duplicate_is_not_raised(tmp_path):
         return episode.episode_id
 
     for ranges in RANGE_COUNTS:
-        assert _load_logs([log], summarize, ranges).counts()["duplicates"] == 1
+        assert _load_logs([log], summarize, _ranges=ranges).counts()["duplicates"] == 1
         assert_no_children()
 
 
@@ -186,7 +186,7 @@ def test_a_worker_that_dies_is_a_pipeline_error(tmp_path):
         return episode.episode_id
 
     with pytest.raises(PipelineError, match="exited with status 7"):
-        _load_logs([log], summarize, 3)
+        _load_logs([log], summarize, _ranges=3)
     assert_no_children()
 
 
@@ -200,7 +200,7 @@ def test_an_error_in_the_first_range_stops_every_worker(tmp_path):
         return episode.episode_id
 
     with pytest.raises(Boom):
-        _load_logs([log], summarize, 7)
+        _load_logs([log], summarize, _ranges=7)
     assert_no_children()
 
 
@@ -212,7 +212,7 @@ def test_one_range_forks_nothing(tmp_path, monkeypatch):
         raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    expected = _load_logs([log], summary, 1)
+    expected = _load_logs([log], summary, _ranges=1)
     # A log below the minimum range size, on any number of CPUs.
     assert _load_logs([log], summary) == expected
     # While another Python thread runs, even a forced range count.
@@ -220,7 +220,7 @@ def test_one_range_forks_nothing(tmp_path, monkeypatch):
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert _load_logs([log], summary, 3) == expected
+        assert _load_logs([log], summary, _ranges=3) == expected
     finally:
         stop.set()
         thread.join(timeout=10)
@@ -230,13 +230,13 @@ def test_one_range_forks_nothing(tmp_path, monkeypatch):
 def test_a_failed_fork_reads_the_range_in_the_parent(tmp_path, monkeypatch):
     lines = [episode_line(f"e-{i}", steps=10) for i in range(30)]
     log = write_log(tmp_path / "log.jsonl", lines)
-    expected = _load_logs([log], summary, 1)
+    expected = _load_logs([log], summary, _ranges=1)
 
     def no_fork():
         raise BlockingIOError("no process left")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert _load_logs([log], summary, 3) == expected
+    assert _load_logs([log], summary, _ranges=3) == expected
 
 
 def test_the_fork_warning_is_never_shown(tmp_path, monkeypatch):
@@ -254,7 +254,7 @@ def test_the_fork_warning_is_never_shown(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fork", warning_fork)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _load_logs([log], summary, 3) == _load_logs([log], summary, 1)
+        assert _load_logs([log], summary, _ranges=3) == _load_logs([log], summary, _ranges=1)
     assert_no_children()
 
 

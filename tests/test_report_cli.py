@@ -825,7 +825,7 @@ class TestEverySubcommandReadsLogsAlike:
     def test_loading_streams_the_log_in_three_ranges(self, tmp_path, monkeypatch):
         load = report._load_logs
         monkeypatch.setattr(report, "_load_logs",
-                            lambda paths, summarize: load(paths, summarize, 3))
+                            lambda paths, summarize: load(paths, summarize, _ranges=3))
         self.test_loading_streams_the_log(tmp_path)
 
     @pytest.mark.parametrize("enabled", [True, False])
@@ -966,8 +966,9 @@ class TestEachEpisodeIsReducedAsItIsRead:
         load = report._load_logs
         peaks = []
 
-        def traced(paths, summarize):
-            logs, _, peak = self.traced_load(load, paths, summarize)
+        def traced(paths, summarize, keep=None):
+            logs, _, peak = self.traced_load(
+                lambda paths, summarize: load(paths, summarize, keep), paths, summarize)
             peaks.append(peak)
             return logs
 
@@ -982,8 +983,8 @@ class TestEachEpisodeIsReducedAsItIsRead:
     def test_peak_is_below_a_quarter_of_the_steps_in_three_ranges(self, corpus, with_steps,
                                                                    argv, monkeypatch):
         load = report._load_logs
-        monkeypatch.setattr(report, "_load_logs",
-                            lambda paths, summarize: load(paths, summarize, 3))
+        monkeypatch.setattr(report, "_load_logs", lambda paths, summarize, keep=None: load(
+            paths, summarize, keep, _ranges=3))
         self.test_peak_is_below_a_quarter_of_the_steps(corpus, with_steps, argv, monkeypatch)
 
     def test_analyze_drops_steps_and_costs_before_the_bootstrap(self, corpus, monkeypatch):
