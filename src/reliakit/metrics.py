@@ -555,7 +555,11 @@ def _percentile_bootstrap(
         raise MetricError(f"bootstrap_ci: level {level} outside (0, 1)")
     if any(n == 0 for n in sizes):
         raise MetricError("bootstrap_ci: empty resampling pool")
-    kept = [np.empty(b) for _ in chunk_statistics]
+    try:
+        kept = [np.empty(b) for _ in chunk_statistics]
+    except MemoryError as exc:
+        raise MetricError(f"bootstrap_ci: b={b} resamples need {8 * b} bytes per statistic,"
+                          " more than this machine can allocate") from exc
     filled = [0] * len(chunk_statistics)
     for chunk in _resample_chunks(seed, "bootstrap", b, sizes):
         for s, chunk_statistic in enumerate(chunk_statistics):

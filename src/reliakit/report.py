@@ -372,20 +372,20 @@ class _Logs(Generic[_S]):
 
 
 def _load_logs(paths: Sequence[str | Path], summarize: Callable[[Episode], Any],
-               keep: Callable[[Any], _S] | None = None, *,
-               _ranges: int | None = None) -> _Logs[_S]:
+               keep: Callable[[Any], _S] | None = None) -> _Logs[_S]:
     """Parse every log, keeping the first record of an episode_id across
     files as within one, and keep only ``summarize(episode)`` of each kept
     episode, in order, or what ``keep`` returns of it. Each episode, steps
     and all, can be freed as soon as it is summarized, so memory grows with
     the summaries, not with the steps. ``summarize`` must be pure: it may
-    run in a worker process, and on episodes that are then dropped as
-    duplicates. ``keep`` runs here, on each kept episode's summary in line
+    run in a worker process. It runs on every parsed episode, duplicates
+    too, and its first exception in line order stops the read and is
+    raised here. ``keep`` runs here, on each kept episode's summary in line
     order.
 
-    Each log is read in byte ranges (see ``_read_log``; ``_ranges`` forces
-    their number, for tests), and the ranges' results are folded here in
-    line order, so nothing returned depends on how many there were.
+    Each log is read in byte ranges (see ``_read_log``), and the ranges'
+    results are folded here in line order, so nothing returned or raised
+    depends on how many there were.
     Reports come in parse_episode_log's order per file, each file's
     cross-file duplicate warnings after its parse reports."""
     summaries: list[_S] = []
@@ -395,7 +395,7 @@ def _load_logs(paths: Sequence[str | Path], summarize: Callable[[Episode], Any],
     for path in paths:
         meta: dict[str, Any] = {}
         duplicates: list[ValidationReport] = []
-        items = _read_log(path, summarize, meta, _ranges)
+        items = _read_log(path, summarize, meta)
         try:
             for item in _dedup(items):
                 if isinstance(item, ValidationReport):
@@ -412,8 +412,6 @@ def _load_logs(paths: Sequence[str | Path], summarize: Callable[[Episode], Any],
                     ))
                     continue
                 seen_ids.add(episode_id)
-                if type(summary) is _Raised:
-                    raise summary.exc
                 summaries.append(summary if keep is None else keep(summary))
         finally:
             items.close()
@@ -430,39 +428,21 @@ _MIN_RANGE_BYTES = 1 << 20
 _HASH_BLOCK = 1 << 16
 
 
-class _Raised:
-    """An exception caught where a log range is read, re-raised by the fold
-    in the parent when it reaches that point in line order."""
-    __slots__ = ("exc",)
-
-    def __init__(self, exc: Exception) -> None:
-        self.exc = exc
-
-
 def _range_items(path: str | Path, summarize: Callable[[Episode], _S], meta: dict[str, Any],
-                 start: int = 0, stop: int | None = None,
-                 lineno: int = 1) -> Iterator[ValidationReport | tuple[int, str, bool, Any]]:
-    """``_parse_lines`` over one byte range of a log, each episode's payload
-    its summary, or the ``_Raised`` exception that ``summarize`` raised: it
-    is raised only if the episode is kept."""
-    def payload(episode: Episode) -> Any:
-        try:
-            return summarize(episode)
-        except Exception as exc:
-            return _Raised(exc)
-
+                 start: int, stop: int | None,
+                 lineno: int) -> Iterator[ValidationReport | tuple[int, str, bool, _S]]:
+    """``_parse_lines`` over the bytes [start, stop) of a log, which begin
+    line ``lineno``, each episode's payload its summary."""
     return _parse_lines(_iter_lines(_read_lines(path, "parse", meta, start, stop, lineno),
-                                    lineno), payload)
+                                    lineno), summarize)
 
 
-def _range_count(path: str | Path, forced: int | None) -> int:
+def _range_count(path: str | Path) -> int:
     """How many byte ranges to read a log in: one per usable CPU, each at
-    least _MIN_RANGE_BYTES, or ``forced``. One wherever a worker cannot be
-    forked safely: without os.fork, or while another Python thread runs."""
+    least _MIN_RANGE_BYTES. One wherever a worker cannot be forked safely:
+    without os.fork, or while another Python thread runs."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    if forced is not None:
-        return forced
     try:
         size = os.path.getsize(path)
     except OSError:
@@ -471,7 +451,7 @@ def _range_count(path: str | Path, forced: int | None) -> int:
     return max(1, min(cpus or 1, size // _MIN_RANGE_BYTES))
 
 
-def _plan_ranges(path: str | Path, n: int, meta: dict[str, Any]) -> list[tuple[int, int, int]]:
+def _range_plan(path: str | Path, n: int, meta: dict[str, Any]) -> list[tuple[int, int, int]]:
     """(start, stop, first line number) of up to ``n`` byte ranges that
     split the file at line starts near even offsets. Reads the file once,
     in blocks of _HASH_BLOCK, and puts its path and sha256 in ``meta``."""
@@ -503,8 +483,8 @@ def _plan_ranges(path: str | Path, n: int, meta: dict[str, Any]) -> list[tuple[i
     return [(start, stop, lineno) for (start, lineno), stop in zip(starts, stops)]
 
 
-def _read_log(path: str | Path, summarize: Callable[[Episode], _S], meta: dict[str, Any],
-              forced: int | None) -> Iterator[ValidationReport | tuple[int, str, bool, Any]]:
+def _read_log(path: str | Path, summarize: Callable[[Episode], _S],
+              meta: dict[str, Any]) -> Iterator[ValidationReport | tuple[int, str, bool, _S]]:
     """``_range_items`` over each byte range of one log, in line order; at
     the end ``meta`` holds the file's path, sha256 and non-blank lines.
 
@@ -515,22 +495,18 @@ def _read_log(path: str | Path, summarize: Callable[[Episode], _S], meta: dict[s
     one item at a time. A worker is forked, not spawned, so that it shares
     the caller's ``summarize`` closure without pickling it. Closing this
     generator early kills and reaps every worker it started; none outlives
-    it. A one-range read forks nothing."""
-    n = _range_count(path, forced)
-    if n == 1:
-        yield from _range_items(path, summarize, meta)
-        return
-    ranges = _plan_ranges(path, n, meta)
+    it. A one-range read forks nothing, and hashes the file as it reads it."""
+    n = _range_count(path)
+    ranges = _range_plan(path, n, meta) if n > 1 else [(0, None, 1)]
     workers: list[_Worker | None] = []
     try:
         for start, stop, lineno in ranges[1:]:
             workers.append(_fork_range(path, summarize, start, stop, lineno))
         lines = 0
         for (start, stop, lineno), worker in zip(ranges, [None, *workers]):
-            part: dict[str, Any] = {}
             if worker is None:  # the first range, or one whose fork failed
-                yield from _range_items(path, summarize, part, start, stop, lineno)
-                lines += part["lines"]
+                yield from _range_items(path, summarize, meta, start, stop, lineno)
+                lines += meta["lines"]
             else:
                 lines += yield from _worker_items(path, worker)
     finally:
@@ -540,7 +516,7 @@ def _read_log(path: str | Path, summarize: Callable[[Episode], _S], meta: dict[s
 
 class _Worker:
     """A forked worker process and the temporary file it writes; ``pid`` is
-    None once the worker is reaped."""
+    None once its items are read back."""
     __slots__ = ("pid", "out")
 
     def __init__(self, pid: int, out: BinaryIO) -> None:
@@ -566,7 +542,7 @@ def _fork_range(path: str | Path, summarize: Callable[[Episode], Any], start: in
         return None
     if pid == 0:
         # The worker writes one pickle per item, then the count of non-blank
-        # lines read, or the _Raised exception that stopped the read. Each
+        # lines read, or the exception that stopped the read. Each
         # item is pickled whole before it is written, so a failure leaves no
         # partial item in the file.
         status = 1
@@ -577,7 +553,7 @@ def _fork_range(path: str | Path, summarize: Callable[[Episode], Any], start: in
                     out.write(pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
                 end: Any = meta["lines"]
             except Exception as exc:
-                end = _Raised(exc)
+                end = exc
             out.write(pickle.dumps(end, pickle.HIGHEST_PROTOCOL))
             out.flush()
             status = 0
@@ -600,8 +576,8 @@ def _worker_items(path: str | Path, worker: _Worker) -> Generator[Any, None, int
                                 f" {os.waitstatus_to_exitcode(status)} ({exc!r})") from exc
         if type(item) is int:
             return item
-        if type(item) is _Raised:
-            raise item.exc
+        if isinstance(item, Exception):
+            raise item
         yield item
 
 
@@ -615,7 +591,6 @@ def _reap(workers: Sequence[_Worker | None]) -> None:
             import signal
             os.kill(worker.pid, signal.SIGKILL)
             os.waitpid(worker.pid, 0)
-            worker.pid = None
 
 
 def _without_steps(episode: Episode) -> Episode:
@@ -702,6 +677,10 @@ def run_pipeline(
         tables = _build_tables(analysis, melt, cost_rows, registry, opts)
     except (InputError, PipelineError):
         raise
+    except MetricError as exc:
+        # Each selection's own MetricError is a table cell; one that escapes
+        # comes from an option, such as a bootstrap_b that cannot be allocated.
+        raise InputError(f"metrics: {exc}") from exc
     except Exception as exc:  # pragma: no cover - defensive stage wrapper
         raise PipelineError(f"metrics: {exc!r}") from exc
     conservation = (

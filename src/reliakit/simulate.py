@@ -22,10 +22,11 @@ trajectory generators where episode-level addressing matters.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,6 +89,16 @@ def _check_size(name: str, value: int, elements: int = 0) -> None:
                               f" numpy can allocate ({sys.maxsize // 8})")
 
 
+@contextlib.contextmanager
+def _allocating(name: str, value: int, elements: int) -> Iterator[None]:
+    """Refuse, as _check_size does, float64 draws this machine cannot allocate."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise SimulationError(f"{name} {value} needs {elements} float64 draws, more than"
+                              " this machine can allocate") from exc
+
+
 def _check_labels(model_id: str, scaffold: str) -> None:
     """Refuse episode labels that the log parser would reject."""
     if not model_id:
@@ -140,25 +151,26 @@ def simulate_steps(config: SimConfig) -> np.ndarray:
     gen = substream(config.seed, "steps", config.model)
     n, t = config.episodes, config.horizon_t
     eps = config.epsilon
-    if config.model == "iid":
-        return gen.random((n, t)) < eps
-    if config.model == "hazard":
-        steps = np.arange(1, t + 1, dtype=float)
-        eps_t = eps * (1.0 + config.hazard_gamma * steps)
-        return gen.random((n, t)) < eps_t[np.newaxis, :]
-    # exchangeable: latent per-episode rate q with mean eps, variance rho*eps^2
-    variance = config.rho * eps ** 2
-    ceiling = eps * (1.0 - eps)
-    if variance == 0.0:
-        q = np.full(n, eps)
-    elif math.isclose(variance, ceiling, rel_tol=1e-12, abs_tol=0.0):
-        # Maximal-variance boundary: the Beta degenerates to a two-point
-        # law q in {0, 1} with P(q = 1) = eps.
-        q = (gen.random(n) < eps).astype(float)
-    else:
-        phi = ceiling / variance - 1.0
-        q = gen.beta(eps * phi, (1.0 - eps) * phi, size=n)
-    return gen.random((n, t)) < q[:, np.newaxis]
+    with _allocating("episodes", n, n * t):
+        if config.model == "iid":
+            return gen.random((n, t)) < eps
+        if config.model == "hazard":
+            steps = np.arange(1, t + 1, dtype=float)
+            eps_t = eps * (1.0 + config.hazard_gamma * steps)
+            return gen.random((n, t)) < eps_t[np.newaxis, :]
+        # exchangeable: latent per-episode rate q with mean eps, variance rho*eps^2
+        variance = config.rho * eps ** 2
+        ceiling = eps * (1.0 - eps)
+        if variance == 0.0:
+            q = np.full(n, eps)
+        elif math.isclose(variance, ceiling, rel_tol=1e-12, abs_tol=0.0):
+            # Maximal-variance boundary: the Beta degenerates to a two-point
+            # law q in {0, 1} with P(q = 1) = eps.
+            q = (gen.random(n) < eps).astype(float)
+        else:
+            phi = ceiling / variance - 1.0
+            q = gen.beta(eps * phi, (1.0 - eps) * phi, size=n)
+        return gen.random((n, t)) < q[:, np.newaxis]
 
 
 def predicted_failcount_variance(epsilon: float, rho: float, t: int) -> float:
@@ -261,7 +273,8 @@ def simulate_agent_study(
             task = _study_task(bucket, i)
             tasks.append(task)
             gen = substream(seed, "study", bucket, i)
-            draws = gen.random(k)
+            with _allocating("k", k, k):
+                draws = gen.random(k)
             for r in range(k):
                 passed = bool(draws[r] < p)
                 if passed:

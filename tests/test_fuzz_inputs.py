@@ -205,17 +205,22 @@ def test_found_cases(kind, edits, command):
 
 # --- CLI knobs -------------------------------------------------------------
 
+# The largest size whose float64 array numpy accepts (sys.maxsize // 8 on a
+# 64-bit build): its 8 EiB fail to allocate at once on any machine.
+HUGE = str(2 ** 60 - 1)
+
 KNOB_VALUES = ("0", "-1", "1", "2", "999", "1000", "nan", "inf", "-inf", "-0.0", "1e308",
-               str(2 ** 62), str(2 ** 63), "", "0x10", "1_000")
+               HUGE, str(2 ** 62), str(2 ** 63), "", "0x10", "1_000")
 
 # A size is fed only small values, or values refused before anything is
-# allocated: an accepted large size would allocate or loop as far as it goes.
-# 2^62 is refused where it shapes a float64 array (--episodes, --horizon and
-# --k), but a loop count below sys.maxsize is accepted.
+# allocated or looped over: an accepted large size would allocate or loop as
+# far as it goes. Where a size shapes a float64 array (--episodes, --horizon
+# and --k), 2^62 is refused before the array and 2^60 - 1 when it cannot be
+# allocated; but a loop count below sys.maxsize is accepted.
 SIZES = ("--tasks-per-bucket", "--count", "--episodes", "--horizon", "--k")
 NEVER = {flag: {"999", "1000", "1_000"} for flag in SIZES}
 for flag in ("--tasks-per-bucket", "--count"):
-    NEVER[flag].add(str(2 ** 62))
+    NEVER[flag] |= {HUGE, str(2 ** 62)}
 
 # Values a knob's own parser accepts, besides its argparse choices.
 ACCEPTED = {"--vaf-num": BUCKETS, "--vaf-den": BUCKETS, "--scaffold": SCAFFOLDS}
@@ -304,6 +309,32 @@ def test_a_size_numpy_cannot_index_is_refused(flag):
 def test_a_size_numpy_can_index_but_not_allocate_is_refused(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert "more than numpy can allocate" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--mode", "steps", "--episodes", HUGE, "--horizon", "1"],
+    ["simulate", "--mode", "steps", "--episodes", "1", "--horizon", HUGE],
+    ["simulate", "--mode", "study", "--tasks-per-bucket", "1", "--k", HUGE],
+], ids=["episodes", "horizon", "k"])
+def test_a_size_this_machine_cannot_allocate_is_refused(argv, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert "more than this machine can allocate" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_bootstrap_this_machine_cannot_allocate_is_refused(tmp_path, capsys):
+    """A study whose VAF is defined, so that --bootstrap-b sizes its buffers."""
+    data = tmp_path / "data"
+    assert main(["simulate", "--mode", "study", "--tasks-per-bucket", "20", "--k", "3",
+                 "--p", "0.6,0.5,0.5,0.4", "--seed", "7", "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--logs", str(data / "episodes.jsonl"),
+                 "--registry", str(data / "tasks.jsonl"), "--bootstrap-b", HUGE,
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: metrics: bootstrap_ci: b={HUGE} resamples need")
+    assert err.endswith("more than this machine can allocate\n")
     assert not (tmp_path / "out").exists()
 
 

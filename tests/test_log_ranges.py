@@ -2,9 +2,11 @@
 
 ``report._load_logs`` reads a log's first range in the calling process and
 each other range in a forked worker, then folds every range's items in line
-order. Its private ``_ranges`` argument forces the number of ranges; these
-tests check that the result never depends on it, and that no worker is left
-running or unreaped after a success or an error.
+order. ``report._range_count`` picks the number of ranges from the log's
+size, ``report._MIN_RANGE_BYTES`` and ``os.sched_getaffinity``; these tests
+set the number by patching the last two, check that the result and every
+error never depend on it, and that no worker is left running or unreaped
+after a success or an error.
 """
 from __future__ import annotations
 
@@ -26,6 +28,20 @@ from reliakit.trajectory import serialize_episode, serialize_task
 RANGE_COUNTS = (1, 2, 3, 7)
 TASK = make_task("t-1")
 PRICING = '{"model_id": "m1", "input_per_million": 1.0, "output_per_million": 2.0}\n'
+
+
+def use_ranges(monkeypatch, ranges: int) -> None:
+    """Read every log of at least ``ranges`` bytes in ``ranges`` ranges: a
+    one-byte minimum range and that many usable CPUs."""
+    monkeypatch.setattr(report, "_MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(ranges)))
+
+
+def load(paths, summarize, ranges: int):
+    """``_load_logs`` with every log read in ``ranges`` ranges."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        use_ranges(monkeypatch, ranges)
+        return _load_logs(paths, summarize)
 
 
 def assert_no_children() -> None:
@@ -71,12 +87,12 @@ def load_all(paths, summarize=summary):
     one-range result and that no worker outlives the call."""
     results = []
     for ranges in RANGE_COUNTS:
-        logs = _load_logs(paths, summarize, _ranges=ranges)
+        logs = load(paths, summarize, ranges)
         assert_no_children()
         results.append((logs.summaries, logs.reports, logs.inputs))
     for ranges, result in zip(RANGE_COUNTS[1:], results[1:]):
         assert result == results[0], f"{ranges} ranges differ from one"
-    return _load_logs(paths, summarize, _ranges=1)
+    return load(paths, summarize, 1)
 
 
 @st.composite
@@ -131,7 +147,7 @@ def test_a_line_that_is_not_utf8_in_a_later_range_is_the_same_error(tmp_path):
     messages = set()
     for ranges in RANGE_COUNTS:
         with pytest.raises(InputError) as caught:
-            _load_logs([log], summary, _ranges=ranges)
+            load([log], summary, ranges)
         assert_no_children()
         messages.add(str(caught.value))
     assert len(messages) == 1
@@ -154,13 +170,13 @@ def test_an_exception_in_a_worker_is_raised_in_the_parent(tmp_path, error):
 
     for ranges in RANGE_COUNTS:
         with pytest.raises(error, match="^cannot summarize e-20$"):
-            _load_logs([log], summarize, _ranges=ranges)
+            load([log], summarize, ranges)
         assert_no_children()
 
 
-def test_an_exception_on_a_dropped_duplicate_is_not_raised(tmp_path):
-    """Every parsed episode is summarized, but what ``summarize`` raised on
-    a duplicate is dropped with it: only a kept episode's exception counts."""
+def test_an_exception_on_a_duplicate_is_raised(tmp_path):
+    """Every parsed episode is summarized, duplicates too, so what
+    ``summarize`` raises on a duplicate stops the read at every range count."""
     lines = [episode_line(f"e-{i}", steps=10) for i in range(30)]
     lines.append(episode_line("e-0", model_id="copy"))
     log = write_log(tmp_path / "log.jsonl", lines)
@@ -171,7 +187,8 @@ def test_an_exception_on_a_dropped_duplicate_is_not_raised(tmp_path):
         return episode.episode_id
 
     for ranges in RANGE_COUNTS:
-        assert _load_logs([log], summarize, _ranges=ranges).counts()["duplicates"] == 1
+        with pytest.raises(Boom, match="^duplicate summarized$"):
+            load([log], summarize, ranges)
         assert_no_children()
 
 
@@ -186,7 +203,7 @@ def test_a_worker_that_dies_is_a_pipeline_error(tmp_path):
         return episode.episode_id
 
     with pytest.raises(PipelineError, match="exited with status 7"):
-        _load_logs([log], summarize, _ranges=3)
+        load([log], summarize, 3)
     assert_no_children()
 
 
@@ -200,8 +217,51 @@ def test_an_error_in_the_first_range_stops_every_worker(tmp_path):
         return episode.episode_id
 
     with pytest.raises(Boom):
-        _load_logs([log], summarize, _ranges=7)
+        load([log], summarize, 7)
     assert_no_children()
+
+
+MIN_RANGE = 100
+
+
+@pytest.mark.parametrize("size, cpus, case, expected", [
+    (0, 8, None, 1),
+    (MIN_RANGE - 1, 8, None, 1),
+    (MIN_RANGE, 8, None, 1),
+    (4 * MIN_RANGE - 1, 8, None, 3),
+    (10 * MIN_RANGE, 2, None, 2),
+    (10 * MIN_RANGE, 8, None, 8),
+    (10 * MIN_RANGE, 1, None, 1),
+    (10 * MIN_RANGE, 2, "no_affinity", 2),
+    (10 * MIN_RANGE, 8, "missing", 1),
+    (10 * MIN_RANGE, 8, "no_fork", 1),
+    (10 * MIN_RANGE, 8, "thread", 1),
+], ids=["empty", "below_one_range", "one_range", "capped_by_size", "capped_by_cpus",
+        "one_per_cpu", "one_cpu", "cpu_count", "missing", "no_fork", "thread"])
+def test_the_range_count(tmp_path, monkeypatch, size, cpus, case, expected):
+    """One range per usable CPU, each at least ``_MIN_RANGE_BYTES``, and one
+    wherever a worker cannot be forked."""
+    log = tmp_path / "log.jsonl"
+    if case != "missing":
+        log.write_bytes(b"x" * size)
+    monkeypatch.setattr(report, "_MIN_RANGE_BYTES", MIN_RANGE)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    if case == "no_affinity":
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if case == "no_fork":
+        monkeypatch.delattr(os, "fork")
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if case == "thread":
+        thread.start()
+    try:
+        assert report._range_count(log) == expected
+    finally:
+        stop.set()
+        if case == "thread":
+            thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def test_one_range_forks_nothing(tmp_path, monkeypatch):
@@ -212,15 +272,17 @@ def test_one_range_forks_nothing(tmp_path, monkeypatch):
         raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    expected = _load_logs([log], summary, _ranges=1)
+    expected = load([log], summary, 1)
     # A log below the minimum range size, on any number of CPUs.
-    assert _load_logs([log], summary) == expected
-    # While another Python thread runs, even a forced range count.
+    with pytest.MonkeyPatch.context() as cpus:
+        cpus.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert _load_logs([log], summary) == expected
+    # While another Python thread runs, at any size and number of CPUs.
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert _load_logs([log], summary, _ranges=3) == expected
+        assert load([log], summary, 3) == expected
     finally:
         stop.set()
         thread.join(timeout=10)
@@ -230,13 +292,13 @@ def test_one_range_forks_nothing(tmp_path, monkeypatch):
 def test_a_failed_fork_reads_the_range_in_the_parent(tmp_path, monkeypatch):
     lines = [episode_line(f"e-{i}", steps=10) for i in range(30)]
     log = write_log(tmp_path / "log.jsonl", lines)
-    expected = _load_logs([log], summary, _ranges=1)
+    expected = load([log], summary, 1)
 
     def no_fork():
         raise BlockingIOError("no process left")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert _load_logs([log], summary, _ranges=3) == expected
+    assert load([log], summary, 3) == expected
 
 
 def test_the_fork_warning_is_never_shown(tmp_path, monkeypatch):
@@ -254,7 +316,7 @@ def test_the_fork_warning_is_never_shown(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fork", warning_fork)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _load_logs([log], summary, _ranges=3) == _load_logs([log], summary, _ranges=1)
+        assert load([log], summary, 3) == load([log], summary, 1)
     assert_no_children()
 
 
@@ -291,7 +353,7 @@ COMMANDS = {
 def run_cli(corpus: Path, argv: list[str], out: str, monkeypatch, capsys, ranges: int):
     """Exit code, stdout, stderr and output files of one CLI run with every
     log read in ``ranges`` ranges."""
-    monkeypatch.setattr(report, "_range_count", lambda path, forced: ranges)
+    use_ranges(monkeypatch, ranges)
     monkeypatch.chdir(corpus)
     capsys.readouterr()
     code = main([argv[0], "--logs", "episodes.jsonl", *argv[1:],

@@ -823,9 +823,8 @@ class TestEverySubcommandReadsLogsAlike:
         assert peak < size / 4
 
     def test_loading_streams_the_log_in_three_ranges(self, tmp_path, monkeypatch):
-        load = report._load_logs
-        monkeypatch.setattr(report, "_load_logs",
-                            lambda paths, summarize: load(paths, summarize, _ranges=3))
+        monkeypatch.setattr(report, "_MIN_RANGE_BYTES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         self.test_loading_streams_the_log(tmp_path)
 
     @pytest.mark.parametrize("enabled", [True, False])
@@ -982,9 +981,8 @@ class TestEachEpisodeIsReducedAsItIsRead:
     @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
     def test_peak_is_below_a_quarter_of_the_steps_in_three_ranges(self, corpus, with_steps,
                                                                    argv, monkeypatch):
-        load = report._load_logs
-        monkeypatch.setattr(report, "_load_logs", lambda paths, summarize, keep=None: load(
-            paths, summarize, keep, _ranges=3))
+        monkeypatch.setattr(report, "_MIN_RANGE_BYTES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         self.test_peak_is_below_a_quarter_of_the_steps(corpus, with_steps, argv, monkeypatch)
 
     def test_analyze_drops_steps_and_costs_before_the_bootstrap(self, corpus, monkeypatch):
