@@ -10,6 +10,7 @@ after a success or an error.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import threading
@@ -76,10 +77,11 @@ def write_log(path: Path, lines: list[str]) -> Path:
     return path
 
 
-def summary(episode):
-    """Everything of an episode but its steps, and a digest of them."""
-    return (report._without_steps(episode),
-            tuple((s.tool, s.args_canonical, s.tokens_in) for s in episode.steps))
+def summary(episode, *columns):
+    """All that the loader hands over of an episode: the episode without its
+    steps, a digest of any steps it has, and any step columns beside it."""
+    return (dataclasses.replace(episode, steps=()),
+            tuple((s.tool, s.args_canonical, s.tokens_in) for s in episode.steps), columns)
 
 
 def load_all(paths, summarize=summary):
@@ -163,7 +165,7 @@ def test_an_exception_in_a_worker_is_raised_in_the_parent(tmp_path, error):
     lines = [episode_line(f"e-{i}", steps=10) for i in range(30)]
     log = write_log(tmp_path / "log.jsonl", lines)
 
-    def summarize(episode):
+    def summarize(episode, *columns):
         if episode.episode_id in ("e-20", "e-27"):
             raise error(f"cannot summarize {episode.episode_id}")
         return episode.episode_id
@@ -181,7 +183,7 @@ def test_an_exception_on_a_duplicate_is_raised(tmp_path):
     lines.append(episode_line("e-0", model_id="copy"))
     log = write_log(tmp_path / "log.jsonl", lines)
 
-    def summarize(episode):
+    def summarize(episode, *columns):
         if episode.model_id == "copy":
             raise Boom("duplicate summarized")
         return episode.episode_id
@@ -197,7 +199,7 @@ def test_a_worker_that_dies_is_a_pipeline_error(tmp_path):
     log = write_log(tmp_path / "log.jsonl", lines)
     parent = os.getpid()
 
-    def summarize(episode):
+    def summarize(episode, *columns):
         if episode.episode_id == "e-29" and os.getpid() != parent:
             os._exit(7)
         return episode.episode_id
@@ -211,7 +213,7 @@ def test_an_error_in_the_first_range_stops_every_worker(tmp_path):
     lines = [episode_line(f"e-{i}", steps=10) for i in range(30)]
     log = write_log(tmp_path / "log.jsonl", lines)
 
-    def summarize(episode):
+    def summarize(episode, *columns):
         if episode.episode_id == "e-0":
             raise Boom("first")
         return episode.episode_id
@@ -379,10 +381,10 @@ def test_every_command_writes_the_same_bytes_at_every_range_count(
 def test_a_worker_exception_keeps_its_exit_code(corpus, error, code, monkeypatch, capsys):
     price = report._episode_cost
 
-    def failing(episode, prices):
+    def failing(episode, *args):
         if episode.episode_id == "ep-050":
             raise error("no price today")
-        return price(episode, prices)
+        return price(episode, *args)
 
     monkeypatch.setattr(report, "_episode_cost", failing)
     runs = [run_cli(corpus, COMMANDS["analyze"], f"out-{ranges}", monkeypatch, capsys, ranges)

@@ -26,6 +26,7 @@ from reliakit import (
     compute_cost,
     emit_report,
     load_pricing,
+    parse_episode_log,
     run_pipeline,
     simulate_agent_study,
     write_episode_log,
@@ -814,7 +815,7 @@ class TestEverySubcommandReadsLogsAlike:
         assert size > 3_000_000
         tracemalloc.start()
         try:
-            logs = _load_logs([log], lambda episode: episode)
+            logs = _load_logs([log], lambda episode, *columns: episode)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -837,11 +838,11 @@ class TestEverySubcommandReadsLogsAlike:
         was_enabled = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
-            assert _load_logs([log], lambda episode: episode.episode_id).counts()["parsed"] > 0
+            assert _load_logs([log], lambda episode, *columns: episode.episode_id).counts()["parsed"] > 0
             assert gc.isenabled() is enabled
             with pytest.raises(InputError):
                 _load_logs([log, tmp_path / "missing.jsonl"],
-                           lambda episode: episode.episode_id)
+                           lambda episode, *columns: episode.episode_id)
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was_enabled else gc.disable)()
@@ -929,9 +930,9 @@ class TestEachEpisodeIsReducedAsItIsRead:
     @pytest.fixture(scope="class")
     def with_steps(self, corpus):
         """Traced bytes the corpus's episodes hold with their steps."""
-        logs, held, _ = self.traced_load(report._load_logs, [corpus / "episodes.jsonl"],
-                                         lambda episode: episode)
-        assert logs.counts()["parsed"] == self.EPISODES
+        (episodes, _), held, _ = self.traced_load(
+            lambda paths, _: parse_episode_log(paths[0]), [corpus / "episodes.jsonl"], None)
+        assert len(episodes) == self.EPISODES
         assert held > self.EPISODES * self.STEPS * 150
         return held
 
