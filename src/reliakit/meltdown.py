@@ -106,6 +106,11 @@ def _steps_of(source: Episode | Sequence[ToolStep]) -> tuple[str, Sequence[ToolS
     return "", source
 
 
+def _tools_of(source: Episode | Sequence[ToolStep]) -> list[str]:
+    """The tool name of each step: all that detection and calibration read."""
+    return [step.tool for step in _steps_of(source)[1]]
+
+
 def window_distribution(
     trajectory: Sequence[ToolStep], t: int, w: int
 ) -> dict[str, float]:
@@ -140,12 +145,16 @@ def entropy_series(
     A window's entropy depends only on the multiset of its counts (fsum is
     exactly rounded, so the order of the terms does not matter), so each
     distinct sorted count tuple is computed once per call."""
+    return _entropy_series([step.tool for step in trajectory], w)
+
+
+def _entropy_series(tools: Sequence[str], w: int) -> tuple[tuple[int, float], ...]:
+    """entropy_series over the steps' tool names."""
     if w < 1:
         raise MeltdownError(f"window size must be >= 1, got {w}")
-    n = len(trajectory)
+    n = len(tools)
     if n < w:
         return ()
-    tools = [step.tool for step in trajectory]
     counts: dict[str, int] = {}
     for tool in tools[:w]:
         counts[tool] = counts.get(tool, 0) + 1
@@ -191,11 +200,14 @@ def detect_mop(
 ) -> MopResult:
     """Earliest step whose window entropy strictly exceeds theta_h while
     strictly exceeding the entropy one window span earlier by delta."""
-    config = config or MopConfig()
-    episode_id, steps = _steps_of(source)
-    series = entropy_series(steps, config.window_w)
+    return _detect(_steps_of(source)[0], _tools_of(source), config or MopConfig())
+
+
+def _detect(episode_id: str, tools: Sequence[str], config: MopConfig) -> MopResult:
+    """detect_mop over the steps' tool names."""
+    series = _entropy_series(tools, config.window_w)
     max_entropy = max((h for _, h in series), default=0.0)
-    too_short = len(steps) < 2 * config.window_w
+    too_short = len(tools) < 2 * config.window_w
     onset = None
     if not too_short:
         onset = _onset_from_series(series, config.window_w, config.theta_h, config.delta)
@@ -235,20 +247,19 @@ def calibrate_mop_f1(
         raise MeltdownError("calibrate_mop_f1: empty labeled set")
     if not grid_theta or not grid_delta:
         raise MeltdownError("calibrate_mop_f1: empty grid")
-    return _best_f1([(_largest_rises(source, grid_theta, w), bool(label))
+    return _best_f1([(_largest_rises(_tools_of(source), grid_theta, w), bool(label))
                      for source, label in labeled], grid_theta, grid_delta)
 
 
-def _largest_rises(source: Episode | Sequence[ToolStep], grid_theta: Sequence[float],
+def _largest_rises(tools: Sequence[str], grid_theta: Sequence[float],
                    w: int) -> tuple[float, ...]:
-    """Per theta of the grid, the episode's largest one-window entropy rise
-    over eligible steps whose entropy exceeds theta.
+    """Per theta of the grid, the largest one-window entropy rise of an
+    episode's tool names over eligible steps whose entropy exceeds theta.
 
     An episode is detected at (theta, delta) exactly when that rise exceeds
     delta, so one scan per theta serves every delta. Too-short episodes
     have no eligible step and a largest rise of -inf."""
-    _, steps = _steps_of(source)
-    levels = [h for _, h in entropy_series(steps, w)]
+    levels = [h for _, h in _entropy_series(tools, w)]
     eligible = [(h, h - earlier) for h, earlier in zip(levels[w:], levels)]
     return tuple(max((rise for h, rise in eligible if h > theta), default=-math.inf)
                  for theta in grid_theta)
@@ -305,14 +316,14 @@ def calibrate_mop_baseline(
         raise MeltdownError("calibrate_mop_baseline: empty baseline")
     if not 0.0 <= percentile <= 1.0:
         raise MeltdownError(f"calibrate_mop_baseline: percentile {percentile} outside [0, 1]")
-    return _baseline_theta([_baseline_terms(source, w) for source in baseline], percentile, w)
+    return _baseline_theta([_baseline_terms(_tools_of(source), w) for source in baseline],
+                           percentile, w)
 
 
-def _baseline_terms(source: Episode | Sequence[ToolStep], w: int) -> tuple[bool, float | None]:
-    """Whether the episode reaches detection eligibility (2w steps), and its
-    maximum window entropy (None without a full window)."""
-    _, steps = _steps_of(source)
-    return len(steps) >= 2 * w, max((h for _, h in entropy_series(steps, w)), default=None)
+def _baseline_terms(tools: Sequence[str], w: int) -> tuple[bool, float | None]:
+    """Whether an episode of these tool names reaches detection eligibility
+    (2w steps), and its maximum window entropy (None without a full window)."""
+    return len(tools) >= 2 * w, max((h for _, h in _entropy_series(tools, w)), default=None)
 
 
 def _baseline_theta(terms: Sequence[tuple[bool, float | None]], percentile: float,
@@ -352,16 +363,17 @@ def meltdown_table(
     """
     config = config or MopConfig()
     return _meltdown_cells(
-        (ep.model_id, task.bucket, *_mop_outcome(ep, config, keep_series=False)[:2])
+        (ep.model_id, task.bucket, *_mop_outcome(_tools_of(ep), config, keep_series=False)[:2])
         for ep, task in _joined(episodes, registry, MeltdownError))
 
 
 def _mop_outcome(
-    episode: Episode, config: MopConfig, keep_series: bool,
+    tools: Sequence[str], config: MopConfig, keep_series: bool,
 ) -> tuple[int | None, bool, tuple[tuple[int, float], ...] | None]:
-    """What the meltdown table needs of one episode: its onset step, its
-    too-short flag and, when ``keep_series``, its entropy series (else None)."""
-    result = detect_mop(episode, config)
+    """What the meltdown table needs of an episode's tool names: its onset
+    step, its too-short flag and, when ``keep_series``, its entropy series
+    (else None)."""
+    result = _detect("", tools, config)
     return result.onset_step, result.too_short, result.entropy_series if keep_series else None
 
 

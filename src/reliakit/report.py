@@ -76,6 +76,7 @@ from .trajectory import (
     _dedup,
     _iter_lines,
     _parse_lines,
+    _read_columns,
     _read_records,
     cross_validate,
     load_task_registry,
@@ -175,20 +176,23 @@ def compute_cost(episodes: Iterable[Episode], pricing: Sequence[PricingEntry]) -
     they read each episode.
     """
     prices = {p.model_id: p for p in pricing}
-    return _cost_report(_episode_cost(ep, prices) for ep in episodes)
+    return _cost_report(
+        _episode_cost(ep, [(s.tokens_in, s.tokens_out) for s in ep.steps], prices)
+        for ep in episodes)
 
 
-def _episode_cost(episode: Episode, prices: Mapping[str, PricingEntry]) -> EpisodeCost:
-    """One episode's token sums and the exact sum of its per-step costs.
-    Its cost is None when its model has no price, and inf when it is too
-    large for a float; _cost_report refuses both."""
-    steps = episode.steps
+def _episode_cost(episode: Episode, tokens: Sequence[tuple[int, int]],
+                  prices: Mapping[str, PricingEntry]) -> EpisodeCost:
+    """One episode's token sums and the exact sum of its per-step costs,
+    from its (tokens_in, tokens_out) per step. Its cost is None when its
+    model has no price, and inf when it is too large for a float;
+    _cost_report refuses both."""
     entry = prices.get(episode.model_id)
     cost = None if entry is None else _exact_sum(
-        (s.tokens_in * entry.input_per_million + s.tokens_out * entry.output_per_million) / 1e6
-        for s in steps)
-    return EpisodeCost(episode.episode_id, episode.model_id, sum(s.tokens_in for s in steps),
-                       sum(s.tokens_out for s in steps), cost)
+        (tokens_in * entry.input_per_million + tokens_out * entry.output_per_million) / 1e6
+        for tokens_in, tokens_out in tokens)
+    return EpisodeCost(episode.episode_id, episode.model_id, sum(i for i, _ in tokens),
+                       sum(o for _, o in tokens), cost)
 
 
 def _exact_sum(values: Iterable[float]) -> float:
@@ -371,13 +375,19 @@ class _Logs(Generic[_S]):
         }
 
 
-def _load_logs(paths: Sequence[str | Path], summarize: Callable[[Episode], Any],
+_Summarize = Callable[[Episode, list[str], list[tuple[int, int]]], Any]
+
+
+def _load_logs(paths: Sequence[str | Path], summarize: _Summarize,
                keep: Callable[[Any], _S] | None = None) -> _Logs[_S]:
     """Parse every log, keeping the first record of an episode_id across
-    files as within one, and keep only ``summarize(episode)`` of each kept
-    episode, in order, or what ``keep`` returns of it. Each episode, steps
-    and all, can be freed as soon as it is summarized, so memory grows with
-    the summaries, not with the steps. ``summarize`` must be pure: it may
+    files as within one, and keep only ``summarize(episode, tools, tokens)``
+    of each kept episode, in order, or what ``keep`` returns of it. The
+    episode comes without its steps: ``tools`` holds each step's tool name
+    and ``tokens`` its (tokens_in, tokens_out), the only step fields any
+    subcommand reads. No step is built and no argument is canonicalized,
+    and all of it can be freed as soon as it is summarized, so memory grows
+    with the summaries, not with the steps. ``summarize`` must be pure: it may
     run in a worker process. It runs on every parsed episode, duplicates
     too, and its first exception in line order stops the read and is
     raised here. ``keep`` runs here, on each kept episode's summary in line
@@ -428,13 +438,13 @@ _MIN_RANGE_BYTES = 1 << 20
 _HASH_BLOCK = 1 << 16
 
 
-def _range_items(path: str | Path, summarize: Callable[[Episode], _S], meta: dict[str, Any],
+def _range_items(path: str | Path, summarize: _Summarize, meta: dict[str, Any],
                  start: int, stop: int | None,
-                 lineno: int) -> Iterator[ValidationReport | tuple[int, str, bool, _S]]:
+                 lineno: int) -> Iterator[ValidationReport | tuple[int, str, bool, Any]]:
     """``_parse_lines`` over the bytes [start, stop) of a log, which begin
     line ``lineno``, each episode's payload its summary."""
     return _parse_lines(_iter_lines(_read_lines(path, "parse", meta, start, stop, lineno),
-                                    lineno), summarize)
+                                    lineno), _read_columns, summarize)
 
 
 def _range_count(path: str | Path) -> int:
@@ -483,8 +493,8 @@ def _range_plan(path: str | Path, n: int, meta: dict[str, Any]) -> list[tuple[in
     return [(start, stop, lineno) for (start, lineno), stop in zip(starts, stops)]
 
 
-def _read_log(path: str | Path, summarize: Callable[[Episode], _S],
-              meta: dict[str, Any]) -> Iterator[ValidationReport | tuple[int, str, bool, _S]]:
+def _read_log(path: str | Path, summarize: _Summarize,
+              meta: dict[str, Any]) -> Iterator[ValidationReport | tuple[int, str, bool, Any]]:
     """``_range_items`` over each byte range of one log, in line order; at
     the end ``meta`` holds the file's path, sha256 and non-blank lines.
 
@@ -524,7 +534,7 @@ class _Worker:
         self.out = out
 
 
-def _fork_range(path: str | Path, summarize: Callable[[Episode], Any], start: int, stop: int,
+def _fork_range(path: str | Path, summarize: _Summarize, start: int, stop: int,
                 lineno: int) -> _Worker | None:
     """A forked worker reading one byte range into a temporary file; None
     when the file or the fork fails, so that the parent reads the range."""
@@ -593,11 +603,6 @@ def _reap(workers: Sequence[_Worker | None]) -> None:
             os.waitpid(worker.pid, 0)
 
 
-def _without_steps(episode: Episode) -> Episode:
-    """The episode with its steps dropped; a stepless one is returned as is."""
-    return dataclasses.replace(episode, steps=()) if episode.steps else episode
-
-
 def run_pipeline(
     log_paths: Sequence[str | Path],
     registry_path: str | Path,
@@ -622,10 +627,11 @@ def run_pipeline(
 
     # Each episode is joined, scanned and priced as it is read, in whichever
     # process reads it: summarize returns (join reports, is a joined infra
-    # failure, the episode without its steps, its (model_id, bucket, onset,
-    # too short) meltdown row, its entropy series, its cost). The episode and
-    # its row are None unless it joined and is not an infra failure; the
-    # series is None without emit_series, and the cost without pricing.
+    # failure, the episode (read without its steps), its (model_id, bucket,
+    # onset, too short) meltdown row, its entropy series, its cost). The
+    # episode and its row are None unless it joined and is not an infra
+    # failure; the series is None without emit_series, and the cost without
+    # pricing.
     # keep then folds each kept episode's tuple here, in line order, and
     # _load_logs keeps its cost.
     analysis: list[Episode] = []
@@ -634,13 +640,13 @@ def run_pipeline(
     join_reports: list[ValidationReport] = []
     infra_excluded = 0
 
-    def summarize(episode: Episode) -> tuple:
+    def summarize(episode: Episode, tools: list[str], tokens: list[tuple[int, int]]) -> tuple:
         joined, reports = cross_validate((episode,), registry)
-        cost = None if prices is None else _episode_cost(episode, prices)
+        cost = None if prices is None else _episode_cost(episode, tokens, prices)
         if not joined or episode.is_infra_failure:
             return reports, bool(joined), None, None, None, cost
-        onset, too_short, entropy = _mop_outcome(episode, opts.mop, opts.emit_series)
-        return ((), False, _without_steps(episode),
+        onset, too_short, entropy = _mop_outcome(tools, opts.mop, opts.emit_series)
+        return ((), False, episode,
                 (episode.model_id, registry[episode.task_id].bucket, onset, too_short),
                 entropy, cost)
 

@@ -78,25 +78,33 @@ class SimulationError(ValueError):
     """Raised for infeasible or malformed simulation parameters."""
 
 
-def _check_size(name: str, value: int, elements: int = 0) -> None:
-    """Refuse a size below 1, or above sys.maxsize, which numpy cannot index;
-    and ``elements`` float64 draws that it shapes, more than numpy can
-    allocate (their bytes must not exceed sys.maxsize)."""
+def _check_size(name: str, value: int) -> None:
+    """Refuse a size below 1, or above sys.maxsize, which numpy cannot index."""
     if not 1 <= value <= sys.maxsize:
         raise SimulationError(f"{name} must be in 1..{sys.maxsize}, got {value}")
-    if elements * 8 > sys.maxsize:
-        raise SimulationError(f"{name} {value} needs {elements} float64 draws, more than"
-                              f" numpy can allocate ({sys.maxsize // 8})")
+
+
+def _draws(sizes: dict[str, int]) -> str:
+    """The float64 draws that ``sizes`` shape, each size named."""
+    named = " x ".join(f"{name} {value}" for name, value in sizes.items())
+    return f"{named} needs {math.prod(sizes.values())} float64 draws"
+
+
+def _check_draws(**sizes: int) -> None:
+    """Refuse float64 draws shaped by ``sizes``, more than numpy can
+    allocate (their bytes must not exceed sys.maxsize)."""
+    if math.prod(sizes.values()) * 8 > sys.maxsize:
+        raise SimulationError(f"{_draws(sizes)}, more than numpy can allocate"
+                              f" ({sys.maxsize // 8})")
 
 
 @contextlib.contextmanager
-def _allocating(name: str, value: int, elements: int) -> Iterator[None]:
-    """Refuse, as _check_size does, float64 draws this machine cannot allocate."""
+def _allocating(**sizes: int) -> Iterator[None]:
+    """Refuse, as _check_draws does, float64 draws this machine cannot allocate."""
     try:
         yield
     except MemoryError as exc:
-        raise SimulationError(f"{name} {value} needs {elements} float64 draws, more than"
-                              " this machine can allocate") from exc
+        raise SimulationError(f"{_draws(sizes)}, more than this machine can allocate") from exc
 
 
 def _check_labels(model_id: str, scaffold: str) -> None:
@@ -123,7 +131,8 @@ class SimConfig:
         if not 0.0 <= self.epsilon <= 1.0:
             raise SimulationError(f"epsilon {self.epsilon} outside [0, 1]")
         _check_size("horizon_t", self.horizon_t)
-        _check_size("episodes", self.episodes, self.episodes * self.horizon_t)
+        _check_size("episodes", self.episodes)
+        _check_draws(episodes=self.episodes, horizon_t=self.horizon_t)
         if not 0.0 <= self.rho <= 1.0:
             raise SimulationError(f"rho {self.rho} outside [0, 1]")
         if not 0.0 <= self.hazard_gamma < math.inf:
@@ -151,7 +160,7 @@ def simulate_steps(config: SimConfig) -> np.ndarray:
     gen = substream(config.seed, "steps", config.model)
     n, t = config.episodes, config.horizon_t
     eps = config.epsilon
-    with _allocating("episodes", n, n * t):
+    with _allocating(episodes=n, horizon_t=t):
         if config.model == "iid":
             return gen.random((n, t)) < eps
         if config.model == "hazard":
@@ -254,7 +263,8 @@ def simulate_agent_study(
     at score 1.
     """
     _check_size("tasks_per_bucket", tasks_per_bucket)
-    _check_size("k", k, k)
+    _check_size("k", k)
+    _check_draws(k=k)
     _check_labels(model_id, scaffold)
     for bucket, p in per_bucket_p.items():
         if bucket not in BUCKETS:
@@ -273,7 +283,7 @@ def simulate_agent_study(
             task = _study_task(bucket, i)
             tasks.append(task)
             gen = substream(seed, "study", bucket, i)
-            with _allocating("k", k, k):
+            with _allocating(k=k):
                 draws = gen.random(k)
             for r in range(k):
                 passed = bool(draws[r] < p)

@@ -13,6 +13,7 @@ exclude the episode from the returned list, warnings do not.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -99,12 +100,13 @@ def canonical_args(args: Any) -> str:
     insignificant whitespace, so two argument sets that differ only in key
     order compare equal. Strings that parse as JSON containers are
     re-rendered the same way; any other string is already opaque and is
-    returned unchanged.
+    returned unchanged, and so is one that the decoder refuses for nesting
+    too deep or an integer too long.
     """
     if isinstance(args, str):
         try:
             parsed = _decode_json(args)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             return args
         if isinstance(parsed, (dict, list)):
             if _encode_decoded is None:
@@ -245,7 +247,7 @@ def _read_records(source: str | Path | IO[str] | Iterable[str], kind: str, key: 
             raise RegistryError(f"{kind} line {lineno}: not UTF-8: {line}") from line
         try:
             record = json.loads(line, parse_float=parse_float)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
             raise RegistryError(f"{kind} line {lineno}: malformed JSON: {exc}") from exc
         if not isinstance(record, dict):
             raise RegistryError(f"{kind} line {lineno}: record is not an object")
@@ -443,9 +445,94 @@ def _valid_timestamp(value: Any) -> bool:
     return True
 
 
-def _parse_steps(raw: Any, errors: list[ValidationIssue], args_seen: dict[str, str],
-                 shared: dict[Any, Any]) -> tuple[ToolStep, ...]:
-    """The steps of one record, or () after appending its first error.
+# Step indices are 1-based and contiguous: a record's indices must equal the
+# start of this list.
+_POSITIONS = list(range(1, MAX_STEPS + 1))
+_INT = {int}
+_STR = {str}
+
+
+def _checked_columns(raw: list[Any]) -> tuple[list[str], list[int], list[int], list[int]] | None:
+    """The tool, result_chars, tokens_in and tokens_out columns of at most
+    MAX_STEPS steps, or None when any step fails a check of
+    ``_first_step_error``. Each check runs once per column rather than once
+    per step, and accepts exactly the steps that the per-step loop accepts."""
+    try:
+        index = [rec["index"] for rec in raw]
+        tools = [rec["tool"] for rec in raw]
+        chars = [rec["result_chars"] for rec in raw]
+        tokens_in = [rec["tokens_in"] for rec in raw]
+        tokens_out = [rec["tokens_out"] for rec in raw]
+        stamps = [rec["timestamp"].replace("Z", "+00:00") for rec in raw]
+    except (KeyError, TypeError, AttributeError):
+        # A step that is not an object, a missing key, or a timestamp that
+        # is not a string (only a string has .replace).
+        return None
+    if not raw:
+        return tools, chars, tokens_in, tokens_out
+    # type() rather than isinstance(), so a bool is not an index or a count.
+    if (index != _POSITIONS[:len(raw)] or set(map(type, index)) != _INT
+            or set(map(type, tools)) != _STR or not all(tools)
+            or set(map(type, chars)) | set(map(type, tokens_in)) | set(map(type, tokens_out)) != _INT
+            or min(chars) < 0 or min(tokens_in) < 0 or min(tokens_out) < 0
+            or not all(map(_TIMESTAMP.fullmatch, stamps))
+            or not all("args_canonical" in rec or "args" in rec for rec in raw)):
+        return None
+    try:
+        for day in {stamp[:10] for stamp in stamps}:
+            date.fromisoformat(day)
+    except ValueError:
+        return None
+    return tools, chars, tokens_in, tokens_out
+
+
+def _first_step_error(raw: list[Any]) -> ValidationIssue | None:
+    """The first failed check of at most MAX_STEPS steps, step by step and
+    in the order below; None when every step passes."""
+    for pos, rec in enumerate(raw, start=1):
+        if not isinstance(rec, dict):
+            return ValidationIssue("bad_step", f"step {pos} is not an object")
+        index = rec.get("index")
+        if type(index) is not int or index != pos:
+            return ValidationIssue(
+                "bad_step_index",
+                f"step at position {pos} has index {index!r}; indices must be 1-based and contiguous")
+        tool = rec.get("tool")
+        if not isinstance(tool, str) or not tool:
+            return ValidationIssue("bad_step", f"step {pos}: tool must be a non-empty string")
+        for key in ("result_chars", "tokens_in", "tokens_out"):
+            v = rec.get(key)
+            if type(v) is not int or v < 0:
+                return ValidationIssue("bad_step", f"step {pos}: {key} must be a non-negative integer")
+        timestamp = rec.get("timestamp")
+        if not _valid_timestamp(timestamp):
+            return ValidationIssue("bad_timestamp", f"step {pos}: timestamp {timestamp!r}")
+        if "args_canonical" not in rec and "args" not in rec:
+            return ValidationIssue("bad_step", f"step {pos}: missing args_canonical")
+    return None
+
+
+def _step_columns(raw: Any, errors: list[ValidationIssue]
+                  ) -> tuple[list[str], list[int], list[int], list[int]] | None:
+    """The checked columns of one record's steps (see ``_checked_columns``),
+    or None after appending its first error."""
+    if not isinstance(raw, list):
+        errors.append(ValidationIssue("bad_steps", "steps must be an array"))
+        return None
+    if len(raw) > MAX_STEPS:
+        errors.append(ValidationIssue(
+            "step_limit", f"{len(raw)} steps exceeds the {MAX_STEPS}-step harness limit"))
+        return None
+    columns = _checked_columns(raw)
+    if columns is None:
+        errors.append(_first_step_error(raw))
+    return columns
+
+
+def _tool_steps(raw: Any, errors: list[ValidationIssue], shared: dict[Any, Any],
+                args_seen: dict[str, str]) -> tuple[tuple[ToolStep, ...]] | None:
+    """parse_episode_log's steps of one record, as a one-tuple, or None
+    after appending its first error.
 
     ``args_seen`` maps each raw argument string to its canonical_args result
     (the raw string itself when already canonical), so a parse does the JSON
@@ -454,48 +541,12 @@ def _parse_steps(raw: Any, errors: list[ValidationIssue], args_seen: dict[str, s
     string. The two stay apart: a tool name equal to a non-canonical raw
     argument string must not become that string's canonical form.
     Timestamps and counts are not shared, since real logs rarely repeat them."""
-    if not isinstance(raw, list):
-        errors.append(ValidationIssue("bad_steps", "steps must be an array"))
-        return ()
-    if len(raw) > MAX_STEPS:
-        errors.append(ValidationIssue(
-            "step_limit", f"{len(raw)} steps exceeds the {MAX_STEPS}-step harness limit"))
-        return ()
+    columns = _step_columns(raw, errors)
+    if columns is None:
+        return None
     steps = []
-    for pos, rec in enumerate(raw, start=1):
-        if not isinstance(rec, dict):
-            errors.append(ValidationIssue("bad_step", f"step {pos} is not an object"))
-            return ()
-        index = rec.get("index")
-        if type(index) is not int or index != pos:
-            errors.append(ValidationIssue(
-                "bad_step_index",
-                f"step at position {pos} has index {index!r}; indices must be 1-based and contiguous"))
-            return ()
-        tool = rec.get("tool")
-        if not isinstance(tool, str) or not tool:
-            errors.append(ValidationIssue("bad_step", f"step {pos}: tool must be a non-empty string"))
-            return ()
-        counts = []
-        for key in ("result_chars", "tokens_in", "tokens_out"):
-            v = rec.get(key)
-            # type() rather than isinstance(), so a bool is not a count.
-            if type(v) is not int or v < 0:
-                errors.append(ValidationIssue(
-                    "bad_step", f"step {pos}: {key} must be a non-negative integer"))
-                return ()
-            counts.append(v)
-        timestamp = rec.get("timestamp")
-        if not _valid_timestamp(timestamp):
-            errors.append(ValidationIssue("bad_timestamp", f"step {pos}: timestamp {timestamp!r}"))
-            return ()
-        if "args_canonical" in rec:
-            args = rec["args_canonical"]
-        elif "args" in rec:
-            args = rec["args"]
-        else:
-            errors.append(ValidationIssue("bad_step", f"step {pos}: missing args_canonical"))
-            return ()
+    for pos, rec, tool, chars, tokens_in, tokens_out in zip(_POSITIONS, raw, *columns):
+        args = rec["args_canonical"] if "args_canonical" in rec else rec["args"]
         if isinstance(args, str):
             canonical = args_seen.get(args)
             if canonical is None:
@@ -505,14 +556,37 @@ def _parse_steps(raw: Any, errors: list[ValidationIssue], args_seen: dict[str, s
             canonical = canonical_args(args)
         extras = (_NO_EXTRAS if rec.keys() <= _STEP_FIELDS
                   else {k: v for k, v in rec.items() if k not in _STEP_FIELDS})
-        steps.append(ToolStep(pos, shared.setdefault(tool, tool), canonical, *counts,
-                              timestamp, extras))
-    return tuple(steps)
+        steps.append(ToolStep(pos, shared.setdefault(tool, tool), canonical, chars,
+                              tokens_in, tokens_out, rec["timestamp"], extras))
+    return (tuple(steps),)
+
+
+def _read_columns(raw: Any, errors: list[ValidationIssue], shared: dict[Any, Any]
+                  ) -> tuple[tuple[()], list[str], list[tuple[int, int]]] | None:
+    """What the subcommands keep of one record's steps: no steps on the
+    episode, its tool names and its (tokens_in, tokens_out) per step. Or
+    None after appending its first error. Arguments are checked for
+    presence only, never canonicalized."""
+    columns = _step_columns(raw, errors)
+    if columns is None:
+        return None
+    tools, _, tokens_in, tokens_out = columns
+    return (), tools, list(zip(tokens_in, tokens_out))
+
+
+_StepReader = Callable[[Any, list[ValidationIssue], dict[Any, Any]], tuple | None]
 
 
 def _episode_from_record(record: Mapping[str, Any], errors: list[ValidationIssue],
-                         args_seen: dict[str, str],
-                         shared: dict[Any, Any]) -> Episode | None:
+                         shared: dict[Any, Any],
+                         read_steps: _StepReader) -> tuple[Episode, tuple] | None:
+    """The episode of one record and what else ``read_steps`` kept of its
+    steps, or None after appending every error found.
+
+    ``read_steps(raw, errors, shared)`` returns the episode's ``steps``
+    followed by anything else, or None after appending the first step
+    error; ``shared`` maps each bounded-vocabulary value to the first equal
+    object the parse kept."""
     def need(key: str, kind: type, predicate=None, describe: str = "") -> Any:
         value = record.get(key)
         if isinstance(value, bool) and kind is not bool:
@@ -546,7 +620,7 @@ def _episode_from_record(record: Mapping[str, Any], errors: list[ValidationIssue
     else:
         outcomes = tuple(outcomes_raw)
 
-    steps = _parse_steps(record.get("steps", []), errors, args_seen, shared)
+    steps = read_steps(record.get("steps", []), errors, shared)
 
     if passed is not None and score is not None:
         at_full_score = abs(score - 1.0) <= _SCORE_TOLERANCE
@@ -564,11 +638,11 @@ def _episode_from_record(record: Mapping[str, Any], errors: list[ValidationIssue
     return Episode(
         episode_id=episode_id, task_id=share(task_id, task_id),
         model_id=share(model_id, model_id), scaffold=share(scaffold, scaffold),
-        repeat_index=repeat_index, steps=steps, nudges_used=nudges,
+        repeat_index=repeat_index, steps=steps[0], nudges_used=nudges,
         termination=share(termination, termination),
         subtask_outcomes=share(outcomes, outcomes), evaluator_score=float(score),
         passed=passed, extras=extras,
-    )
+    ), steps[1:]
 
 
 def parse_episode_log(
@@ -582,12 +656,14 @@ def parse_episode_log(
     returned (they are data) but carry an advisory warning; downstream
     metric code excludes them from every denominator.
 
-    The lists collect what ``_dedup`` passes on of ``_parse_lines``,
-    which is also how the pipeline reads each byte range of a log.
+    The lists collect what ``_dedup`` passes on of ``_parse_lines``, which
+    is also how the pipeline reads each byte range of a log, there with
+    ``_read_columns`` in place of ``_tool_steps``.
     """
     episodes: list[Episode] = []
     reports: list[ValidationReport] = []
-    for item in _dedup(_parse_lines(_iter_lines(source), lambda episode: episode)):
+    read_steps = functools.partial(_tool_steps, args_seen={})
+    for item in _dedup(_parse_lines(_iter_lines(source), read_steps, lambda episode: episode)):
         if isinstance(item, ValidationReport):
             reports.append(item)
         else:
@@ -596,14 +672,15 @@ def parse_episode_log(
 
 
 def _parse_lines(
-    lines: Iterable[tuple[int, str | UnicodeDecodeError]], payload: Callable[[Episode], _T],
+    lines: Iterable[tuple[int, str | UnicodeDecodeError]], read_steps: _StepReader,
+    payload: Callable[..., _T],
 ) -> Iterator[ValidationReport | tuple[int, str, bool, _T]]:
     """Each (line number, non-blank line) parsed, in line order: the
     ValidationReport that rejects the line, or (line number, episode_id, is
-    infra failure, ``payload(episode)``). One call keeps one argument memo
-    and one sharing memo (see ``_parse_steps``), so the caller may drop each
-    episode once ``payload`` has what it needs."""
-    args_seen: dict[str, str] = {}
+    infra failure, ``payload(episode, *kept)``), where ``kept`` is what
+    ``read_steps`` returned besides the episode's steps (see
+    ``_episode_from_record``). One call keeps one sharing memo, so the
+    caller may drop each episode once ``payload`` has what it needs."""
     shared: dict[Any, Any] = {}
     for lineno, line in lines:
         if isinstance(line, UnicodeDecodeError):
@@ -612,7 +689,7 @@ def _parse_lines(
             try:
                 record = json.loads(line)
                 problem = None if isinstance(record, dict) else "record is not an object"
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
                 problem = str(exc)
         if problem:
             yield ValidationReport(
@@ -629,11 +706,12 @@ def _parse_lines(
             continue
 
         errors: list[ValidationIssue] = []
-        episode = _episode_from_record(record, errors, args_seen, shared)
-        if episode is None:
+        parsed = _episode_from_record(record, errors, shared, read_steps)
+        if parsed is None:
             yield ValidationReport(episode_id=label, errors=tuple(errors))
             continue
-        yield lineno, episode.episode_id, episode.is_infra_failure, payload(episode)
+        episode, kept = parsed
+        yield lineno, episode.episode_id, episode.is_infra_failure, payload(episode, *kept)
 
 
 def _dedup(

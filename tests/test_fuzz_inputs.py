@@ -45,8 +45,18 @@ from reliakit import (
 from reliakit.cli import build_parser, main
 from reliakit.simulate import TrajectoryProfile, generate_trajectory, trajectory_episode
 
+class Raw(str):
+    """JSON text that a file holds as it is, not as a string: values that
+    Python's encoder cannot write."""
+
+
+# Nesting past the recursion limit, and an integer past the 4300 digits that
+# int() converts: the decoder refuses both, though neither is a syntax error.
+TOO_DEEP = Raw("[" * 100_000 + "]" * 100_000)
+TOO_LONG = Raw("7" * 5000)
+
 HOSTILE = (None, True, False, 0, -1, 2 ** 70, 10 ** 400, math.nan, math.inf, -math.inf,
-           -0.0, [], {}, "", [1], {"a": None})
+           -0.0, [], {}, "", [1], {"a": None}, TOO_DEEP, TOO_LONG)
 
 PRICING = {"model_id": "sim-agent", "input_per_million": 0.14, "output_per_million": 0.28}
 
@@ -131,10 +141,18 @@ def cases(draw):
     return kind, edits, command, files
 
 
+def _dumps(record) -> str:
+    """One JSON line, each Raw value written as it is."""
+    text = json.dumps(record)
+    for raw in (TOO_DEEP, TOO_LONG):
+        text = text.replace(json.dumps(raw), raw)
+    return text
+
+
 def _write_files(work: Path, files) -> None:
     for name, records in files.items():
         (work / f"{name}.jsonl").write_text(
-            "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+            "".join(_dumps(r) + "\n" for r in records), encoding="utf-8")
 
 
 def _run(work: Path, argv):
@@ -182,8 +200,24 @@ def test_hostile_fields_never_fail_internally(case):
 
 
 # Defects the fuzz found, each pinned: (corpus, edits, command). Each
-# exited 3 with an OverflowError, or wrote NaN or Infinity into cost.json.
+# exited 3 with an OverflowError, a RecursionError or a ValueError, or wrote
+# NaN or Infinity into cost.json.
 FOUND = {
+    "too_long_repeat_index": ("study", [("episodes", 0, ("repeat_index",), TOO_LONG)],
+                              "validate"),
+    "too_deep_episode_field": ("trajectories", [("episodes", 1, ("nudges_used",), TOO_DEEP)],
+                               "analyze_b0"),
+    "too_long_argument_text": (
+        "trajectories", [("episodes", 0, ("steps", 0, "args_canonical"), "[" + TOO_LONG + "]")],
+        "mop"),
+    "too_deep_argument_text": (
+        "trajectories", [("episodes", 0, ("steps", 2, "args_canonical"), str(TOO_DEEP))],
+        "validate"),
+    "too_long_minutes": ("study", [("tasks", 0, ("human_minutes_estimate",), TOO_LONG)],
+                         "validate"),
+    "too_deep_price": ("trajectories", [("pricing", 0, ("input_per_million",), TOO_DEEP)],
+                       "cost"),
+    "too_long_label": ("trajectories", [("labels", 0, ("meltdown",), TOO_LONG)], "mop_f1"),
     "price_too_large_for_a_float": (
         "trajectories", [("pricing", 0, ("input_per_million",), 10 ** 400)], "cost"),
     "nan_price": (
@@ -320,6 +354,20 @@ def test_a_size_numpy_can_index_but_not_allocate_is_refused(argv, tmp_path, caps
 def test_a_size_this_machine_cannot_allocate_is_refused(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert "more than this machine can allocate" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("episodes, horizon, message", [
+    ("1", HUGE, f"episodes 1 x horizon_t {HUGE} needs {HUGE} float64 draws,"
+                " more than this machine can allocate"),
+    ("2", str(2 ** 62), f"episodes 2 x horizon_t {2 ** 62} needs {2 ** 63} float64 draws,"
+                        f" more than numpy can allocate ({sys.maxsize // 8})"),
+], ids=["machine", "numpy"])
+def test_too_many_step_draws_name_both_sizes(episodes, horizon, message, tmp_path, capsys):
+    """Either size can be the oversized one, so the message names both."""
+    assert main(["simulate", "--mode", "steps", "--episodes", episodes, "--horizon", horizon,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -28,6 +28,7 @@ from reliakit.meltdown import (
     MopConfig,
     MopResult,
     _check_window,
+    _meltdown_cells,
     _steps_of,
     calibrate_mop_f1,
     detect_mop,
@@ -136,8 +137,14 @@ def _reference_calibrate_mop_f1(
 
 
 def _reference_meltdown_table(episodes, registry, config):
-    with mock.patch.object(meltdown, "detect_mop", _reference_detect_mop):
-        return meltdown_table(episodes, registry, config)
+    """meltdown_table's cells, with each outcome from the reference detect_mop."""
+    outcomes = []
+    for ep in episodes:
+        if not ep.is_infra_failure:
+            result = _reference_detect_mop(ep, config)
+            outcomes.append((ep.model_id, registry[ep.task_id].bucket, result.onset_step,
+                             result.too_short))
+    return _meltdown_cells(outcomes)
 
 
 def _outcome(fn, *args):
@@ -247,16 +254,18 @@ def test_calibration_ties_at_a_grid_value_are_strict():
 
 
 def test_calibration_reads_entropy_series_through_the_module():
-    """A wrapper bound to ``meltdown.entropy_series`` (as a tracer binds it)
-    sees one call per labeled episode."""
+    """A wrapper bound to ``meltdown._entropy_series``, which every public
+    MOP function and the mop subcommand reach, sees one call per labeled
+    episode."""
     calls = []
+    series = meltdown._entropy_series
 
-    def counted(trajectory, w):
-        calls.append(len(trajectory))
-        return entropy_series(trajectory, w)
+    def counted(tools, w):
+        calls.append(len(tools))
+        return series(tools, w)
 
     labeled = [(steps_from_tools(["a", "b"] * 6), True), (steps_from_tools(["a"] * 12), False)]
-    with mock.patch.object(meltdown, "entropy_series", counted):
+    with mock.patch.object(meltdown, "_entropy_series", counted):
         calibrate_mop_f1(labeled, w=3)
     assert calls == [12, 12]
 

@@ -1,17 +1,24 @@
-"""The memoized episode-log parser against the per-step parser it replaced.
+"""The memoized, column-checked episode-log parser against the per-step
+parser it replaced, and the subcommands' read path against both.
 
 ``_reference_*`` below are that parser's ``canonical_args``, timestamp check,
 ``_parse_steps``, ``_episode_from_record`` and ``parse_episode_log``, kept
-verbatim except for two fixes applied to both: a step ``index`` must be an
+verbatim except for three fixes applied to both: a step ``index`` must be an
 ``int``, so ``true`` and ``1.0`` (which compare equal to 1) are a
-``bad_step_index``; and a timestamp must also match ``_TIMESTAMP``, so every
-Python version accepts what 3.10's ``fromisoformat`` does. The fast parser
-must return lists equal by ``==``: the same episodes, steps and extras, and
-the same validation reports in the same order with the same messages.
+``bad_step_index``; a timestamp must also match ``_TIMESTAMP``, so every
+Python version accepts what 3.10's ``fromisoformat`` does; and JSON that the
+decoder refuses with RecursionError (nesting too deep) or ValueError (an
+integer too long) is a malformed line, or opaque argument text. The fast
+parser must return lists equal by ``==``: the same episodes, steps and
+extras, and the same validation reports in the same order with the same
+messages. The read path (``_parse_lines`` with ``_read_columns``) must
+report the same lines, and hand over each same episode without its steps,
+with its tool names and token counts.
 """
 from __future__ import annotations
 
 import copy
+import dataclasses
 import io
 import json
 import pickle
@@ -24,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_episode, make_task, steps_from_tools
 from reliakit import canonical_args, parse_episode_log, serialize_episode
 from reliakit import trajectory
+from reliakit.cli import main
 from reliakit.trajectory import (
     _EPISODE_FIELDS,
     _SCORE_TOLERANCE,
@@ -38,7 +46,10 @@ from reliakit.trajectory import (
     ValidationIssue,
     ValidationReport,
     _check_schema_version,
+    _dedup,
     _iter_lines,
+    _parse_lines,
+    _read_columns,
 )
 
 
@@ -46,7 +57,7 @@ def _reference_canonical_args(args: Any) -> str:
     if isinstance(args, str):
         try:
             parsed = json.loads(args)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             return args
         if isinstance(parsed, (dict, list)):
             return json.dumps(parsed, sort_keys=True, separators=(",", ":"))
@@ -188,7 +199,7 @@ def _reference_parse_episode_log(
             try:
                 record = json.loads(line)
                 problem = None if isinstance(record, dict) else "record is not an object"
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 problem = str(exc)
         if problem:
             reports.append(ValidationReport(
@@ -240,6 +251,7 @@ _ARG_STRINGS = [
     "[3, 1, 2]", "[]", "{}", '  {"k": "v"}\t', "ls -la", '"quoted"', "42", "null", "true",
     "{bad json", "", "\ufeff{\"a\": 1}", '{"a": 1} trailing', "[1, 2", '{"\u00e9": "\u00fc"}', *_SHARED,
     "{}{}", '{"a":1}x', '{"a": NaN, "b": [Infinity, 1e400]}', '["\\ud800"]', '{"a":1,"a":2}',
+    "[" * 5000 + "]" * 5000, "[" + "7" * 5000 + "]",
 ]
 _ARG_VALUES = st.one_of(
     st.sampled_from(_ARG_STRINGS),
@@ -356,7 +368,9 @@ def _record(draw) -> dict:
 def _line(draw) -> str:
     kind = draw(st.sampled_from(["record"] * 12 + ["malformed", "array", "blank"]))
     if kind == "malformed":
-        return draw(st.sampled_from(["{oops", '{"episode_id": "e1"', "nan-line"]))
+        return draw(st.sampled_from(["{oops", '{"episode_id": "e1"', "nan-line",
+                                     "[" * 5000 + "]" * 5000,
+                                     '{"episode_id": "e1", "repeat_index": ' + "7" * 5000 + "}"]))
     if kind == "array":
         return "[1, 2]"
     if kind == "blank":
@@ -373,6 +387,30 @@ def test_parse_equals_reference(lines):
     got = parse_episode_log(io.StringIO("\n".join(lines)))
     want = _reference_parse_episode_log(io.StringIO("\n".join(lines)))
     assert got == want
+
+
+def read_path(lines: list[str]):
+    """What the subcommands' read path hands over of each line, in the
+    shape of parse_episode_log's result: (episode without steps, tool
+    names, token pairs) per kept episode, and the reports."""
+    kept, reports = [], []
+    items = _parse_lines(_iter_lines(lines), _read_columns,
+                         lambda episode, tools, tokens: (episode, tools, tokens))
+    for item in _dedup(items):
+        if isinstance(item, ValidationReport):
+            reports.append(item)
+        else:
+            kept.append(item[3])
+    return kept, reports
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_line(), min_size=1, max_size=8))
+def test_read_path_equals_parse(lines):
+    episodes, reports = parse_episode_log(lines)
+    assert read_path(lines) == (
+        [(dataclasses.replace(ep, steps=()), [s.tool for s in ep.steps],
+          [(s.tokens_in, s.tokens_out) for s in ep.steps]) for ep in episodes], reports)
 
 
 def test_generated_logs_reach_every_outcome():
@@ -459,8 +497,10 @@ _CANONICAL_CASES = [
     '{"e": "\U0001F600"}', '["\\u00e9"]',
     # duplicate keys keep the last value
     '{"a":1,"a":2}', '{"b":1,"a":2,"b":3}',
-    # nesting: deep enough to work, and deep enough to raise
+    # nesting deep enough to work, and too deep for the decoder; an integer
+    # too long for it
     "[" * 200 + "]" * 200, '{"a":' * 200 + "1" + "}" * 200, "[" * 100_000 + "]" * 100_000,
+    "[" + "7" * 5000 + "]", "7" * 5000,
     # plain containers and scalars
     '{"a": [true, false, null]}', "[]", "{}", '"s"', "42", "plain text",
 ]
@@ -486,5 +526,91 @@ def test_canonical_args_edge_cases_equal_reference(args, c_encoder, monkeypatch)
     assert _outcome(canonical_args, args) == _outcome(_reference_canonical_args, args)
 
 
-def test_too_deep_nesting_raises_recursion_error():
-    assert _outcome(canonical_args, "[" * 100_000 + "]" * 100_000) is RecursionError
+@pytest.mark.parametrize("args", ["[" * 100_000 + "]" * 100_000, "[" + "7" * 5000 + "]"],
+                         ids=["too_deep", "too_long"])
+def test_json_the_decoder_refuses_is_opaque(args):
+    """Nesting past the recursion limit and an integer past 4300 digits make
+    the decoder raise RecursionError and ValueError, not JSONDecodeError;
+    such arguments are kept as they are, like any other unparseable text."""
+    assert canonical_args(args) is args
+
+
+# --- the read path's step checks at their boundaries --------------------------
+
+def _boundary_line(edit) -> str:
+    """A 12-step episode line (tokens_in 100 on every step), after ``edit``
+    of its text."""
+    record = json.loads(serialize_episode(make_episode("e1", make_task())))
+    record["steps"] = [{"index": i, "tool": "read_file", "args_canonical": "{}",
+                        "result_chars": 50, "tokens_in": 100, "tokens_out": 20,
+                        "timestamp": f"2026-01-01T00:00:{i:02d}Z"} for i in range(1, 13)]
+    return edit(json.dumps(record))
+
+
+def _with_steps(n: int):
+    def edit(text: str) -> str:
+        record = json.loads(text)
+        record["steps"] = [dict(record["steps"][0], index=i) for i in range(1, n + 1)]
+        return json.dumps(record)
+    return edit
+
+
+def _step_edit(**changes):
+    def edit(text: str) -> str:
+        record = json.loads(text)
+        step = record["steps"][5]
+        for key, value in changes.items():
+            if value is _MISSING:
+                step.pop(key, None)
+            else:
+                step[key] = value
+        return json.dumps(record)
+    return edit
+
+
+# (edit of the line's text, the first error code or None when accepted)
+_BOUNDARIES = {
+    "bool_index": (_step_edit(index=True), "bad_step_index"),
+    "float_index": (_step_edit(index=6.0), "bad_step_index"),
+    "minus_zero_count": (lambda text: text.replace('"tokens_in": 100', '"tokens_in": -0', 1), None),
+    "minus_zero_float_count": (lambda text: text.replace('"tokens_in": 100', '"tokens_in": -0.0', 1),
+                               "bad_step"),
+    "bool_count": (_step_edit(tokens_out=False), "bad_step"),
+    "z_offset": (_step_edit(timestamp="2026-01-01T00:00:06Z"), None),
+    "z_in_the_time": (_step_edit(timestamp="2026-01-01Z00:00:06"), "bad_timestamp"),
+    "bad_day_of_month": (_step_edit(timestamp="2026-02-30T00:00:06Z"), "bad_timestamp"),
+    "leap_day": (_step_edit(timestamp="2024-02-29T00:00:06Z"), None),
+    "number_timestamp": (_step_edit(timestamp=6), "bad_timestamp"),
+    "70_steps": (_with_steps(70), None),
+    "71_steps": (_with_steps(71), "step_limit"),
+    "no_steps": (_with_steps(0), None),
+    "neither_args_field": (_step_edit(args_canonical=_MISSING), "bad_step"),
+    "args_only": (_step_edit(args_canonical=_MISSING, args='{"b": 1, "a": 2}'), None),
+    "dict_args": (_step_edit(args_canonical={"b": [1, 2], "a": None}), None),
+    "number_args": (_step_edit(args=3.5, args_canonical=_MISSING), None),
+    "null_args": (_step_edit(args_canonical=None), None),
+    "empty_tool": (_step_edit(tool=""), "bad_step"),
+    "step_not_an_object": (lambda text: text.replace('[{"index": 1', '[7, {"index": 1', 1),
+                           "bad_step"),
+    "two_faults_first_wins": (_step_edit(tokens_out=-1, timestamp="soon"), "bad_step"),
+}
+
+
+@pytest.mark.parametrize("edit, code", _BOUNDARIES.values(), ids=_BOUNDARIES.keys())
+def test_step_check_boundaries_agree_on_every_path(edit, code, tmp_path, capsys):
+    """parse_episode_log, the read path and the validate subcommand give the
+    same verdict and the same first error."""
+    line = _boundary_line(edit)
+    episodes, reports = parse_episode_log([line])
+    assert (episodes, reports) == _reference_parse_episode_log([line])
+    assert [r.errors[0].code for r in reports if r.errors] == ([code] if code else [])
+    assert read_path([line])[1] == reports
+    log = tmp_path / "log.jsonl"
+    log.write_text(line + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["validate", "--logs", str(log)]) == (2 if code else 0)
+    out = capsys.readouterr().out
+    if code:
+        assert out.startswith(f"ERROR e1 {code}: {reports[0].errors[0].message}\n")
+    else:
+        assert out == "1 episodes parsed, 0 errors, 0 warnings\n"

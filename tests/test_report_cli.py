@@ -234,13 +234,13 @@ class TestRunPipeline:
         log, registry = tmp_path / "episodes.jsonl", tmp_path / "tasks.jsonl"
         write_episode_log(episodes, log)
         write_task_registry([task], registry)
-        detect, scanned = meltdown.detect_mop, []
+        detect, scanned = meltdown._detect, []
 
-        def counted(*args, **kwargs):
-            scanned.append(args[0].episode_id)
-            return detect(*args, **kwargs)
+        def counted(episode_id, tools, config):
+            scanned.append(len(tools))
+            return detect(episode_id, tools, config)
 
-        monkeypatch.setattr(meltdown, "detect_mop", counted)
+        monkeypatch.setattr(meltdown, "_detect", counted)
         bundle = run_pipeline([log], registry, options=PipelineOptions(bootstrap_b=0))
         counts = bundle.run_metadata["episodes"]
         assert (counts["join_excluded"], counts["infra_excluded"]) == (2, 1)
@@ -1004,3 +1004,71 @@ class TestEachEpisodeIsReducedAsItIsRead:
         assert bundle.run_metadata["episodes"]["analyzed"] == self.EPISODES
         assert bundle.tables["cost"].rows[-1][1] == self.EPISODES
         assert alive == [(0, 0)]
+
+
+class TestJsonTheDecoderRefuses:
+    """Nesting past the recursion limit and an integer past 4300 digits make
+    the JSON decoder raise RecursionError and ValueError rather than
+    JSONDecodeError. Either is malformed JSON: a log line is a
+    malformed_line and a reference file is an input error (exit 2), while
+    argument text the decoder refuses is opaque, as unparseable text is."""
+
+    TOO_DEEP = "[" * 100_000 + "]" * 100_000
+    TOO_LONG = "7" * 5000
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        data = tmp_path / "traj"
+        assert main(["simulate", "--mode", "trajectories", "--count", "3", "--out",
+                     str(data)]) == 0
+        return data
+
+    @pytest.mark.parametrize("line", ["too_deep", "too_long_repeat_index"])
+    def test_log_line_is_malformed(self, corpus, line, capsys):
+        text = (self.TOO_DEEP if line == "too_deep" else
+                re.sub(r'"repeat_index":\d+', f'"repeat_index":{self.TOO_LONG}',
+                       (corpus / "episodes.jsonl").read_text(encoding="utf-8").splitlines()[0]))
+        log = corpus / "episodes.jsonl"
+        log.write_text(log.read_text(encoding="utf-8") + text + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["validate", "--logs", str(log)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("ERROR <line 4> malformed_line: line 4: ")
+        assert out.endswith("3 episodes parsed, 1 errors, 0 warnings\n")
+        assert main(["mop", "--logs", str(log)]) == 0
+
+    @pytest.mark.parametrize("args", [TOO_DEEP, "[" + TOO_LONG + "]"], ids=["too_deep", "too_long"])
+    def test_argument_text_is_opaque(self, corpus, args, capsys):
+        log = corpus / "episodes.jsonl"
+        records = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+        records[1]["steps"][0]["args_canonical"] = args
+        log.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        episodes, reports = parse_episode_log(log)
+        assert not reports and episodes[1].steps[0].args_canonical == args
+        for argv in (["validate", "--registry", str(corpus / "tasks.jsonl")], ["mop"]):
+            capsys.readouterr()
+            assert main([argv[0], "--logs", str(log), *argv[1:]]) == 0
+        assert capsys.readouterr().out.count("\n") == 4
+
+    @pytest.mark.parametrize("kind", ["registry", "pricing", "labels"])
+    def test_reference_line_is_an_input_error(self, corpus, kind, capsys):
+        log = corpus / "episodes.jsonl"
+        bad = corpus / f"{kind}.jsonl"
+        argv = {
+            "registry": ["validate", "--registry", str(bad)],
+            "pricing": ["cost", "--pricing", str(bad)],
+            "labels": ["mop", "--calibrate", "f1", "--labels", str(bad)],
+        }[kind]
+        text = {
+            "registry": re.sub(r'"human_minutes_estimate":[^,]*',
+                               f'"human_minutes_estimate":{self.TOO_LONG}',
+                               (corpus / "tasks.jsonl").read_text(encoding="utf-8")),
+            "pricing": f'{{"model_id": "sim-agent", "input_per_million": {self.TOO_DEEP}}}\n',
+            "labels": f'{{"episode_id": "traj-spiral-00000", "meltdown": {self.TOO_LONG}}}\n',
+        }[kind]
+        bad.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main([argv[0], "--logs", str(log), *argv[1:]]) == 2
+        stage = {"registry": "registry", "pricing": "cost", "labels": "labels"}[kind]
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            f"input error: {stage}: {kind} line 1: malformed JSON: ")
