@@ -488,7 +488,8 @@ def _checked_columns(raw: list[Any]) -> tuple[list[str], list[int], list[int], l
 
 def _first_step_error(raw: list[Any]) -> ValidationIssue | None:
     """The first failed check of at most MAX_STEPS steps, step by step and
-    in the order below; None when every step passes."""
+    in the order below; None when every step passes, which never happens
+    where ``_checked_columns`` rejected the steps."""
     for pos, rec in enumerate(raw, start=1):
         if not isinstance(rec, dict):
             return ValidationIssue("bad_step", f"step {pos} is not an object")
@@ -566,7 +567,8 @@ def _read_columns(raw: Any, errors: list[ValidationIssue], shared: dict[Any, Any
     """What the subcommands keep of one record's steps: no steps on the
     episode, its tool names and its (tokens_in, tokens_out) per step. Or
     None after appending its first error. Arguments are checked for
-    presence only, never canonicalized."""
+    presence only, never canonicalized, and tool names are not shared,
+    since each episode's are dropped once it is summarized."""
     columns = _step_columns(raw, errors)
     if columns is None:
         return None
