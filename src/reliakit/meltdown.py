@@ -200,7 +200,8 @@ def detect_mop(
 ) -> MopResult:
     """Earliest step whose window entropy strictly exceeds theta_h while
     strictly exceeding the entropy one window span earlier by delta."""
-    return _detect(_steps_of(source)[0], _tools_of(source), config or MopConfig())
+    episode_id, steps = _steps_of(source)
+    return _detect(episode_id, [step.tool for step in steps], config or MopConfig())
 
 
 def _detect(episode_id: str, tools: Sequence[str], config: MopConfig) -> MopResult:
