@@ -45,6 +45,7 @@ from reliakit import (
 from reliakit.cli import build_parser, main
 from reliakit.simulate import TrajectoryProfile, generate_trajectory, trajectory_episode
 
+
 class Raw(str):
     """JSON text that a file holds as it is, not as a string: values that
     Python's encoder cannot write."""
@@ -335,39 +336,35 @@ def test_a_size_numpy_cannot_index_is_refused(flag):
     check_knob_case(("simulate", [f"--mode={mode.get(flag, 'study')}", f"{flag}={2 ** 63}"]))
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--mode", "steps", "--episodes", str(2 ** 62), "--horizon", "1"],
-    ["simulate", "--mode", "steps", "--episodes", "2", "--horizon", str(2 ** 62)],
-    ["simulate", "--mode", "study", "--tasks-per-bucket", "1", "--k", str(2 ** 62)],
+# Each refusal names every size of the draws, since either can be the one
+# too large.
+@pytest.mark.parametrize("argv, draws", [
+    (["simulate", "--mode", "steps", "--episodes", str(2 ** 62), "--horizon", "1"],
+     f"episodes {2 ** 62} x horizon_t 1 needs {2 ** 62}"),
+    (["simulate", "--mode", "steps", "--episodes", "2", "--horizon", str(2 ** 62)],
+     f"episodes 2 x horizon_t {2 ** 62} needs {2 ** 63}"),
+    (["simulate", "--mode", "study", "--tasks-per-bucket", "1", "--k", str(2 ** 62)],
+     f"k {2 ** 62} needs {2 ** 62}"),
 ], ids=["episodes", "horizon", "k"])
-def test_a_size_numpy_can_index_but_not_allocate_is_refused(argv, tmp_path, capsys):
+def test_a_size_numpy_can_index_but_not_allocate_is_refused(argv, draws, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
-    assert "more than numpy can allocate" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"input error: {draws} float64 draws, more than numpy"
+                                       f" can allocate ({sys.maxsize // 8})\n")
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--mode", "steps", "--episodes", HUGE, "--horizon", "1"],
-    ["simulate", "--mode", "steps", "--episodes", "1", "--horizon", HUGE],
-    ["simulate", "--mode", "study", "--tasks-per-bucket", "1", "--k", HUGE],
+@pytest.mark.parametrize("argv, draws", [
+    (["simulate", "--mode", "steps", "--episodes", HUGE, "--horizon", "1"],
+     f"episodes {HUGE} x horizon_t 1 needs {HUGE}"),
+    (["simulate", "--mode", "steps", "--episodes", "1", "--horizon", HUGE],
+     f"episodes 1 x horizon_t {HUGE} needs {HUGE}"),
+    (["simulate", "--mode", "study", "--tasks-per-bucket", "1", "--k", HUGE],
+     f"k {HUGE} needs {HUGE}"),
 ], ids=["episodes", "horizon", "k"])
-def test_a_size_this_machine_cannot_allocate_is_refused(argv, tmp_path, capsys):
+def test_a_size_this_machine_cannot_allocate_is_refused(argv, draws, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
-    assert "more than this machine can allocate" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("episodes, horizon, message", [
-    ("1", HUGE, f"episodes 1 x horizon_t {HUGE} needs {HUGE} float64 draws,"
-                " more than this machine can allocate"),
-    ("2", str(2 ** 62), f"episodes 2 x horizon_t {2 ** 62} needs {2 ** 63} float64 draws,"
-                        f" more than numpy can allocate ({sys.maxsize // 8})"),
-], ids=["machine", "numpy"])
-def test_too_many_step_draws_name_both_sizes(episodes, horizon, message, tmp_path, capsys):
-    """Either size can be the oversized one, so the message names both."""
-    assert main(["simulate", "--mode", "steps", "--episodes", episodes, "--horizon", horizon,
-                 "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert capsys.readouterr().err == (f"input error: {draws} float64 draws, more than this"
+                                       " machine can allocate\n")
     assert not (tmp_path / "out").exists()
 
 
