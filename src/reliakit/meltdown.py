@@ -373,7 +373,9 @@ def _mop_outcome(
 ) -> tuple[int | None, bool, tuple[tuple[int, float], ...] | None]:
     """What the meltdown table needs of an episode's tool names: its onset
     step, its too-short flag and, when ``keep_series``, its entropy series
-    (else None)."""
+    (else None). One shorter than a window needs no scan."""
+    if len(tools) < config.window_w:
+        return None, True, (() if keep_series else None)
     result = _detect("", tools, config)
     return result.onset_step, result.too_short, result.entropy_series if keep_series else None
 

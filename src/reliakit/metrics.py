@@ -435,8 +435,8 @@ def _vafs(
     with equal pool sizes are fed one pass over the same rows, and the
     pools of a pass share one variance memo. A count row sums to its
     pool's size, so pools of other sizes seldom share one; each memo is
-    dropped with its pass, which bounds what it holds to one pass's count
-    rows.
+    dropped with its pass, and a level set's stops growing at
+    ``_MEMO_ENTRIES`` rows.
     """
     for name, buckets in (("numerator", numerator_buckets), ("denominator", denominator_buckets)):
         unknown = [bk for bk in buckets if bk not in BUCKETS]
@@ -604,8 +604,12 @@ def _level_pvar(levels: Sequence[float], counts: Sequence[int]) -> float:
     return math.fsum(_repeated([(v - m) ** 2 for v in levels], counts)) / n
 
 
-# Each level set's count rows mapped to their ``_level_pvar``.
-_VarianceMemo = dict[tuple[float, ...], dict[tuple[int, ...], float]]
+# Each level set's count rows, as raw bytes, mapped to their ``_level_pvar``.
+_VarianceMemo = dict[tuple[float, ...], dict[bytes, float]]
+# A level set's memo takes no new rows once it holds this many (about 20 MB).
+# A 198-task pool with five levels draws few rows twice, and the rows drawn
+# first are the likeliest to recur: dropping a full memo instead missed more.
+_MEMO_ENTRIES = 1 << 17
 
 
 def _pool_variances(
@@ -617,9 +621,10 @@ def _pool_variances(
     Values are one level when ``==`` (a dict's key test, so 0.0 and -0.0
     are one level, as they are to ``min`` and ``max``). A row's ``_pvar``
     depends only on how often it drew each level, so each distinct count
-    row is computed once and remembered in ``memo`` under the pool's level
-    set. Levels are counted in sorted order, so every pool with the same
-    levels shares those entries.
+    row of a block is computed once and remembered in ``memo`` under the
+    pool's level set, until that holds ``_MEMO_ENTRIES`` rows. Levels are
+    counted in sorted order, so every pool with the same levels shares those
+    entries.
     """
     levels = sorted(dict.fromkeys(pool))
     rank = {v: j for j, v in enumerate(levels)}
@@ -630,13 +635,16 @@ def _pool_variances(
         n_rows, n_levels = len(rows), len(levels)
         codes = level_of[rows] + n_levels * np.arange(n_rows)[:, None]
         counts = np.bincount(codes.ravel(), minlength=n_rows * n_levels).reshape(n_rows, n_levels)
-        out = np.empty(n_rows)
-        for r, row in enumerate(map(tuple, counts.tolist())):
-            var = level_memo.get(row)
-            if var is None:
-                var = level_memo[row] = _level_pvar(levels, row)
-            out[r] = var
-        return out, np.count_nonzero(counts, axis=1)
+        # Each row's raw bytes are its key: no radix, so no overflow.
+        keys = counts.view(f"V{counts.itemsize * n_levels}").ravel().tolist()
+        out = list(map(level_memo.get, keys))
+        if None in out:
+            missed = {key: row for key, row, var in zip(keys, counts.tolist(), out) if var is None}
+            missed = {key: _level_pvar(levels, row) for key, row in missed.items()}
+            if len(level_memo) < _MEMO_ENTRIES:
+                level_memo.update(missed)
+            out = [missed[key] if var is None else var for key, var in zip(keys, out)]
+        return np.array(out), np.count_nonzero(counts, axis=1)
 
     return variances
 

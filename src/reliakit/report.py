@@ -188,6 +188,8 @@ def _episode_cost(episode: Episode, tokens: Sequence[tuple[int, int]],
     model has no price, and inf when it is too large for a float;
     _cost_report refuses both."""
     entry = prices.get(episode.model_id)
+    if not tokens:
+        return EpisodeCost(episode.episode_id, episode.model_id, 0, 0, None if entry is None else 0.0)
     cost = None if entry is None else _exact_sum(
         (tokens_in * entry.input_per_million + tokens_out * entry.output_per_million) / 1e6
         for tokens_in, tokens_out in tokens)
@@ -436,6 +438,8 @@ _MIN_RANGE_BYTES = 1 << 20
 # The hash pass reads at most this much at a time; 1 MiB blocks raised the
 # traced peak of reading a 3 MB log past a quarter of the file's size.
 _HASH_BLOCK = 1 << 16
+# A worker pickles its items in lists of this many.
+_PICKLE_BATCH = 256
 
 
 def _range_items(path: str | Path, summarize: _Summarize, meta: dict[str, Any],
@@ -551,19 +555,25 @@ def _fork_range(path: str | Path, summarize: _Summarize, start: int, stop: int,
             out.close()
         return None
     if pid == 0:
-        # The worker writes one pickle per item, then the count of non-blank
-        # lines read, or the exception that stopped the read. Each
-        # item is pickled whole before it is written, so a failure leaves no
-        # partial item in the file.
+        # The worker writes one pickled list per _PICKLE_BATCH items, then
+        # the count of non-blank lines read, or the exception that stopped
+        # the read. A list is pickled whole before it is written, so a
+        # failure leaves no partial item in the file; and within one list,
+        # the values the parse shares stay one object when read back.
         status = 1
         try:
             meta: dict[str, Any] = {}
+            batch: list = []
             try:
                 for item in _range_items(path, summarize, meta, start, stop, lineno):
-                    out.write(pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
+                    batch.append(item)
+                    if len(batch) == _PICKLE_BATCH:
+                        out.write(pickle.dumps(batch, pickle.HIGHEST_PROTOCOL))
+                        batch.clear()
                 end: Any = meta["lines"]
             except Exception as exc:
                 end = exc
+            out.write(pickle.dumps(batch, pickle.HIGHEST_PROTOCOL))
             out.write(pickle.dumps(end, pickle.HIGHEST_PROTOCOL))
             out.flush()
             status = 0
@@ -588,7 +598,7 @@ def _worker_items(path: str | Path, worker: _Worker) -> Generator[Any, None, int
             return item
         if isinstance(item, Exception):
             raise item
-        yield item
+        yield from item
 
 
 def _reap(workers: Sequence[_Worker | None]) -> None:
@@ -641,14 +651,14 @@ def run_pipeline(
     infra_excluded = 0
 
     def summarize(episode: Episode, tools: list[str], tokens: list[tuple[int, int]]) -> tuple:
-        joined, reports = cross_validate((episode,), registry)
         cost = None if prices is None else _episode_cost(episode, tokens, prices)
-        if not joined or episode.is_infra_failure:
-            return reports, bool(joined), None, None, None, cost
+        task = registry.get(episode.task_id)
+        if task is None or len(episode.subtask_outcomes) != len(task.subtasks):
+            return cross_validate((episode,), registry)[1], False, None, None, None, cost
+        if episode.is_infra_failure:
+            return (), True, None, None, None, cost
         onset, too_short, entropy = _mop_outcome(tools, opts.mop, opts.emit_series)
-        return ((), False, episode,
-                (episode.model_id, registry[episode.task_id].bucket, onset, too_short),
-                entropy, cost)
+        return (), False, episode, (episode.model_id, task.bucket, onset, too_short), entropy, cost
 
     def keep(read: tuple) -> EpisodeCost | None:
         nonlocal infra_excluded

@@ -418,17 +418,20 @@ _NO_EXTRAS = _NoExtras()
 # An offset is (+|-)HH:MM[:SS[(.|:)ffffff]] strictly inside +-24 h; its
 # minutes and seconds may each run to 99. The day of the month is left to
 # date.fromisoformat; every other field is checked here.
+# Both time forms share their HH[:MM[:SS]] prefix, so it is matched once:
+# after each of HH, :MM and :SS comes either a fraction and an optional
+# offset, or the next field, or _TRAILER.
 _FRACTION = r"(?:[0-9]{3}|[0-9]{6})"
 _OFFSET = (r"[+-](?:(?:[01][0-9]|2[0-2]):[0-9]{2}|23:(?:[0-4][0-9]|5[0-8]))"
            r"(?::[0-9]{2}(?:[.:][0-9]{6})?)?"
            r"|[+-]23:59(?::[0-5][0-9](?:[.:][0-9]{6})?)?")
+_FRACTION_TAIL = rf"{_FRACTION}(?:{_OFFSET})?"
+_TRAILER = rf"(?:[\x00-\x2a\x2c\x2e-\x7f]?(?:{_OFFSET})|\x00?)"
 _TIMESTAMP = re.compile(
-    rf"[0-9]{{4}}-[0-9]{{2}}-[0-9]{{2}}(?:."
-    rf"(?:(?:[01][0-9]|2[0-3])"
-    rf"(?:\.{_FRACTION}|:[0-5][0-9](?:\.{_FRACTION}|:[0-5][0-9][.:]{_FRACTION}))"
-    rf"(?:{_OFFSET})?"
-    rf"|(?:[01][0-9]|2[0-3])(?::[0-5][0-9](?::[0-5][0-9])?)?"
-    rf"(?:\x00?|[\x00-\x2a\x2c\x2e-\x7f]?(?:{_OFFSET}))))?",
+    rf"[0-9]{{4}}-[0-9]{{2}}-[0-9]{{2}}(?:.(?:[01][0-9]|2[0-3])"
+    rf"(?:\.{_FRACTION_TAIL}"
+    rf"|:[0-5][0-9](?:\.{_FRACTION_TAIL}|:[0-5][0-9](?:[.:]{_FRACTION_TAIL}|{_TRAILER})|{_TRAILER})"
+    rf"|{_TRAILER}))?",
     re.DOTALL)
 
 
@@ -450,6 +453,7 @@ def _valid_timestamp(value: Any) -> bool:
 _POSITIONS = list(range(1, MAX_STEPS + 1))
 _INT = {int}
 _STR = {str}
+_BOOL = {bool}
 
 
 def _checked_columns(raw: list[Any]) -> tuple[list[str], list[int], list[int], list[int]] | None:
@@ -569,6 +573,8 @@ def _read_columns(raw: Any, errors: list[ValidationIssue], shared: dict[Any, Any
     None after appending its first error. Arguments are checked for
     presence only, never canonicalized, and tool names are not shared,
     since each episode's are dropped once it is summarized."""
+    if raw == []:
+        return (), [], []
     columns = _step_columns(raw, errors)
     if columns is None:
         return None
@@ -577,6 +583,13 @@ def _read_columns(raw: Any, errors: list[ValidationIssue], shared: dict[Any, Any
 
 
 _StepReader = Callable[[Any, list[ValidationIssue], dict[Any, Any]], tuple | None]
+
+
+def _field_issue(key: str, value: Any, kind: str, describe: str = "") -> ValidationIssue:
+    """The error of a ``kind`` field whose value failed its check."""
+    if isinstance(value, bool):
+        return ValidationIssue(f"bad_{key}", f"{key} must be {kind}")
+    return ValidationIssue(f"bad_{key}", f"{key}={value!r} invalid{describe}")
 
 
 def _episode_from_record(record: Mapping[str, Any], errors: list[ValidationIssue],
@@ -588,41 +601,48 @@ def _episode_from_record(record: Mapping[str, Any], errors: list[ValidationIssue
     ``read_steps(raw, errors, shared)`` returns the episode's ``steps``
     followed by anything else, or None after appending the first step
     error; ``shared`` maps each bounded-vocabulary value to the first equal
-    object the parse kept."""
-    def need(key: str, kind: type, predicate=None, describe: str = "") -> Any:
-        value = record.get(key)
-        if isinstance(value, bool) and kind is not bool:
-            errors.append(ValidationIssue(f"bad_{key}", f"{key} must be {kind.__name__}"))
-            return None
-        if not isinstance(value, kind) or (predicate and not predicate(value)):
-            errors.append(ValidationIssue(f"bad_{key}", f"{key}={value!r} invalid{describe}"))
-            return None
-        return value
-
-    episode_id = need("episode_id", str, lambda s: bool(s))
-    task_id = need("task_id", str, lambda s: bool(s))
-    model_id = need("model_id", str, lambda s: bool(s))
-    scaffold = need("scaffold", str, lambda s: s in SCAFFOLDS, f" (expected one of {SCAFFOLDS})")
-    repeat_index = need("repeat_index", int, lambda v: v >= 1, " (must be >= 1)")
-    nudges = need("nudges_used", int, lambda v: 0 <= v <= NUDGE_LIMIT, f" (range 0..{NUDGE_LIMIT})")
-    termination = need("termination", str, lambda s: s in TERMINATIONS, f" (expected one of {TERMINATIONS})")
-    score = record.get("evaluator_score")
+    object the parse kept. A message is built only for a check that fails."""
+    get = record.get
+    episode_id = get("episode_id")
+    if not isinstance(episode_id, str) or not episode_id:
+        errors.append(_field_issue("episode_id", episode_id, "str"))
+    task_id = get("task_id")
+    if not isinstance(task_id, str) or not task_id:
+        errors.append(_field_issue("task_id", task_id, "str"))
+    model_id = get("model_id")
+    if not isinstance(model_id, str) or not model_id:
+        errors.append(_field_issue("model_id", model_id, "str"))
+    scaffold = get("scaffold")
+    if not isinstance(scaffold, str) or scaffold not in SCAFFOLDS:
+        errors.append(_field_issue("scaffold", scaffold, "str", f" (expected one of {SCAFFOLDS})"))
+    repeat_index = get("repeat_index")
+    if isinstance(repeat_index, bool) or not isinstance(repeat_index, int) or repeat_index < 1:
+        errors.append(_field_issue("repeat_index", repeat_index, "int", " (must be >= 1)"))
+    nudges = get("nudges_used")
+    if isinstance(nudges, bool) or not isinstance(nudges, int) or not 0 <= nudges <= NUDGE_LIMIT:
+        errors.append(_field_issue("nudges_used", nudges, "int", f" (range 0..{NUDGE_LIMIT})"))
+    termination = get("termination")
+    if not isinstance(termination, str) or termination not in TERMINATIONS:
+        errors.append(_field_issue("termination", termination, "str",
+                                   f" (expected one of {TERMINATIONS})"))
+    score = get("evaluator_score")
     if isinstance(score, bool) or not isinstance(score, (int, float)) or not 0.0 <= score <= 1.0:
         errors.append(ValidationIssue("bad_evaluator_score", f"evaluator_score={score!r} outside [0, 1]"))
         score = None
-    passed = record.get("passed")
+    passed = get("passed")
     if not isinstance(passed, bool):
         errors.append(ValidationIssue("bad_passed", f"passed={passed!r} must be boolean"))
         passed = None
 
-    outcomes_raw = record.get("subtask_outcomes")
-    if not isinstance(outcomes_raw, list) or not all(isinstance(v, bool) for v in outcomes_raw):
+    outcomes_raw = get("subtask_outcomes")
+    # A bool cannot be subclassed, so its type is its isinstance check.
+    if not isinstance(outcomes_raw, list) or not _BOOL.issuperset(map(type, outcomes_raw)):
         errors.append(ValidationIssue("bad_subtask_outcomes", "subtask_outcomes must be an array of booleans"))
         outcomes: tuple[bool, ...] = ()
     else:
         outcomes = tuple(outcomes_raw)
 
-    steps = read_steps(record.get("steps", []), errors, shared)
+    steps = read_steps(get("steps", []), errors, shared)
 
     if passed is not None and score is not None:
         at_full_score = abs(score - 1.0) <= _SCORE_TOLERANCE

@@ -23,7 +23,8 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import make_task
 from reliakit import DegenerateStatisticError, MetricError, bootstrap_ci, vaf
 from reliakit import metrics, rng
-from reliakit.metrics import DEFAULT_VAF_DENOMINATOR, DEFAULT_VAF_NUMERATOR, _vafs, _variance_ratio
+from reliakit.metrics import (DEFAULT_VAF_DENOMINATOR, DEFAULT_VAF_NUMERATOR, _level_pvar,
+                              _pool_variances, _vafs, _variance_ratio)
 from reliakit.rng import _resample_chunks, substream
 
 
@@ -389,3 +390,48 @@ def test_unknown_task_fails_only_its_own_selection():
     for s in (0, 2):
         assert batch[s] == _batch_outcomes(per_tasks[s:s + 1], 1000, 0.95, 4)[0]
         assert isinstance(batch[s], tuple) and batch[s][0] < batch[s][1]
+
+
+def _reference_pool_variances(pool, memo):
+    """``_pool_variances`` as it was before count rows were keyed by their
+    bytes, kept verbatim: one tuple and one memo lookup per count row, and
+    no bound on the memo."""
+    levels = sorted(dict.fromkeys(pool))
+    rank = {v: j for j, v in enumerate(levels)}
+    level_of = np.array([rank[v] for v in pool], dtype=np.int64)
+    level_memo = memo.setdefault(tuple(levels), {})
+
+    def variances(rows):
+        n_rows, n_levels = len(rows), len(levels)
+        codes = level_of[rows] + n_levels * np.arange(n_rows)[:, None]
+        counts = np.bincount(codes.ravel(), minlength=n_rows * n_levels).reshape(n_rows, n_levels)
+        out = np.empty(n_rows)
+        for r, row in enumerate(map(tuple, counts.tolist())):
+            var = level_memo.get(row)
+            if var is None:
+                var = level_memo[row] = _level_pvar(levels, row)
+            out[r] = var
+        return out, np.count_nonzero(counts, axis=1)
+
+    return variances
+
+
+@pytest.mark.parametrize("memo_entries", [metrics._MEMO_ENTRIES, 5], ids=["memo", "tiny_memo"])
+@pytest.mark.parametrize("n_levels", [1, 2, 4, 9])
+def test_pool_variances_equal_the_per_row_loop(n_levels, memo_entries, monkeypatch):
+    """Bit for bit, on every chunk of a pass, also once the memo is full; a
+    full memo takes no more rows, so it never holds a chunk more than its
+    bound."""
+    monkeypatch.setattr(metrics, "_MEMO_ENTRIES", memo_entries)
+    levels = [0.0, -0.0, 1 / 3, 2 / 3, 1.0, 1 / 7, 0.5, 0.25, 0.75, 0.125][:n_levels + (n_levels > 1)]
+    pool = [levels[(i * 7) % len(levels)] for i in range(max(2 * len(levels), 9))]
+    memo, reference_memo = {}, {}
+    fast = _pool_variances(pool, memo)
+    reference = _reference_pool_variances(pool, reference_memo)
+    for chunk in _resample_chunks(3, "bootstrap", 1001, [len(pool)]):
+        (got, got_levels), (want, want_levels) = fast(chunk), reference(chunk)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert np.array_equal(got_levels, want_levels)
+        (level_memo,) = memo.values()
+        assert len(level_memo) < memo_entries + rng._CHUNK
+    assert [len(key) for key in memo] == [n_levels]

@@ -55,9 +55,11 @@ class Raw(str):
 # int() converts: the decoder refuses both, though neither is a syntax error.
 TOO_DEEP = Raw("[" * 100_000 + "]" * 100_000)
 TOO_LONG = Raw("7" * 5000)
+# An integer zero that Python's encoder writes as 0.
+MINUS_ZERO = Raw("-0")
 
-HOSTILE = (None, True, False, 0, -1, 2 ** 70, 10 ** 400, math.nan, math.inf, -math.inf,
-           -0.0, [], {}, "", [1], {"a": None}, TOO_DEEP, TOO_LONG)
+HOSTILE = (None, True, False, 0, 1, -1, 1.0, 2 ** 70, 10 ** 400, math.nan, math.inf, -math.inf,
+           -0.0, MINUS_ZERO, [], {}, "", [1], [True, 0], {"a": None}, TOO_DEEP, TOO_LONG)
 
 PRICING = {"model_id": "sim-agent", "input_per_million": 0.14, "output_per_million": 0.28}
 
@@ -145,7 +147,7 @@ def cases(draw):
 def _dumps(record) -> str:
     """One JSON line, each Raw value written as it is."""
     text = json.dumps(record)
-    for raw in (TOO_DEEP, TOO_LONG):
+    for raw in (TOO_DEEP, TOO_LONG, MINUS_ZERO):
         text = text.replace(json.dumps(raw), raw)
     return text
 

@@ -176,6 +176,43 @@ def test_an_exception_in_a_worker_is_raised_in_the_parent(tmp_path, error):
         assert_no_children()
 
 
+@pytest.mark.parametrize("batch", [1, 2, 7])
+def test_any_pickle_batch_folds_to_the_same_logs(tmp_path, monkeypatch, batch):
+    """A worker pickles its items in lists of ``_PICKLE_BATCH``. Lists of any
+    size, the last one cut short by the range's end or by an exception, give
+    the same logs and raise the same first exception."""
+    monkeypatch.setattr(report, "_PICKLE_BATCH", batch)
+    lines = [LINE_KINDS[kind](n) for n, kind in enumerate(sorted(LINE_KINDS) * 5)]
+    load_all([write_log(tmp_path / "kinds.jsonl", lines)])
+    log = write_log(tmp_path / "log.jsonl", [episode_line(f"e-{i}", steps=10) for i in range(30)])
+
+    def summarize(episode, *columns):
+        if episode.episode_id in ("e-20", "e-27"):
+            raise Boom(f"cannot summarize {episode.episode_id}")
+        return episode.episode_id
+
+    for ranges in RANGE_COUNTS:
+        with pytest.raises(Boom, match="^cannot summarize e-20$"):
+            load([log], summarize, ranges)
+        assert_no_children()
+
+
+def test_a_worker_s_episodes_share_their_repeated_values(tmp_path):
+    """Within one range, equal task, model, scaffold, termination and outcome
+    values are one object, and those a worker read stay so when read back:
+    at most one object per value and range, not one per episode."""
+    lines = [episode_line(f"e-{i}", steps=0, model_id=f"m{i % 2}",
+                          scaffold=("react", "memory")[i % 2],
+                          termination=("finished", "step_limit")[i % 2], passed=bool(i % 2))
+             for i in range(60)]
+    log = write_log(tmp_path / "log.jsonl", lines)
+    episodes = load([log], lambda episode, *columns: episode, 3).summaries
+    assert len(episodes) == 60
+    for name in ("task_id", "model_id", "scaffold", "termination", "subtask_outcomes"):
+        values = [getattr(ep, name) for ep in episodes]
+        assert len({id(v) for v in values}) <= 3 * len(set(values)), name
+
+
 def test_an_exception_on_a_duplicate_is_raised(tmp_path):
     """Every parsed episode is summarized, duplicates too, so what
     ``summarize`` raises on a duplicate stops the read at every range count."""

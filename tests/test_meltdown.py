@@ -24,6 +24,7 @@ from reliakit import (
     window_distribution,
     window_entropy,
 )
+from reliakit.meltdown import _detect, _mop_outcome
 from reliakit.simulate import TrajectoryProfile
 
 
@@ -249,6 +250,18 @@ class TestCalibrateBaseline:
             calibrate_mop_baseline([])
         with pytest.raises(MeltdownError, match="window_w must be >= 2"):
             calibrate_mop_baseline([steps_from_tools(["a"] * 12)], w=1)
+
+
+@pytest.mark.parametrize("w, n", [(w, n) for w in (2, 3, 5) for n in range(2 * w)])
+def test_mop_outcome_of_a_short_episode_is_detects(w, n):
+    """Below one window _mop_outcome answers without a scan; up to 2w - 1
+    tools it must still give _detect's onset, too-short flag and series."""
+    config = MopConfig(window_w=w, theta_h=0.0, delta=0.0)
+    tools = [f"t{i % 3}" for i in range(n)]
+    result = _detect("", tools, config)
+    expected = (result.onset_step, result.too_short)
+    assert _mop_outcome(tools, config, keep_series=True) == (*expected, result.entropy_series)
+    assert _mop_outcome(tools, config, keep_series=False) == (*expected, None)
 
 
 class TestMeltdownTable:

@@ -281,12 +281,12 @@ _RECORD_FAULTS = [
     ("episode_id", ["", 5, _MISSING]),
     ("task_id", ["", None, _MISSING]),
     ("model_id", ["", 3]),
-    ("scaffold", ["plain", _MISSING]),
-    ("repeat_index", [0, True, 1.0, "1"]),
-    ("nudges_used", [NUDGE_LIMIT + 1, -1, False, 0.0]),
-    ("termination", ["crashed", None]),
-    ("subtask_outcomes", [[1, 0], "all", None, _MISSING]),
-    ("evaluator_score", [0.5, True, 1.5, "1", None]),
+    ("scaffold", ["plain", "", _MISSING]),
+    ("repeat_index", [0, True, False, 1.0, "1", float("nan")]),
+    ("nudges_used", [NUDGE_LIMIT + 1, -1, False, True, 0.0, 1.0, float("inf")]),
+    ("termination", ["crashed", "", None]),
+    ("subtask_outcomes", [[1, 0], [True, 0], [1], "all", None, _MISSING]),
+    ("evaluator_score", [0.5, True, 1.5, "1", None, float("nan"), float("-inf")]),
     ("passed", [False, 1, None, _MISSING]),
     ("steps", ["steps", 5, {"index": 1}, None]),
 ]
@@ -614,3 +614,87 @@ def test_step_check_boundaries_agree_on_every_path(edit, code, tmp_path, capsys)
         assert out.startswith(f"ERROR e1 {code}: {reports[0].errors[0].message}\n")
     else:
         assert out == "1 episodes parsed, 0 errors, 0 warnings\n"
+
+
+# --- the record checks at their boundaries ------------------------------------
+
+def _record_line(edit) -> str:
+    """A passed episode line without steps (repeat_index 1, nudges_used 0,
+    evaluator_score 1.0), after ``edit`` of its text."""
+    return edit(json.dumps(json.loads(serialize_episode(make_episode("e1", make_task())))))
+
+
+def _record_edit(**changes):
+    def edit(text: str) -> str:
+        record = json.loads(text)
+        for key, value in changes.items():
+            if value is _MISSING:
+                record.pop(key, None)
+            else:
+                record[key] = value
+        return json.dumps(record)
+    return edit
+
+
+def _literal(key: str, text: str):
+    """Set ``key`` to a JSON literal that json.dumps would not write."""
+    def edit(line: str) -> str:
+        record = json.loads(line)
+        record[key] = "@"
+        return json.dumps(record).replace(f'"{key}": "@"', f'"{key}": {text}', 1)
+    return edit
+
+
+# (edit of the line's text, every error code in order; empty when accepted)
+_RECORD_BOUNDARIES = {
+    "true_repeat_index": (_record_edit(repeat_index=True), ["bad_repeat_index"]),
+    "false_repeat_index": (_record_edit(repeat_index=False), ["bad_repeat_index"]),
+    "true_nudges": (_record_edit(nudges_used=True), ["bad_nudges_used"]),
+    "false_nudges": (_record_edit(nudges_used=False), ["bad_nudges_used"]),
+    "float_repeat_index": (_record_edit(repeat_index=1.0), ["bad_repeat_index"]),
+    "float_nudges": (_record_edit(nudges_used=1.0), ["bad_nudges_used"]),
+    "minus_zero_repeat_index": (_literal("repeat_index", "-0"), ["bad_repeat_index"]),
+    "minus_zero_nudges": (_literal("nudges_used", "-0"), []),
+    "int_score": (_literal("evaluator_score", "1"), []),
+    "true_score": (_record_edit(evaluator_score=True), ["bad_evaluator_score"]),
+    "nan_score": (_literal("evaluator_score", "NaN"), ["bad_evaluator_score"]),
+    "minus_infinity_score": (_literal("evaluator_score", "-Infinity"), ["bad_evaluator_score"]),
+    "nan_repeat_index": (_literal("repeat_index", "NaN"), ["bad_repeat_index"]),
+    "infinity_nudges": (_literal("nudges_used", "Infinity"), ["bad_nudges_used"]),
+    "empty_scaffold": (_record_edit(scaffold=""), ["bad_scaffold"]),
+    "empty_strings": (_record_edit(episode_id="", task_id="", model_id="", scaffold="",
+                                   termination=""),
+                      ["bad_episode_id", "bad_task_id", "bad_model_id", "bad_scaffold",
+                       "bad_termination"]),
+    "zero_in_outcomes": (_record_edit(subtask_outcomes=[True, True, True, 0]),
+                         ["bad_subtask_outcomes"]),
+    "one_in_outcomes": (_record_edit(subtask_outcomes=[1, True, True, True]),
+                        ["bad_subtask_outcomes"]),
+    "missing_then_bad": (_record_edit(task_id=_MISSING, model_id=3),
+                         ["bad_task_id", "bad_model_id"]),
+    "bad_then_missing": (_record_edit(episode_id=5, passed=_MISSING),
+                         ["bad_episode_id", "bad_passed"]),
+    "missing_and_bad_outcome": (_record_edit(termination=_MISSING, subtask_outcomes=[0]),
+                                ["bad_termination", "bad_subtask_outcomes"]),
+}
+
+
+@pytest.mark.parametrize("edit, codes", _RECORD_BOUNDARIES.values(), ids=_RECORD_BOUNDARIES.keys())
+def test_record_check_boundaries_agree_on_every_path(edit, codes, tmp_path, capsys):
+    """parse_episode_log, the reference, the read path and the validate
+    subcommand report the same errors, every one in order, with the same
+    messages."""
+    line = _record_line(edit)
+    episodes, reports = parse_episode_log([line])
+    assert (episodes, reports) == _reference_parse_episode_log([line])
+    assert [i.code for r in reports for i in r.errors] == codes
+    assert read_path([line]) == ([(ep, [], []) for ep in episodes], reports)
+    if not codes:
+        assert type(episodes[0].evaluator_score) is float
+    log = tmp_path / "log.jsonl"
+    log.write_text(line + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["validate", "--logs", str(log)]) == (2 if codes else 0)
+    printed = [text.split(": ", 1)[1] for text in capsys.readouterr().out.splitlines()
+               if text.startswith("ERROR ")]
+    assert printed == [i.message for r in reports for i in r.errors]

@@ -1,6 +1,7 @@
 """Pipeline, emission, pricing, and command-line behavior."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -111,6 +112,19 @@ class TestComputeCost:
         ep = make_episode("e1", make_task("t-0001"), model_id="m1")
         report = compute_cost([ep], load_pricing(PRICING_LINES))
         assert report.total_cost == 0.0
+
+    @pytest.mark.parametrize("model_id", ["m1", "unpriced"])
+    def test_no_token_pairs_is_the_general_sum(self, model_id):
+        """_episode_cost answers an episode without steps at once, with the
+        values and types that the sums over its token pairs give."""
+        ep = make_episode("e1", make_task("t-0001"), model_id=model_id)
+        prices = {p.model_id: p for p in load_pricing(PRICING_LINES)}
+        got = report._episode_cost(ep, [], prices)
+        general = report.EpisodeCost("e1", model_id, sum(()), sum(()),
+                                     report._exact_sum(()) if model_id in prices else None)
+        assert got == general
+        assert [type(v) for v in dataclasses.astuple(got)] == [
+            type(v) for v in dataclasses.astuple(general)]
 
     def test_total_is_exact_sum(self):
         task = make_task("t-0001")

@@ -5,14 +5,15 @@ import copy
 import io
 import json
 import pickle
+import re
 import sys
 from datetime import datetime
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import FOUR_WEIGHTS, make_episode, make_step, make_task, steps_from_tools
-from reliakit.trajectory import MAX_STEPS, _valid_timestamp
+from reliakit.trajectory import _FRACTION, _OFFSET, _TIMESTAMP, MAX_STEPS, _valid_timestamp
 from reliakit import (
     RegistryError,
     RegistryWarning,
@@ -351,10 +352,38 @@ TIMESTAMPS_AS_ON_310 = [
 ]
 
 
+# _TIMESTAMP before its shared HH[:MM[:SS]] prefix was factored out: the two
+# time forms as two branches. The factored pattern must match exactly the
+# same strings.
+_TIMESTAMP_UNFACTORED = re.compile(
+    rf"[0-9]{{4}}-[0-9]{{2}}-[0-9]{{2}}(?:."
+    rf"(?:(?:[01][0-9]|2[0-3])"
+    rf"(?:\.{_FRACTION}|:[0-5][0-9](?:\.{_FRACTION}|:[0-5][0-9][.:]{_FRACTION}))"
+    rf"(?:{_OFFSET})?"
+    rf"|(?:[01][0-9]|2[0-3])(?::[0-5][0-9](?::[0-5][0-9])?)?"
+    rf"(?:\x00?|[\x00-\x2a\x2c\x2e-\x7f]?(?:{_OFFSET}))))?",
+    re.DOTALL)
+# The alphabet and heads of test_matches_fromisoformat_on_python_3_10.
+_STAMP_ALPHABET = ["0", "1", "2", "5", "9", "-", ":", ".", "+", "T", "Z", " ", "x", ",", "W",
+                   "\x00", "\u00e9", "\ud800"]
+_STAMP_HEADS = ["", "2026-01-01", "2024-02-29T23:59", "2026-01-01T12:30:45"]
+
+
+def _same_match(stamp: str) -> bool:
+    stamp = stamp.replace("Z", "+00:00")
+    return (_TIMESTAMP.fullmatch(stamp) is None) == (_TIMESTAMP_UNFACTORED.fullmatch(stamp) is None)
+
+
 class TestTimestamps:
     @pytest.mark.parametrize("stamp,accepted", TIMESTAMPS_AS_ON_310)
     def test_verdict_is_the_one_python_3_10_gives(self, stamp, accepted):
         assert _valid_timestamp(stamp) is accepted
+        assert _same_match(stamp)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.text(st.sampled_from(_STAMP_ALPHABET), max_size=16), st.sampled_from(_STAMP_HEADS))
+    def test_factored_pattern_matches_the_unfactored_one(self, tail, head):
+        assert _same_match(head + tail)
 
     @pytest.mark.parametrize("value", [None, 5, 1.5, ["2026-01-01"], b"2026-01-01"])
     def test_non_strings_are_rejected(self, value):
@@ -362,9 +391,7 @@ class TestTimestamps:
 
     @pytest.mark.skipif(sys.version_info[:2] != (3, 10),
                         reason="compares with Python 3.10's own fromisoformat")
-    @given(st.text(st.sampled_from(["0", "1", "2", "5", "9", "-", ":", ".", "+", "T", "Z", " ",
-                                    "x", ",", "W", "\x00", "\u00e9", "\ud800"]), max_size=16),
-           st.sampled_from(["", "2026-01-01", "2024-02-29T23:59", "2026-01-01T12:30:45"]))
+    @given(st.text(st.sampled_from(_STAMP_ALPHABET), max_size=16), st.sampled_from(_STAMP_HEADS))
     def test_matches_fromisoformat_on_python_3_10(self, tail, head):
         stamp = head + tail
         try:
