@@ -506,7 +506,7 @@ def _read_log(path: str | Path, summarize: _Summarize,
     each other one, summarizing as it goes and pickling its items to an
     anonymous temporary file (a pipe would fill and stall the worker until
     the parent got to it). The parent then reads each worker's file back,
-    one item at a time. A worker is forked, not spawned, so that it shares
+    one list of items at a time. A worker is forked, not spawned, so that it shares
     the caller's ``summarize`` closure without pickling it. Closing this
     generator early kills and reaps every worker it started; none outlives
     it. A one-range read forks nothing, and hashes the file as it reads it."""
