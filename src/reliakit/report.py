@@ -506,10 +506,11 @@ def _read_log(path: str | Path, summarize: _Summarize,
     each other one, summarizing as it goes and pickling its items to an
     anonymous temporary file (a pipe would fill and stall the worker until
     the parent got to it). The parent then reads each worker's file back,
-    one list of items at a time. A worker is forked, not spawned, so that it shares
-    the caller's ``summarize`` closure without pickling it. Closing this
-    generator early kills and reaps every worker it started; none outlives
-    it. A one-range read forks nothing, and hashes the file as it reads it."""
+    one list of items at a time. A worker is forked, not spawned, so that it
+    shares the caller's ``summarize`` closure without pickling it. Closing
+    this generator early kills and reaps every worker it started; none
+    outlives it. A one-range read forks nothing, and hashes the file as it
+    reads it."""
     n = _range_count(path)
     ranges = _range_plan(path, n, meta) if n > 1 else [(0, None, 1)]
     workers: list[_Worker | None] = []
