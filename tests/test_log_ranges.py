@@ -160,8 +160,11 @@ class Boom(Exception):
     pass
 
 
+@pytest.mark.parametrize("batch", [1, 2, report._PICKLE_BATCH])
 @pytest.mark.parametrize("error", [InputError, PipelineError, Boom, MemoryError])
-def test_an_exception_in_a_worker_is_raised_in_the_parent(tmp_path, error):
+def test_an_exception_in_a_worker_is_raised_in_the_parent(tmp_path, monkeypatch, error, batch):
+    """Also when the worker's last list of items is cut short by it."""
+    monkeypatch.setattr(report, "_PICKLE_BATCH", batch)
     lines = [episode_line(f"e-{i}", steps=10) for i in range(30)]
     log = write_log(tmp_path / "log.jsonl", lines)
 
@@ -178,23 +181,11 @@ def test_an_exception_in_a_worker_is_raised_in_the_parent(tmp_path, error):
 
 @pytest.mark.parametrize("batch", [1, 2, 7])
 def test_any_pickle_batch_folds_to_the_same_logs(tmp_path, monkeypatch, batch):
-    """A worker pickles its items in lists of ``_PICKLE_BATCH``. Lists of any
-    size, the last one cut short by the range's end or by an exception, give
-    the same logs and raise the same first exception."""
+    """A worker pickles its items in lists of ``_PICKLE_BATCH``; lists of any
+    size, the last one cut short by the range's end, give the same logs."""
     monkeypatch.setattr(report, "_PICKLE_BATCH", batch)
     lines = [LINE_KINDS[kind](n) for n, kind in enumerate(sorted(LINE_KINDS) * 5)]
     load_all([write_log(tmp_path / "kinds.jsonl", lines)])
-    log = write_log(tmp_path / "log.jsonl", [episode_line(f"e-{i}", steps=10) for i in range(30)])
-
-    def summarize(episode, *columns):
-        if episode.episode_id in ("e-20", "e-27"):
-            raise Boom(f"cannot summarize {episode.episode_id}")
-        return episode.episode_id
-
-    for ranges in RANGE_COUNTS:
-        with pytest.raises(Boom, match="^cannot summarize e-20$"):
-            load([log], summarize, ranges)
-        assert_no_children()
 
 
 def test_a_worker_s_episodes_share_their_repeated_values(tmp_path):

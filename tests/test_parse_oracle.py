@@ -596,24 +596,30 @@ _BOUNDARIES = {
 }
 
 
-@pytest.mark.parametrize("edit, code", _BOUNDARIES.values(), ids=_BOUNDARIES.keys())
-def test_step_check_boundaries_agree_on_every_path(edit, code, tmp_path, capsys):
-    """parse_episode_log, the read path and the validate subcommand give the
-    same verdict and the same first error."""
-    line = _boundary_line(edit)
+def _assert_every_path_agrees(line: str, codes: list[str], tmp_path, capsys) -> list[Episode]:
+    """parse_episode_log, the reference, the read path and the validate
+    subcommand give ``line`` the same verdict: the error ``codes``, every one
+    in order, with the same messages. Returns the parsed episodes."""
     episodes, reports = parse_episode_log([line])
     assert (episodes, reports) == _reference_parse_episode_log([line])
-    assert [r.errors[0].code for r in reports if r.errors] == ([code] if code else [])
+    assert [i.code for r in reports for i in r.errors] == codes
     assert read_path([line])[1] == reports
     log = tmp_path / "log.jsonl"
     log.write_text(line + "\n", encoding="utf-8")
     capsys.readouterr()
-    assert main(["validate", "--logs", str(log)]) == (2 if code else 0)
+    assert main(["validate", "--logs", str(log)]) == (2 if codes else 0)
     out = capsys.readouterr().out
-    if code:
-        assert out.startswith(f"ERROR e1 {code}: {reports[0].errors[0].message}\n")
-    else:
+    assert [text for text in out.splitlines() if text.startswith("ERROR ")] == [
+        f"ERROR {r.episode_id} {i.code}: {i.message}" for r in reports for i in r.errors]
+    if not codes:
         assert out == "1 episodes parsed, 0 errors, 0 warnings\n"
+    return episodes
+
+
+@pytest.mark.parametrize("edit, code", _BOUNDARIES.values(), ids=_BOUNDARIES.keys())
+def test_step_check_boundaries_agree_on_every_path(edit, code, tmp_path, capsys):
+    """Every path gives the same verdict and the one step error."""
+    _assert_every_path_agrees(_boundary_line(edit), [code] if code else [], tmp_path, capsys)
 
 
 # --- the record checks at their boundaries ------------------------------------
@@ -681,20 +687,10 @@ _RECORD_BOUNDARIES = {
 
 @pytest.mark.parametrize("edit, codes", _RECORD_BOUNDARIES.values(), ids=_RECORD_BOUNDARIES.keys())
 def test_record_check_boundaries_agree_on_every_path(edit, codes, tmp_path, capsys):
-    """parse_episode_log, the reference, the read path and the validate
-    subcommand report the same errors, every one in order, with the same
-    messages."""
+    """Every path gives the same verdict and every record error, in order;
+    an accepted record is the same episode on the read path."""
     line = _record_line(edit)
-    episodes, reports = parse_episode_log([line])
-    assert (episodes, reports) == _reference_parse_episode_log([line])
-    assert [i.code for r in reports for i in r.errors] == codes
-    assert read_path([line]) == ([(ep, [], []) for ep in episodes], reports)
+    episodes = _assert_every_path_agrees(line, codes, tmp_path, capsys)
+    assert read_path([line])[0] == [(ep, [], []) for ep in episodes]
     if not codes:
         assert type(episodes[0].evaluator_score) is float
-    log = tmp_path / "log.jsonl"
-    log.write_text(line + "\n", encoding="utf-8")
-    capsys.readouterr()
-    assert main(["validate", "--logs", str(log)]) == (2 if codes else 0)
-    printed = [text.split(": ", 1)[1] for text in capsys.readouterr().out.splitlines()
-               if text.startswith("ERROR ")]
-    assert printed == [i.message for r in reports for i in r.errors]
