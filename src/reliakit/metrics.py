@@ -83,6 +83,7 @@ DEFAULT_VAF_DENOMINATOR = ("short", "medium")
 DEFAULT_GEOMETRIC_EXPONENTS = {"short": 1, "medium": 2, "long": 4, "very_long": 8}
 
 SCAFFOLD_NEUTRAL_BAND = 0.03
+_SCAFFOLD_BUCKETS = ("long", "very_long")
 # Absolute grace applied to the neutrality band so a delta that is 0.03 in
 # exact arithmetic is not pushed over the boundary by float residue.
 _NEUTRAL_GRACE = 1e-9
@@ -145,10 +146,21 @@ def outcome_groups(
     selected = (ep for ep in episodes
                 if (model_id is None or ep.model_id == model_id)
                 and (scaffold is None or ep.scaffold == scaffold))
+    return _outcome_groups((ep, task, episode_gds(ep, task))
+                           for ep, task in _joined(selected, registry))
+
+
+# A non-infra episode, its registry task and its GDS: the row that the
+# pipeline keeps per analyzed episode and the table helpers group over.
+_GdsRow = tuple[Episode, TaskSpec, float]
+
+
+def _outcome_groups(rows: Iterable[_GdsRow]) -> list[TaskOutcomeGroup]:
+    """outcome_groups over joined rows."""
     collected: dict[tuple[str, str, str], list[tuple[bool, float]]] = {}
-    for ep, task in _joined(selected, registry):
+    for ep, _, gds in rows:
         key = (ep.task_id, ep.model_id, ep.scaffold)
-        collected.setdefault(key, []).append((ep.passed, episode_gds(ep, task)))
+        collected.setdefault(key, []).append((ep.passed, gds))
     return [
         TaskOutcomeGroup(task_id=t, model_id=m, scaffold=s, repeats=tuple(reps))
         for (t, m, s), reps in collected.items()
@@ -432,11 +444,8 @@ def _vafs(
     MetricError it raises.
 
     Index rows depend only on the seed and the pool sizes, so selections
-    with equal pool sizes are fed one pass over the same rows, and the
-    pools of a pass share one variance memo. A count row sums to its
-    pool's size, so pools of other sizes seldom share one; each memo is
-    dropped with its pass, and a level set's stops growing at
-    ``_MEMO_ENTRIES`` rows.
+    with equal pool sizes are fed one pass over the same rows, in which
+    every selection's variances are computed at once (``_variance_ratios``).
     """
     for name, buckets in (("numerator", numerator_buckets), ("denominator", denominator_buckets)):
         unknown = [bk for bk in buckets if bk not in BUCKETS]
@@ -472,9 +481,9 @@ def _vafs(
             n_num_tasks=len(num_values), n_den_tasks=len(den_values),
         ))
     for sizes, members in by_sizes.items() if b else ():
-        memo: _VarianceMemo = {}
-        statistics = [_variance_ratios(num, den, memo) for _, num, den in members]
-        intervals = _percentile_bootstrap(sizes, b, ci_level, seed, statistics)
+        statistic = _variance_ratios([num for _, num, _ in members],
+                                     [den for _, _, den in members])
+        intervals = _percentile_bootstrap(sizes, b, ci_level, seed, len(members), statistic)
         for (i, _, _), interval in zip(members, intervals):
             if isinstance(interval, MetricError):
                 results[i] = interval
@@ -511,27 +520,30 @@ def bootstrap_ci(
     ends = list(itertools.accumulate(len(pool) for pool in pools))
     spans = list(zip(pools, [0, *ends], ends))
 
-    def chunk_statistic(chunk: np.ndarray) -> list[float]:
-        values: list[float] = []
-        for idx in chunk.tolist():
+    def chunk_statistic(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values = np.zeros((1, len(chunk)))
+        defined = np.zeros((1, len(chunk)), dtype=bool)
+        for r, idx in enumerate(chunk.tolist()):
             samples = [[pool[j] for j in idx[lo:hi]] for pool, lo, hi in spans]
             try:
                 stat = statistic(samples[0]) if single else statistic(*samples)
             except DegenerateStatisticError:
                 continue
-            values.append(float(stat))
-        return values
+            values[0, r] = float(stat)
+            defined[0, r] = True
+        return values, defined
 
-    (interval,) = _percentile_bootstrap([len(pool) for pool in pools], b, level, seed,
-                                        [chunk_statistic])
+    (interval,) = _percentile_bootstrap([len(pool) for pool in pools], b, level, seed, 1,
+                                        chunk_statistic)
     if isinstance(interval, MetricError):
         raise interval
     return interval
 
 
-# Maps a chunk of index rows (``rng._resample_chunks``) to the statistic on
-# its non-degenerate resamples, in row order.
-_ChunkStatistic = Callable[[np.ndarray], Sequence[float]]
+# Maps a chunk of index rows (``rng._resample_chunks``) to each statistic's
+# value on each row and whether it is defined there (false on a degenerate
+# resample), as two (statistics, rows) arrays.
+_ChunkStatistic = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def _percentile_bootstrap(
@@ -539,13 +551,14 @@ def _percentile_bootstrap(
     b: int,
     level: float,
     seed: int,
-    chunk_statistics: Sequence[_ChunkStatistic],
+    n_statistics: int,
+    chunk_statistic: _ChunkStatistic,
 ) -> list[tuple[float, float] | MetricError]:
-    """The interval of ``bootstrap_ci`` over pools of ``sizes`` for each
-    statistic, from one pass over the index rows: every statistic sees the
-    same rows. A statistic degenerate on more than 20% of the resamples
-    gets the MetricError that ``bootstrap_ci`` raises in place of its
-    interval."""
+    """The interval of ``bootstrap_ci`` over pools of ``sizes`` for each of
+    the ``n_statistics`` that ``chunk_statistic`` computes, from one pass
+    over the index rows: every statistic sees the same rows. A statistic
+    degenerate on more than 20% of the resamples gets the MetricError that
+    ``bootstrap_ci`` raises in place of its interval."""
     if b < 1000:
         raise MetricError(f"bootstrap_ci: b={b} is below the 1000-resample floor")
     if b > _MAX_BOOTSTRAP_B:
@@ -556,17 +569,17 @@ def _percentile_bootstrap(
     if any(n == 0 for n in sizes):
         raise MetricError("bootstrap_ci: empty resampling pool")
     try:
-        kept = [np.empty(b) for _ in chunk_statistics]
+        kept = [np.empty(b) for _ in range(n_statistics)]
     except MemoryError as exc:
         raise MetricError(f"bootstrap_ci: b={b} resamples need {8 * b} bytes per statistic,"
                           " more than this machine can allocate") from exc
-    filled = [0] * len(chunk_statistics)
+    filled = [0] * n_statistics
     for chunk in _resample_chunks(seed, "bootstrap", b, sizes):
-        for s, chunk_statistic in enumerate(chunk_statistics):
-            values = chunk_statistic(chunk)
-            kept[s][filled[s]:filled[s] + len(values)] = values
-            filled[s] += len(values)
-    tail = 100.0 * (1.0 - level) / 2.0
+        values, defined = chunk_statistic(chunk)
+        for s, (row_values, row_defined) in enumerate(zip(values, defined)):
+            row_kept = row_values[row_defined]
+            kept[s][filled[s]:filled[s] + len(row_kept)] = row_kept
+            filled[s] += len(row_kept)
     out: list[tuple[float, float] | MetricError] = []
     for values, n_kept in zip(kept, filled):
         degenerate = b - n_kept
@@ -575,20 +588,48 @@ def _percentile_bootstrap(
                 f"bootstrap_ci: statistic degenerate on {degenerate / b:.1%} of {b} resamples"
                 " (more than the 20% tolerance)"))
             continue
-        values = values[:n_kept]
-        with np.errstate(invalid="ignore"):
-            bounds = np.percentile(values, [tail, 100.0 - tail])
-        # Interpolating next to an infinite statistic (a ratio whose denominator
-        # underflowed) computes inf - inf or inf * 0, which is nan. The bound is
-        # then the upper neighbour: the infinite one, or the value itself when
-        # its interpolation weight is 0.
-        if np.isnan(bounds).any():
-            bounds = np.where(np.isnan(bounds),
-                              np.percentile(values, [tail, 100.0 - tail], method="higher"),
-                              bounds)
-        low, high = bounds
-        out.append((float(low), float(high)))
+        out.append(_percentile_interval(values[:n_kept], level))
     return out
+
+
+def _percentile_interval(values: np.ndarray, level: float) -> tuple[float, float]:
+    """``np.percentile(values, [tail, 100 - tail])`` for the two tails of
+    ``level``, by numpy's default "linear" method (definition 7 of Hyndman
+    & Fan 1996), each bound nan there taken by its "higher" method instead.
+
+    The same arithmetic as numpy's, without ``np.percentile``: the same
+    ``partition`` calls, so that equal values of opposite sign land where
+    numpy puts them; the same ``(n - 1) * q`` virtual index; and the same
+    two-sided lerp, ``a + d * t`` or, when t >= 0.5, ``b - d * (1 - t)``.
+    Interpolating next to an infinite value (a ratio whose denominator
+    underflowed) computes inf - inf or inf * 0, which is nan; the "higher"
+    bound is then the infinite neighbour, or the value itself when its
+    weight is 0. A nan among the values makes both bounds nan.
+    """
+    tail = 100.0 * (1.0 - level) / 2.0
+    n = len(values)
+    virtual = [(n - 1) * (tail / 100), (n - 1) * ((100.0 - tail) / 100)]
+    # Each bound's neighbours; the last value's are itself.
+    below = [-1 if v >= n - 1 else math.floor(v) for v in virtual]
+    above = [-1 if v >= n - 1 else i + 1 for v, i in zip(virtual, below)]
+    ordered = values.copy()
+    ordered.partition(np.array(sorted({0, -1, *below, *above})))
+    if math.isnan(ordered[-1]):
+        return float(ordered[-1]), float(ordered[-1])
+    bounds = []
+    for v, i, j in zip(virtual, below, above):
+        lower, upper = float(ordered[i]), float(ordered[j])
+        t = v - i
+        d = upper - lower
+        bounds.append(lower + d * t if t < 0.5 else upper - d * (1 - t))
+    if any(math.isnan(bound) for bound in bounds):
+        higher = [math.ceil(v) for v in virtual]
+        ordered = values.copy()
+        ordered.partition(np.array([*higher, -1]))
+        bounds = [float(ordered[h]) if math.isnan(bound) else bound
+                  for bound, h in zip(bounds, higher)]
+    low, high = bounds
+    return low, high
 
 
 def _repeated(values: Sequence[float], counts: Sequence[int]) -> Iterator[float]:
@@ -598,73 +639,142 @@ def _repeated(values: Sequence[float], counts: Sequence[int]) -> Iterator[float]
 def _level_pvar(levels: Sequence[float], counts: Sequence[int]) -> float:
     """``_pvar`` of the multiset holding ``levels[j]`` ``counts[j]`` times.
     It sums the same terms as ``_pvar`` and ``fsum`` is exactly rounded, so
-    the order of the terms cannot change the result."""
+    the order of the terms cannot change the result; a level counted 0
+    times adds no term and is not squared."""
     n = sum(counts)
     m = math.fsum(_repeated(levels, counts)) / n
-    return math.fsum(_repeated([(v - m) ** 2 for v in levels], counts)) / n
+    return math.fsum(_repeated([(v - m) ** 2 if c else 0.0 for v, c in zip(levels, counts)],
+                               counts)) / n
 
 
 # Each level set's count rows, as raw bytes, mapped to their ``_level_pvar``.
 _VarianceMemo = dict[tuple[float, ...], dict[bytes, float]]
-# A level set's memo takes no new rows once it holds this many (about 20 MB).
+# A level set's memo takes no new rows once it holds this many (about 13 MB
+# with five levels and one-byte counts).
 # A 198-task pool with five levels draws few rows twice, and the rows drawn
 # first are the likeliest to recur: dropping a full memo instead missed more.
 _MEMO_ENTRIES = 1 << 17
+# The most count columns (pools times levels) one product computes, so the
+# 0/1 matrix is no larger than a chunk of index rows into the pools. Pools
+# past it are counted in further groups, and a pool with more levels than
+# this is counted alone by its level codes.
+_COUNT_COLUMNS = 1 << 8
 
 
 def _pool_variances(
-    pool: Sequence[float], memo: _VarianceMemo,
+    pools: Sequence[Sequence[float]], memo: _VarianceMemo,
 ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """For one pool, a function from a block of index rows into it to each
-    row's ``_pvar`` and its number of distinct values.
+    """For pools of one size, a function from a block of index rows into
+    them to each pool's ``_pvar`` on each row and its number of distinct
+    values there, as two (pools, rows) arrays.
 
     Values are one level when ``==`` (a dict's key test, so 0.0 and -0.0
     are one level, as they are to ``min`` and ``max``). A row's ``_pvar``
-    depends only on how often it drew each level, so each distinct count
-    row of a block is computed once and remembered in ``memo`` under the
-    pool's level set, until that holds ``_MEMO_ENTRIES`` rows. Levels are
-    counted in sorted order, so every pool with the same levels shares those
-    entries.
+    depends only on how often it drew each level. So the block's draw counts
+    (rows by pool size, one ``bincount``) times a 0/1 matrix (pool size by
+    pools times levels) give every pool's level counts at once, exactly:
+    each is an integer no larger than the pool size. Levels are the sorted
+    union over the pools, or over each group of pools when that union is
+    wide (see ``_COUNT_COLUMNS``); a level a row did not draw adds no term
+    to ``_level_pvar``. Each distinct count row is found by sorting,
+    computed once and remembered in ``memo`` under its level set, until
+    that holds ``_MEMO_ENTRIES`` rows.
     """
-    levels = sorted(dict.fromkeys(pool))
-    rank = {v: j for j, v in enumerate(levels)}
-    level_of = np.array([rank[v] for v in pool], dtype=np.int64)
-    level_memo = memo.setdefault(tuple(levels), {})
+    n = len(pools[0])
+    # (first pool, one past the last, their union of levels) per group.
+    spans: list[tuple[int, int, dict[float, None]]] = []
+    start, union = 0, {}
+    for p, pool in enumerate(pools):
+        wider = union | dict.fromkeys(pool)
+        if p > start and len(wider) * (p + 1 - start) > _COUNT_COLUMNS:
+            spans.append((start, p, union))
+            start, wider = p, dict.fromkeys(pool)
+        union = wider
+    spans.append((start, len(pools), union))
+    groups = []
+    for first, last, union in spans:
+        levels = tuple(sorted(union))
+        rank = {v: j for j, v in enumerate(levels)}
+        codes = np.array([[rank[v] for v in pool] for pool in pools[first:last]])
+        onehot = None
+        if (last - first) * len(levels) <= _COUNT_COLUMNS:
+            onehot = np.zeros((n, last - first, len(levels)))
+            onehot[np.arange(n), np.arange(last - first)[:, None], codes] = 1.0
+            onehot = onehot.reshape(n, -1)
+        groups.append((first, last, levels, onehot, codes[0]))
 
     def variances(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n_rows, n_levels = len(rows), len(levels)
-        codes = level_of[rows] + n_levels * np.arange(n_rows)[:, None]
-        counts = np.bincount(codes.ravel(), minlength=n_rows * n_levels).reshape(n_rows, n_levels)
-        # Each row's raw bytes are its key: no radix, so no overflow.
-        keys = counts.view(f"V{counts.itemsize * n_levels}").ravel().tolist()
-        out = list(map(level_memo.get, keys))
-        if None in out:
-            missed = {key: row for key, row, var in zip(keys, counts.tolist(), out) if var is None}
-            missed = {key: _level_pvar(levels, row) for key, row in missed.items()}
-            if len(level_memo) < _MEMO_ENTRIES:
-                level_memo.update(missed)
-            out = [missed[key] if var is None else var for key, var in zip(keys, out)]
-        return np.array(out), np.count_nonzero(counts, axis=1)
+        n_rows = len(rows)
+        draws = np.bincount((rows + n * np.arange(n_rows)[:, None]).ravel(),
+                            minlength=n_rows * n).reshape(n_rows, n)
+        out = np.empty((len(pools), n_rows))
+        n_drawn = np.empty((len(pools), n_rows), dtype=np.int64)
+        for first, last, levels, onehot, codes in groups:
+            width = len(levels)
+            if onehot is None:  # one pool: count its level codes, as the product would
+                counts = np.bincount((codes[rows] + width * np.arange(n_rows)[:, None]).ravel(),
+                                     minlength=n_rows * width)
+            else:
+                counts = draws @ onehot
+            # Level by level, column r * pools + g holds pool g's count on
+            # index row r. A count is at most n, so n's dtype holds it, and
+            # np.lexsort radix-sorts columns that narrow.
+            counts = counts.astype(np.min_scalar_type(n)).reshape(-1, width).T.copy()
+            order = np.lexsort(counts)
+            ordered = np.take(counts, order, axis=1)
+            new = np.ones(len(order), dtype=bool)
+            new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+            inverse = np.empty(len(order), dtype=np.intp)
+            inverse[order] = np.cumsum(new) - 1
+            distinct = np.compress(new, ordered, axis=1).T.copy()
+            out[first:last] = _distinct_variances(levels, distinct, memo)[inverse].reshape(
+                n_rows, -1).T
+            n_drawn[first:last] = np.count_nonzero(distinct, axis=1)[inverse].reshape(
+                n_rows, -1).T
+        return out, n_drawn
 
     return variances
 
 
-def _variance_ratios(num_values: Sequence[float], den_values: Sequence[float],
-                     memo: _VarianceMemo) -> _ChunkStatistic:
-    """``_variance_ratio`` on each index row over (num_values, den_values),
-    from per-pool level counts, as a chunk statistic."""
-    num_variances = _pool_variances(num_values, memo)
-    den_variances = _pool_variances(den_values, memo)
-    split = len(num_values)
+def _distinct_variances(levels: tuple[float, ...], counts: np.ndarray,
+                        memo: _VarianceMemo) -> np.ndarray:
+    """``_level_pvar`` of each count row over ``levels``, from ``memo``
+    where it holds the row; a level memo takes new rows until it holds
+    ``_MEMO_ENTRIES``."""
+    level_memo = memo.setdefault(levels, {})
+    # Each row's raw bytes are its key: no radix, so no overflow.
+    keys = counts.view(f"V{counts.itemsize * len(levels)}").ravel().tolist()
+    out = list(map(level_memo.get, keys))
+    if None in out:
+        missed: dict[bytes, float] = {}
+        rows = counts.tolist()
+        for r, var in enumerate(out):
+            if var is None:
+                out[r] = missed[keys[r]] = _level_pvar(levels, rows[r])
+        if len(level_memo) < _MEMO_ENTRIES:
+            level_memo.update(missed)
+    return np.array(out)
 
-    def chunk_statistic(chunk: np.ndarray) -> np.ndarray:
+
+def _variance_ratios(nums: Sequence[Sequence[float]],
+                     dens: Sequence[Sequence[float]]) -> _ChunkStatistic:
+    """``_variance_ratio`` of each (nums[s], dens[s]) pair on each index row
+    over the two pools, as a chunk statistic. Every numerator has one size
+    and every denominator another; both sides share one variance memo."""
+    memo: _VarianceMemo = {}
+    num_variances = _pool_variances(nums, memo)
+    den_variances = _pool_variances(dens, memo)
+    split = len(nums[0])
+
+    def chunk_statistic(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         num_var, _ = num_variances(chunk[:, :split])
         den_var, den_levels = den_variances(chunk[:, split:])
         # _variance_ratio's own conditions: min == max, or a zero variance.
-        ok = (den_levels > 1) & (den_var != 0.0)
+        defined = (den_levels > 1) & (den_var != 0.0)
         # Python's float division overflows to inf silently; so does this.
-        with np.errstate(over="ignore"):
-            return num_var[ok] / den_var[ok]
+        # Where the ratio is undefined its value is never read.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return num_var / den_var, defined
 
     return chunk_statistic
 
@@ -694,9 +804,15 @@ def domain_stratify(
 ) -> DomainTable:
     if metric not in ("gds", "pass1"):
         raise MetricError(f"domain_stratify: unknown metric {metric!r}")
+    return _domain_table(
+        ((task, episode_gds(ep, task) if metric == "gds" else float(ep.passed))
+         for ep, task in _joined(episodes, registry)), metric)
+
+
+def _domain_table(task_values: Iterable[tuple[TaskSpec, float]], metric: str) -> DomainTable:
+    """domain_stratify over each joined episode's task and metric value."""
     values: dict[tuple[str, str], list[float]] = {}
-    for ep, task in _joined(episodes, registry):
-        v = episode_gds(ep, task) if metric == "gds" else float(ep.passed)
+    for task, v in task_values:
         values.setdefault((task.domain, task.bucket), []).append(v)
 
     domains = sorted({d for d, _ in values})
@@ -728,7 +844,7 @@ class ScaffoldComparison:
 def scaffold_delta(
     episodes: Iterable[Episode],
     registry: Mapping[str, TaskSpec],
-    buckets: Sequence[str] = ("long", "very_long"),
+    buckets: Sequence[str] = _SCAFFOLD_BUCKETS,
 ) -> list[ScaffoldComparison]:
     """Memory-minus-react mean GDS per model on the selected buckets.
 
@@ -739,21 +855,28 @@ def scaffold_delta(
     unknown = [bk for bk in buckets if bk not in BUCKETS]
     if unknown or not buckets:
         raise MetricError(f"scaffold_delta: bad bucket set {tuple(buckets)!r}")
-    gds_values: dict[str, dict[str, list[float]]] = {}
-    for ep, task in _joined(episodes, registry):
-        if task.bucket not in buckets:
-            continue
-        gds_values.setdefault(ep.model_id, {}).setdefault(ep.scaffold, []).append(
-            episode_gds(ep, task))
+    return _scaffold_comparisons(((ep, task, episode_gds(ep, task))
+                                  for ep, task in _joined(episodes, registry)
+                                  if task.bucket in buckets), buckets)
 
-    rows: list[ScaffoldComparison] = []
+
+def _scaffold_comparisons(rows: Iterable[_GdsRow],
+                          buckets: Sequence[str] = _SCAFFOLD_BUCKETS) -> list[ScaffoldComparison]:
+    """scaffold_delta over joined rows, keeping those of ``buckets``; a
+    skipped model's warning names the caller of its caller."""
+    gds_values: dict[str, dict[str, list[float]]] = {}
+    for ep, task, gds in rows:
+        if task.bucket in buckets:
+            gds_values.setdefault(ep.model_id, {}).setdefault(ep.scaffold, []).append(gds)
+
+    comparisons: list[ScaffoldComparison] = []
     for model_id in sorted(gds_values):
         per_scaffold = gds_values[model_id]
         if "react" not in per_scaffold or "memory" not in per_scaffold:
             present = sorted(per_scaffold)
             warnings.warn(
                 f"scaffold_delta: model {model_id!r} has only {present}; skipped",
-                MetricWarning, stacklevel=2)
+                MetricWarning, stacklevel=3)
             continue
         react = _mean(per_scaffold["react"])
         memory = _mean(per_scaffold["memory"])
@@ -764,11 +887,11 @@ def scaffold_delta(
             label = "hurts"
         else:
             label = "helps"
-        rows.append(ScaffoldComparison(
+        comparisons.append(ScaffoldComparison(
             model_id=model_id, react_value=react, memory_value=memory, delta=delta,
             label=label, n_react=len(per_scaffold["react"]), n_memory=len(per_scaffold["memory"]),
         ))
-    return rows
+    return comparisons
 
 
 def early_failure_rate(

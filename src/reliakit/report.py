@@ -57,14 +57,15 @@ from .metrics import (
     _CI_METHODS,
     _MAX_BOOTSTRAP_B,
     _curve,
+    _GdsRow,
+    _domain_table,
+    _outcome_groups,
+    _scaffold_comparisons,
     _vafs,
     decomposition_gain,
-    domain_stratify,
-    outcome_groups,
     pass_at_1,
     per_task_pass1,
     rds,
-    scaffold_delta,
 )
 from .trajectory import (
     BUCKETS,
@@ -79,6 +80,7 @@ from .trajectory import (
     _read_columns,
     _read_records,
     cross_validate,
+    episode_gds,
     load_task_registry,
 )
 
@@ -636,16 +638,16 @@ def run_pipeline(
         pricing, pricing_meta = _load_reference(load_pricing, pricing_path, "cost")
         prices = {p.model_id: p for p in pricing}
 
-    # Each episode is joined, scanned and priced as it is read, in whichever
-    # process reads it: summarize returns (join reports, is a joined infra
-    # failure, the episode (read without its steps), its (model_id, bucket,
-    # onset, too short) meltdown row, its entropy series, its cost). The
-    # episode and its row are None unless it joined and is not an infra
-    # failure; the series is None without emit_series, and the cost without
-    # pricing.
+    # Each episode is joined, scanned, scored and priced as it is read, in
+    # whichever process reads it: summarize returns (join reports, is a
+    # joined infra failure, the episode (read without its steps), its GDS,
+    # its (model_id, bucket, onset, too short) meltdown row, its entropy
+    # series, its cost). The episode, its GDS and its row are None unless it
+    # joined and is not an infra failure; the series is None without
+    # emit_series, and the cost without pricing.
     # keep then folds each kept episode's tuple here, in line order, and
     # _load_logs keeps its cost.
-    analysis: list[Episode] = []
+    analysis: list[_GdsRow] = []
     outcomes: list[tuple[str, str, int | None, bool]] = []
     series: dict[str, tuple[tuple[int, float], ...]] = {}
     join_reports: list[ValidationReport] = []
@@ -655,19 +657,20 @@ def run_pipeline(
         cost = None if prices is None else _episode_cost(episode, tokens, prices)
         task = registry.get(episode.task_id)
         if task is None or len(episode.subtask_outcomes) != len(task.subtasks):
-            return cross_validate((episode,), registry)[1], False, None, None, None, cost
+            return cross_validate((episode,), registry)[1], False, None, None, None, None, cost
         if episode.is_infra_failure:
-            return (), True, None, None, None, cost
+            return (), True, None, None, None, None, cost
         onset, too_short, entropy = _mop_outcome(tools, opts.mop, opts.emit_series)
-        return (), False, episode, (episode.model_id, task.bucket, onset, too_short), entropy, cost
+        return ((), False, episode, episode_gds(episode, task),
+                (episode.model_id, task.bucket, onset, too_short), entropy, cost)
 
     def keep(read: tuple) -> EpisodeCost | None:
         nonlocal infra_excluded
-        reports, infra, episode, outcome, entropy, cost = read
+        reports, infra, episode, gds, outcome, entropy, cost = read
         join_reports.extend(reports)
         infra_excluded += infra
         if episode is not None:
-            analysis.append(episode)
+            analysis.append((episode, registry[episode.task_id], gds))
             outcomes.append(outcome)
             if opts.emit_series:
                 series[episode.episode_id] = entropy
@@ -738,16 +741,16 @@ def _package_version() -> str:
 
 
 def _build_tables(
-    analysis: Sequence[Episode],
+    analysis: Sequence[_GdsRow],
     melt: Mapping[tuple[str, str], MeltdownCell],
     cost_rows: Sequence[tuple] | None,
     registry: Mapping[str, TaskSpec],
     opts: PipelineOptions,
 ) -> dict[str, Table]:
-    """Every table over the analyzed episodes, with the meltdown cells
-    and, when priced, the cost rows."""
+    """Every table over the analyzed episodes, each joined to its task and
+    scored once, with the meltdown cells and, when priced, the cost rows."""
     by_selection: dict[tuple[str, str], list[TaskOutcomeGroup]] = {}
-    for group in outcome_groups(analysis, registry):
+    for group in _outcome_groups(analysis):
         by_selection.setdefault((group.model_id, group.scaffold), []).append(group)
 
     rdc_rows: list[tuple] = []
@@ -797,7 +800,7 @@ def _build_tables(
                             very_long.value if very_long else None,
                             gain, slope, opts.regressor))
 
-    domain = domain_stratify(analysis, registry, "gds")
+    domain = _domain_table(((task, gds) for _, task, gds in analysis), "gds")
     domain_rows: list[tuple] = []
     for dom in sorted({d for d, _ in domain.cells}):
         values = []
@@ -811,7 +814,7 @@ def _build_tables(
     scaffold_rows = [
         (row.model_id, row.react_value, row.memory_value, row.delta, row.label,
          row.n_react, row.n_memory)
-        for row in scaffold_delta(analysis, registry)
+        for row in _scaffold_comparisons(analysis)
     ]
 
     melt_rows = [

@@ -3,17 +3,22 @@
 ``_reference_bootstrap_ci`` is that loop, kept verbatim: one fresh
 ``substream(seed, "bootstrap", i)`` generator per resample and one
 ``integers`` call per pool. One fix is applied to both: a bound whose
-interpolation meets an infinite statistic is its upper neighbour, not nan. The fast path must agree with it exactly, not
-within a tolerance, because it draws the same indices and feeds the same
-statistic in the same order. ``vaf`` computes its interval from per-pool
-level counts instead of calling ``bootstrap_ci``; ``bootstrap_ci`` over
-``_variance_ratio`` is its oracle, again exactly. ``_vafs``, which feeds
-many selections one pass over shared index rows, must give each selection
-exactly what that selection gets alone.
+interpolation meets an infinite statistic is its upper neighbour, not nan.
+The fast path must agree with it exactly, not within a tolerance, because
+it draws the same indices and feeds the same statistic in the same order.
+``vaf`` computes its interval from per-pool level counts instead of calling
+``bootstrap_ci``; ``bootstrap_ci`` over ``_variance_ratio`` is its oracle,
+again exactly. ``_vafs``, which feeds many selections one pass over shared
+index rows, must give each selection exactly what that selection gets
+alone. Each fast path inside keeps its scalar original here too:
+``np.random.Philox`` for ``rng._philox_words``, ``np.percentile`` for
+``metrics._percentile_interval`` and the per-pool, per-row loop for
+``metrics._pool_variances``.
 """
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -24,8 +29,8 @@ from conftest import make_task
 from reliakit import DegenerateStatisticError, MetricError, bootstrap_ci, vaf
 from reliakit import metrics, rng
 from reliakit.metrics import (DEFAULT_VAF_DENOMINATOR, DEFAULT_VAF_NUMERATOR, _level_pvar,
-                              _pool_variances, _vafs, _variance_ratio)
-from reliakit.rng import _resample_chunks, substream
+                              _percentile_interval, _pool_variances, _vafs, _variance_ratio)
+from reliakit.rng import _philox_words, _resample_chunks, substream
 
 
 def resample_indices(seed, tag, b, sizes):
@@ -77,6 +82,20 @@ def _reference_bootstrap_ci(statistic, units, b=10000, level=0.95, seed=0):
     return float(low), float(high)
 
 
+# Each hypothesis oracle, undecorated, with its strategies: ``python
+# tests/test_bootstrap_oracle.py N`` runs each on N fresh examples.
+_ORACLES = []
+
+
+def _oracle(max_examples, **strategies):
+    """``given(**strategies)`` at tier-1's ``max_examples``, registered in
+    ``_ORACLES``."""
+    def register(check):
+        _ORACLES.append((check, strategies))
+        return settings(max_examples=max_examples, deadline=None)(given(**strategies)(check))
+    return register
+
+
 def _outcome(fn, *args, **kwargs):
     """The interval, or the MetricError message when the call refuses."""
     try:
@@ -100,11 +119,10 @@ _values = st.lists(st.sampled_from([0.0, 1 / 3, 2 / 3, 1.0]) | st.floats(0.0, 1.
                    min_size=1, max_size=60)
 
 
-@given(pools=st.lists(_values, min_size=1, max_size=2),
-       b=st.sampled_from([1000, 1001, 2500]),
-       seed=st.integers(0, 2 ** 32 - 1),
-       level=st.sampled_from([0.9, 0.95]))
-@settings(max_examples=25, deadline=None)
+@_oracle(25, pools=st.lists(_values, min_size=1, max_size=2),
+         b=st.sampled_from([1000, 1001, 2500]),
+         seed=st.integers(0, 2 ** 32 - 1),
+         level=st.sampled_from([0.9, 0.95]))
 def test_bootstrap_ci_equals_reference_exactly(pools, b, seed, level):
     if len(pools) == 1:
         statistic, units = _mean, pools[0]
@@ -125,6 +143,22 @@ def test_resample_rows_match_substream_draws(sizes, seed):
     for i, (row, expected) in enumerate(zip(fast, _reference_rows(seed, b, sizes))):
         assert row.dtype == expected.dtype
         assert np.array_equal(row, expected), i
+
+
+@pytest.mark.parametrize("n_words", [1, 5, 24, 99, 198])
+def test_philox_words_equal_numpy_philox(n_words):
+    """For 1,024 random keys, and the extreme ones, keyed through ``.state``
+    as the per-row loop did: a fresh counter and an empty buffer."""
+    keys = np.random.default_rng(n_words).integers(0, 2 ** 64, size=(1026, 2), dtype=np.uint64)
+    keys[-2:] = [[0, 0], [2 ** 64 - 1, 2 ** 64 - 1]]
+    fast = _philox_words(keys, n_words)
+    assert fast.shape == (len(keys), n_words) and fast.dtype == np.uint64
+    bitgen = np.random.Philox(key=0)
+    state = bitgen.state
+    for row, (low, high) in zip(fast, keys.tolist()):
+        state["state"]["key"] = (low, high)
+        bitgen.state = state
+        assert np.array_equal(row, bitgen.random_raw(n_words))
 
 
 def test_rejected_row_is_recomputed_from_its_substream(monkeypatch):
@@ -212,9 +246,8 @@ _level = st.sampled_from([0.0, 1 / 3, 2 / 3, 1.0]) | st.floats(0.0, 1.0)
 _pool = st.lists(_level, min_size=2, max_size=60)
 
 
-@given(num=_pool, den=_pool, b=st.sampled_from([1000, 1001, 2500]),
-       seed=st.integers(0, 2 ** 32 - 1), level=st.sampled_from([0.9, 0.95]))
-@settings(max_examples=40, deadline=None)
+@_oracle(40, num=_pool, den=_pool, b=st.sampled_from([1000, 1001, 2500]),
+         seed=st.integers(0, 2 ** 32 - 1), level=st.sampled_from([0.9, 0.95]))
 def test_vaf_interval_equals_bootstrap_ci_exactly(num, den, b, level, seed):
     # vaf refuses a degenerate point estimate before drawing any resample.
     assume(not isinstance(_outcome(_variance_ratio, num, den), str))
@@ -254,6 +287,66 @@ def test_vaf_interval_reaches_an_infinite_ratio():
 def test_interval_bounds_next_to_infinite_statistics(b, level, n_inf, expected):
     values = iter([float(v) for v in range(b - n_inf)] + [math.inf] * n_inf)
     assert bootstrap_ci(lambda _: next(values), [0.0, 1.0], b=b, level=level) == expected
+
+
+def _reference_interval(values, level):
+    """The percentiles ``_percentile_bootstrap`` took before, kept verbatim."""
+    tail = 100.0 * (1.0 - level) / 2.0
+    with np.errstate(invalid="ignore"):
+        bounds = np.percentile(values, [tail, 100.0 - tail])
+    if np.isnan(bounds).any():
+        bounds = np.where(np.isnan(bounds),
+                          np.percentile(values, [tail, 100.0 - tail], method="higher"),
+                          bounds)
+    low, high = bounds
+    return float(low), float(high)
+
+
+def _same_float(a, b):
+    """Equal bit for bit up to the nan payload: signed zeros differ."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+_special = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 2.5])
+
+
+@st.composite
+def _percentile_values(draw):
+    """Values with ties: a few distinct ones, each repeated, in draw order."""
+    distinct = draw(st.lists(_special | st.floats(), min_size=1, max_size=6))
+    n = draw(st.sampled_from([1, 2, 3, 4, 7, 1000, 1001]) | st.integers(1, 40))
+    picks = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).integers(
+        0, len(distinct), size=n)
+    return np.array(distinct)[picks]
+
+
+@_oracle(300, values=_percentile_values(), level=st.sampled_from([0.5, 0.9, 0.95, 0.99]))
+def test_percentile_interval_equals_np_percentile(values, level):
+    untouched = values.copy()
+    fast = _percentile_interval(values, level)
+    slow = _reference_interval(values, level)
+    assert all(map(_same_float, fast, slow)), (fast, slow)
+    assert values.tobytes() == untouched.tobytes()
+
+
+@pytest.mark.parametrize("values, level", [
+    ([0.0, -0.0], 0.5), ([-0.0, 0.0, 0.0, -0.0, 1.0], 0.9),
+    ([1.0, math.inf, 0.0, -0.0, math.inf], 0.5), ([-math.inf, 0.0, math.inf], 0.5),
+    ([math.nan], 0.95), ([3.0], 0.95), ([2.0, math.nan, 1.0], 0.9),
+    ([-0.0] * 500 + [0.0] * 500 + [math.inf], 0.99),
+    # The upper bound is nan (0 * inf) and falls back on "higher", whose own
+    # partition puts 0.0 where the "linear" one puts -0.0.
+    ([-0.0, 0.0, 0.0, -0.0, 0.0, 0.0, -0.0, math.inf, math.inf], 0.5),
+    # Without kth 0 in the "linear" partition the upper bound reads -0.0.
+    ([0.0, -0.0, -0.0, 1.0, -1.0, 0.0, -0.0, 0.0, -0.0, -0.0, 1.0, 1.0, -0.0, -0.0], 0.5),
+])
+def test_percentile_interval_edge_cases(values, level):
+    values = np.array(values)
+    fast = _percentile_interval(values, level)
+    slow = _reference_interval(values, level)
+    assert all(map(_same_float, fast, slow)), (fast, slow)
 
 
 def test_vaf_never_holds_every_index_row():
@@ -302,9 +395,8 @@ def _pairs(draw):
     return pairs
 
 
-@given(pairs=_pairs(), b=st.sampled_from([1000, 1001]),
-       seed=st.integers(0, 2 ** 32 - 1), level=st.sampled_from([0.9, 0.95]))
-@settings(max_examples=30, deadline=None)
+@_oracle(30, pairs=_pairs(), b=st.sampled_from([1000, 1001]),
+         seed=st.integers(0, 2 ** 32 - 1), level=st.sampled_from([0.9, 0.95]))
 def test_batched_intervals_equal_each_pair_alone(pairs, b, level, seed):
     batch = _batch_outcomes([_per_task(num, den) for num, den in pairs], b, level, seed)
     for (num, den), outcome in zip(pairs, batch):
@@ -325,6 +417,9 @@ def test_batch_mixes_refused_signed_zero_and_infinite_members():
         ([1 / 3, 0.0], [1.0, 0.0, 2 / 3]),
         ([0.0, -0.0, 1 / 3, 1.0, 2 / 3, -0.0], [-0.0, 0.0, 1 / 3, 1 / 3, 1.0, 0.0, -0.0]),
         ([-0.0, 1 / 3, 0.0, 2 / 3, 1.0, 0.0], [1 / 3, -0.0, 0.0, 1.0, 2 / 3, 0.0, -0.0]),
+        # A level that the other pools of its pass never draw, and whose
+        # square distance from their means overflows.
+        ([1e200, 1e200], [0.0, 1 / 3, 1.0, 2 / 3]),
     ]
     batch = _batch_outcomes([_per_task(num, den) for num, den in pairs], 1000, 0.9, 0)
     assert "degenerate on" in batch[0]
@@ -416,22 +511,50 @@ def _reference_pool_variances(pool, memo):
     return variances
 
 
+@pytest.mark.parametrize("count_columns", [None, 8], ids=["union", "groups"])
 @pytest.mark.parametrize("memo_entries", [metrics._MEMO_ENTRIES, 5], ids=["memo", "tiny_memo"])
-@pytest.mark.parametrize("n_levels", [1, 2, 4, 9])
-def test_pool_variances_equal_the_per_row_loop(n_levels, memo_entries, monkeypatch):
-    """Bit for bit, on every chunk of a pass, also once the memo is full; a
-    full memo takes no more rows, so it never holds a chunk more than its
-    bound."""
+@pytest.mark.parametrize("n_levels, size", [(1, 9), (2, 9), (4, 9), (9, 20), (4, 300)])
+def test_pool_variances_equal_the_per_row_loop(n_levels, size, memo_entries, count_columns,
+                                               monkeypatch):
+    """Every pool of a pass, bit for bit, on every chunk, also once the memo
+    is full and when the pools are counted in groups; a full memo takes no
+    more rows, so it never holds more than its bound and one chunk's count
+    rows. The pools hold different level sets, so the union has levels that
+    some pool never draws; in a pool of 300 one level is drawn past 255
+    times."""
     monkeypatch.setattr(metrics, "_MEMO_ENTRIES", memo_entries)
+    if count_columns is not None:
+        monkeypatch.setattr(metrics, "_COUNT_COLUMNS", count_columns)
     levels = [0.0, -0.0, 1 / 3, 2 / 3, 1.0, 1 / 7, 0.5, 0.25, 0.75, 0.125][:n_levels + (n_levels > 1)]
-    pool = [levels[(i * 7) % len(levels)] for i in range(max(2 * len(levels), 9))]
-    memo, reference_memo = {}, {}
-    fast = _pool_variances(pool, memo)
-    reference = _reference_pool_variances(pool, reference_memo)
-    for chunk in _resample_chunks(3, "bootstrap", 1001, [len(pool)]):
-        (got, got_levels), (want, want_levels) = fast(chunk), reference(chunk)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert np.array_equal(got_levels, want_levels)
-        (level_memo,) = memo.values()
-        assert len(level_memo) < memo_entries + rng._CHUNK
-    assert [len(key) for key in memo] == [n_levels]
+    pools = [
+        [levels[(i * 7) % len(levels)] for i in range(size)],
+        [[*levels, 0.9][(i * 5) % (len(levels) + 1)] for i in range(size)],
+        [levels[-1] if i % 3 else 0.6 for i in range(size)],
+        [-0.0 if i % 10 else 0.3 for i in range(size)],
+    ]
+    memo = {}
+    fast = _pool_variances(pools, memo)
+    references = [_reference_pool_variances(pool, {}) for pool in pools]
+    for chunk in _resample_chunks(3, "bootstrap", 1001, [size]):
+        got, got_levels = fast(chunk)
+        assert got.shape == got_levels.shape == (len(pools), len(chunk))
+        for p, reference in enumerate(references):
+            want, want_levels = reference(chunk)
+            assert got[p].dtype == want.dtype and got[p].tobytes() == want.tobytes(), p
+            assert np.array_equal(got_levels[p], want_levels), p
+        for level_memo in memo.values():
+            assert len(level_memo) < memo_entries + rng._CHUNK * len(pools)
+    union = {v for pool in pools for v in pool}
+    if count_columns is None:
+        assert [len(key) for key in memo] == [len(union)]
+    else:
+        assert len(memo) > 1
+        assert set().union(*memo) == union
+
+
+if __name__ == "__main__":
+    examples = int(sys.argv[1]) if len(sys.argv) > 1 else 200
+    for check, strategies in _ORACLES:
+        settings(max_examples=examples, deadline=None, database=None)(given(**strategies)(check))()
+    print(f"{examples} examples each: {', '.join(check.__name__ for check, _ in _ORACLES)}"
+          " equal their oracles")

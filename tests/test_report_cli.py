@@ -36,7 +36,7 @@ from reliakit import (
 from reliakit import report
 from reliakit.cli import main
 from reliakit.report import Column, PricingEntry, Table
-from reliakit.trajectory import RegistryError
+from reliakit.trajectory import RegistryError, episode_gds, serialize_episode
 
 
 def write_corpus(tmp_path: Path, corpus, name="corpus") -> tuple[Path, Path]:
@@ -260,6 +260,59 @@ class TestRunPipeline:
         assert (counts["join_excluded"], counts["infra_excluded"]) == (2, 1)
         assert len(scanned) == counts["analyzed"] == 4
         assert bundle.run_metadata["validation_issues"]["subtask_mismatch"] == 1
+
+    def test_each_analyzed_episode_is_scored_once(self, tmp_path, monkeypatch):
+        """run_pipeline joins and scores an episode as it reads it; every
+        table is built from that one GDS."""
+        from reliakit import metrics
+
+        log, registry = write_corpus(tmp_path, small_corpus(tasks=6, k=3))
+        with log.open("a", encoding="utf-8") as fh:
+            # An unknown task, a subtask mismatch and an infra failure.
+            ghost, task = make_task("ghost-task"), make_task("short-00000")
+            for episode in (make_episode("x-ghost", ghost),
+                            make_episode("x-mismatch", task, outcomes=(True,)),
+                            make_episode("x-infra", task, termination="infra_error")):
+                fh.write(serialize_episode(episode) + "\n")
+        scored = []
+
+        def counted(episode, task):
+            scored.append(episode.episode_id)
+            return episode_gds(episode, task)
+
+        monkeypatch.setattr(report, "episode_gds", counted)
+        monkeypatch.setattr(metrics, "episode_gds", counted)
+        bundle = run_pipeline([log], registry, options=PipelineOptions(bootstrap_b=1000))
+        counts = bundle.run_metadata["episodes"]
+        assert (counts["join_excluded"], counts["infra_excluded"]) == (2, 1)
+        assert len(scored) == len(set(scored)) == counts["analyzed"] == 24 * 3
+        assert all(not e.startswith("x-") for e in scored)
+        assert bundle.tables["domain"].rows and bundle.tables["gds_pass"].rows
+
+    def test_bootstrap_loads_neither_numpy_random_nor_numpy_ma(self, tmp_path):
+        """analyze draws its resamples and takes their percentiles in its own
+        numpy arithmetic: neither module is imported unless a draw is
+        rejected (where ``rng.substream`` recomputes the row), or unless
+        importing numpy loads it anyway, as numpy 1.x does."""
+        log, registry = write_corpus(tmp_path, small_corpus(tasks=8, k=3))
+        src = Path(reliakit.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        probe = ("import contextlib, io, json, sys\n"
+                 "from reliakit.cli import main\n"
+                 "loaded = lambda: [m for m in ('numpy.random', 'numpy.ma') if m in sys.modules]\n"
+                 "before = loaded()\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    code = main(sys.argv[1:])\n"
+                 "print(json.dumps([code, before, loaded()]))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, "analyze", "--logs", str(log), "--registry",
+             str(registry), "--bootstrap-b", "1000", "--out", str(tmp_path / "report")],
+            env=env, capture_output=True, text=True, timeout=120)
+        code, before, after = json.loads(proc.stdout)
+        assert code == 0, proc.stderr
+        assert ",ok" in (tmp_path / "report" / "vaf.csv").read_text(encoding="utf-8")
+        assert after == before
 
     @pytest.mark.parametrize("blank_like",["\u00a0", " \u00a0\t"])
     def test_line_of_unicode_whitespace_is_not_counted(self, tmp_path, blank_like):
