@@ -75,7 +75,6 @@ from .trajectory import (
     ValidationIssue,
     ValidationReport,
     _dedup,
-    _iter_lines,
     _parse_lines,
     _read_columns,
     _read_records,
@@ -315,31 +314,50 @@ class ReportBundle:
 
 # --- pipeline ---------------------------------------------------------------
 
-def _read_lines(path: str | Path, stage: str, meta: dict[str, Any], start: int = 0,
-                stop: int | None = None, lineno: int = 1) -> Iterator[str]:
-    """Stream one input file's lines, each stripped ("" when blank), or the
-    lines of its bytes [start, stop), which begin line ``lineno``. Lines end
-    only at line feeds and each is decoded on its own, so the file is never
-    held whole. At the end ``meta`` holds the count of non-blank lines read
-    and, for a whole file, its path and the sha256 of its bytes."""
-    whole = start == 0 and stop is None
-    sha, lines, left = hashlib.sha256(), 0, math.inf if stop is None else stop - start
+def _read_lines(path: str | Path, stage: str, meta: dict[str, Any], size: int | None = None,
+                part: int = 0, parts: int = 1) -> Iterator[tuple[int, str]]:
+    """Stream (line number, stripped line) for each line of one input file
+    ("" when blank) that starts in its part ``part`` of ``parts``: the bytes
+    [size·part/parts, size·(part+1)/parts), where ``size`` is the file's size
+    when opened unless given. Lines end only at line feeds, and never past
+    ``size``; each is decoded on its own, so the file is never held whole.
+    A part past byte 0 starts at the first line start at or after its
+    offset, and counts the line feeds before it itself. At the end ``meta``
+    holds the count of non-blank lines read and, for part 0, the file's path
+    and the sha256 of its bytes [0, size): those it read, then the rest."""
+    lines = 0
     with _open(path, stage) as fh:
-        fh.seek(start)
-        for lineno, raw in enumerate(fh, start=lineno):
-            if left <= 0:
+        if size is None:
+            size = os.fstat(fh.fileno()).st_size
+        offset, stop = size * part // parts, size * (part + 1) // parts
+        pos = lineno = 0
+        # The first line start at or after the offset: just past the first
+        # line feed at or after the byte before it.
+        while offset and pos < stop and (block := fh.read(_HASH_BLOCK)):
+            feed = block.find(b"\n", max(offset - 1 - pos, 0))
+            end = len(block) if feed < 0 else feed + 1
+            lineno += block.count(b"\n", 0, end)
+            pos += end
+            if feed >= 0:
                 break
-            left -= len(raw)
-            if whole:
+        fh.seek(pos)  # also refuses a pipe, whose size says nothing
+        sha = hashlib.sha256() if part == 0 else None
+        while pos < stop and (raw := fh.readline(size - pos)):
+            pos += len(raw)
+            lineno += 1
+            if sha is not None:
                 sha.update(raw)
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:
                 raise InputError(f"{stage}: {path} is not UTF-8: line {lineno}: {exc}") from exc
             lines += bool(line)
-            yield line
-    if whole:
-        meta.update(path=str(path), sha256=sha.hexdigest())
+            yield lineno, line
+        if sha is not None:
+            while pos < size and (block := fh.read(min(_HASH_BLOCK, size - pos))):
+                sha.update(block)
+                pos += len(block)
+            meta.update(path=str(path), sha256=sha.hexdigest())
     meta["lines"] = lines
 
 
@@ -356,7 +374,7 @@ def _load_reference(loader: Callable[[Iterable[str]], Any], path: str | Path,
     file's metadata; its defects become InputError."""
     meta: dict[str, Any] = {}
     try:
-        return loader(_read_lines(path, stage, meta)), meta
+        return loader(line for _, line in _read_lines(path, stage, meta)), meta
     except RegistryError as exc:
         raise InputError(f"{stage}: {exc}") from exc
 
@@ -437,20 +455,23 @@ def _load_logs(paths: Sequence[str | Path], summarize: _Summarize,
 # The smallest byte range worth a worker process. On a 1.3 MB log of
 # episodes without steps, two ranges saved no wall time and raised peak RSS.
 _MIN_RANGE_BYTES = 1 << 20
-# The hash pass reads at most this much at a time; 1 MiB blocks raised the
-# traced peak of reading a 3 MB log past a quarter of the file's size.
+# A range reads at most this much at a time while it counts the line feeds
+# before its first line, and the first range while it hashes the rest of
+# the log; 1 MiB blocks raised the traced peak of hashing a 3 MB log past a
+# quarter of the file's size.
 _HASH_BLOCK = 1 << 16
 # A worker pickles its items in lists of this many.
 _PICKLE_BATCH = 256
 
 
-def _range_items(path: str | Path, summarize: _Summarize, meta: dict[str, Any],
-                 start: int, stop: int | None,
-                 lineno: int) -> Iterator[ValidationReport | tuple[int, str, bool, Any]]:
-    """``_parse_lines`` over the bytes [start, stop) of a log, which begin
-    line ``lineno``, each episode's payload its summary."""
-    return _parse_lines(_iter_lines(_read_lines(path, "parse", meta, start, stop, lineno),
-                                    lineno), _read_columns, summarize)
+def _range_items(path: str | Path, summarize: _Summarize, meta: dict[str, Any], size: int,
+                 part: int, parts: int) -> Iterator[ValidationReport | tuple[int, str, bool, Any]]:
+    """``_parse_lines`` over the lines that start in part ``part`` of
+    ``parts`` of a log's first ``size`` bytes (see ``_read_lines``), each
+    episode's payload its summary."""
+    return _parse_lines(((lineno, line) for lineno, line in
+                         _read_lines(path, "parse", meta, size, part, parts) if line),
+                        _read_columns, summarize)
 
 
 def _range_count(path: str | Path) -> int:
@@ -462,67 +483,38 @@ def _range_count(path: str | Path) -> int:
     try:
         size = os.path.getsize(path)
     except OSError:
-        return 1  # _read_lines reports it
+        return 1  # _read_log reports it
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, min(cpus or 1, size // _MIN_RANGE_BYTES))
 
 
-def _range_plan(path: str | Path, n: int, meta: dict[str, Any]) -> list[tuple[int, int, int]]:
-    """(start, stop, first line number) of up to ``n`` byte ranges that
-    split the file at line starts near even offsets. Reads the file once,
-    in blocks of _HASH_BLOCK, and puts its path and sha256 in ``meta``."""
-    sha = hashlib.sha256()
-    starts = [(0, 1)]
-    with _open(path, "parse") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        targets = [size * i // n for i in range(n - 1, 0, -1)]  # popped in ascending order
-        pos = newlines = 0
-        while block := fh.read(_HASH_BLOCK):
-            sha.update(block)
-            while targets:
-                # The first line start at or after the target: just past the
-                # first line feed at or after the byte before it.
-                if targets[-1] <= starts[-1][0]:
-                    targets.pop()
-                    continue
-                feed = block.find(b"\n", max(targets[-1] - 1 - pos, 0))
-                if feed < 0:
-                    break
-                starts.append((pos + feed + 1, newlines + block.count(b"\n", 0, feed + 1) + 1))
-                targets.pop()
-            newlines += block.count(b"\n")
-            pos += len(block)
-    meta.update(path=str(path), sha256=sha.hexdigest())
-    if len(starts) > 1 and starts[-1][0] >= pos:  # a range would start at the end
-        starts.pop()
-    stops = [start for start, _ in starts[1:]] + [pos]
-    return [(start, stop, lineno) for (start, lineno), stop in zip(starts, stops)]
-
-
 def _read_log(path: str | Path, summarize: _Summarize,
               meta: dict[str, Any]) -> Iterator[ValidationReport | tuple[int, str, bool, Any]]:
-    """``_range_items`` over each byte range of one log, in line order; at
-    the end ``meta`` holds the file's path, sha256 and non-blank lines.
+    """``_range_items`` over each byte range of one log's bytes up to its
+    size at the start, in line order; at the end ``meta`` holds the file's
+    path, the sha256 of those bytes and their non-blank lines.
 
-    The parent reads the first range itself while a forked worker reads
-    each other one, summarizing as it goes and pickling its items to an
-    anonymous temporary file (a pipe would fill and stall the worker until
-    the parent got to it). The parent then reads each worker's file back,
-    one list of items at a time. A worker is forked, not spawned, so that it
-    shares the caller's ``summarize`` closure without pickling it. Closing
-    this generator early kills and reaps every worker it started; none
-    outlives it. A one-range read forks nothing, and hashes the file as it
-    reads it."""
+    No pass over the log comes first: each range finds its own first line.
+    The parent forks a worker for every range but the first, then reads the
+    first itself, hashing the log as it goes. A worker summarizes as it
+    reads and pickles its items to an anonymous temporary file (a pipe
+    would fill and stall the worker until the parent got to it). The parent
+    then reads each worker's file back, one list of items at a time. A
+    worker is forked, not spawned, so that it shares the caller's
+    ``summarize`` closure without pickling it. Closing this generator early
+    kills and reaps every worker it started; none outlives it. A one-range
+    read forks nothing."""
     n = _range_count(path)
-    ranges = _range_plan(path, n, meta) if n > 1 else [(0, None, 1)]
+    with _open(path, "parse") as fh:
+        size = os.fstat(fh.fileno()).st_size
     workers: list[_Worker | None] = []
     try:
-        for start, stop, lineno in ranges[1:]:
-            workers.append(_fork_range(path, summarize, start, stop, lineno))
+        for part in range(1, n):
+            workers.append(_fork_range(path, summarize, size, part, n))
         lines = 0
-        for (start, stop, lineno), worker in zip(ranges, [None, *workers]):
+        for part, worker in enumerate([None, *workers]):
             if worker is None:  # the first range, or one whose fork failed
-                yield from _range_items(path, summarize, meta, start, stop, lineno)
+                yield from _range_items(path, summarize, meta, size, part, n)
                 lines += meta["lines"]
             else:
                 lines += yield from _worker_items(path, worker)
@@ -541,8 +533,8 @@ class _Worker:
         self.out = out
 
 
-def _fork_range(path: str | Path, summarize: _Summarize, start: int, stop: int,
-                lineno: int) -> _Worker | None:
+def _fork_range(path: str | Path, summarize: _Summarize, size: int, part: int,
+                parts: int) -> _Worker | None:
     """A forked worker reading one byte range into a temporary file; None
     when the file or the fork fails, so that the parent reads the range."""
     out = None
@@ -568,7 +560,7 @@ def _fork_range(path: str | Path, summarize: _Summarize, start: int, stop: int,
             meta: dict[str, Any] = {}
             batch: list = []
             try:
-                for item in _range_items(path, summarize, meta, start, stop, lineno):
+                for item in _range_items(path, summarize, meta, size, part, parts):
                     batch.append(item)
                     if len(batch) == _PICKLE_BATCH:
                         out.write(pickle.dumps(batch, pickle.HIGHEST_PROTOCOL))

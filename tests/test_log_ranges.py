@@ -6,11 +6,14 @@ order. ``report._range_count`` picks the number of ranges from the log's
 size, ``report._MIN_RANGE_BYTES`` and ``os.sched_getaffinity``; these tests
 set the number by patching the last two, check that the result and every
 error never depend on it, and that no worker is left running or unreaped
-after a success or an error.
+after a success or an error. Each range finds its own first line, so
+further tests place a range's offset on chosen bytes, count the bytes the
+calling process reads, and grow a log while it is read.
 """
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import threading
@@ -155,6 +158,147 @@ def test_a_line_that_is_not_utf8_in_a_later_range_is_the_same_error(tmp_path):
     assert len(messages) == 1
     assert messages.pop().startswith(f"parse: {log} is not UTF-8: line 26:")
 
+
+def padded_log(path: Path, before: bytes, after: bytes) -> Path:
+    """A log of ``before`` then ``after``, padded so that its size is twice
+    the length of what precedes ``after``: read in two ranges, the second
+    range's offset is the first byte of ``after``. Short ``after`` gets
+    trailing spaces; a short ``before`` gets a whitespace-only first line."""
+    pad = len(before) - len(after)
+    if pad >= 0:
+        after += b" " * pad
+    else:
+        before = b" " * (-pad - 1) + b"\n" + before
+    path.write_bytes(before + after)
+    assert path.stat().st_size == 2 * len(before)
+    return path
+
+
+def raw_line(n: int, steps: int = 3) -> bytes:
+    return episode_line(f"e-{n}", steps=steps).encode()
+
+
+def crlf_inside(n: int) -> bytes:
+    """An episode line with a carriage return between two JSON tokens."""
+    return raw_line(n).replace(b'","', b'",\r"', 1)
+
+
+# Each case: the bytes before the second range's offset, and those from it on.
+OFFSETS = {
+    "on_a_line_start": (
+        raw_line(1) + b"\n" + raw_line(2) + b"\n", raw_line(3) + b"\n" + raw_line(4) + b"\n"),
+    "on_a_line_feed": (raw_line(1) + b"\n" + raw_line(2), b"\n" + raw_line(3) + b"\n"),
+    "one_byte_into_a_line": (
+        raw_line(1) + b"\n" + raw_line(2)[:1], raw_line(2)[1:] + b"\n" + raw_line(3) + b"\n"),
+    "inside_a_line_longer_than_the_range": (
+        raw_line(1) + b"\n" + raw_line(2, steps=60)[:50], raw_line(2, steps=60)[50:] + b"\n"),
+    "inside_a_long_middle_line": (
+        raw_line(1) + b"\n" + raw_line(2, steps=60)[:-2000],
+        raw_line(2, steps=60)[-2000:] + b"\n" + raw_line(3) + b"\n"),
+    "in_the_last_line_without_a_line_feed": (
+        raw_line(1) + b"\n" + raw_line(2)[:40], raw_line(2)[40:]),
+    "among_blank_and_whitespace_lines": (
+        raw_line(1) + b"\n\n \t\n\n",
+        b"\n   \n\n" + raw_line(2) + b"\n\n\t \n" + raw_line(3) + b"\n"),
+    "just_after_a_crlf": (raw_line(1) + b"\r\n", raw_line(2) + b"\r\n" + raw_line(3) + b"\r\n"),
+    "between_a_carriage_return_and_its_line_feed": (
+        raw_line(1) + b"\r", b"\n" + raw_line(2) + b"\r\n" + raw_line(3) + b"\r\n"),
+    "just_after_a_carriage_return_inside_a_line": (
+        raw_line(1) + b"\n" + crlf_inside(2).partition(b"\r")[0] + b"\r",
+        crlf_inside(2).partition(b"\r")[2] + b"\n" + raw_line(3) + b"\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OFFSETS))
+def test_a_range_offset_anywhere_reads_the_same_log(tmp_path, case):
+    """Wherever a range's offset lands, each line is read once, by the range
+    its first byte is in, with its own line number; and the first range's
+    sha256 and line count describe the whole log."""
+    log = padded_log(tmp_path / "log.jsonl", *OFFSETS[case])
+    logs = load_all([log])
+    data = log.read_bytes()
+    assert logs.inputs == [{
+        "path": str(log), "sha256": hashlib.sha256(data).hexdigest(),
+        "lines": sum(1 for raw in data.split(b"\n") if raw.strip()),
+    }]
+    assert logs.summaries or logs.reports
+
+
+def rchar() -> int:
+    """Bytes this thread has read through read system calls so far. Not the
+    process's count (/proc/self/io): Linux adds a reaped child's reads to
+    that, so it would count what the workers read too."""
+    with open("/proc/thread-self/io", encoding="ascii") as fh:
+        return next(int(row.split()[1]) for row in fh if row.startswith("rchar:"))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/thread-self/io"),
+                    reason="needs /proc/thread-self/io")
+def test_the_calling_process_reads_each_log_byte_once(tmp_path, monkeypatch):
+    """It forks every worker before it reads a byte of the log, and then
+    reads the log once: its own range, then the rest for the hash. The
+    workers' items here are a few bytes each, so reading them back stays
+    well inside one block."""
+    log = write_log(tmp_path / "log.jsonl",
+                    [episode_line(f"e-{i}", steps=40) for i in range(100)])
+    size = log.stat().st_size
+    assert size > 4 * report._HASH_BLOCK
+    fork, at_fork = os.fork, []
+
+    def first_fork():
+        if not at_fork:
+            at_fork.append(rchar())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", first_fork)
+    use_ranges(monkeypatch, 2)
+    start = rchar()
+    logs = _load_logs([log], lambda episode, *columns: None)
+    end = rchar()
+    assert_no_children()
+    assert logs.counts()["parsed"] == 100
+    assert at_fork[0] - start < 1024
+    assert end - start <= size + report._HASH_BLOCK
+
+
+@pytest.mark.parametrize("ranges", RANGE_COUNTS)
+def test_a_log_that_grows_during_the_read_is_read_as_it_was(tmp_path, ranges):
+    """A line appended once the read has begun is not read, and the log's
+    sha256 and line count describe the bytes that were."""
+    log = write_log(tmp_path / "log.jsonl",
+                    [episode_line(f"e-{i}", steps=10) for i in range(30)])
+    original = log.read_bytes()
+    expected = load([log], summary, 1)
+    parent, grown = os.getpid(), []
+
+    def summarize(episode, *columns):
+        if os.getpid() == parent and not grown:
+            grown.append(episode.episode_id)
+            with open(log, "ab") as fh:
+                fh.write(episode_line("late").encode() + b"\n")
+        return summary(episode, *columns)
+
+    logs = load([log], summarize, ranges)
+    assert_no_children()
+    assert grown == ["e-0"]
+    assert log.read_bytes() != original
+    assert logs == expected
+    assert logs.inputs == [{"path": str(log), "sha256": hashlib.sha256(original).hexdigest(),
+                            "lines": 30}]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_log_that_is_a_pipe_is_refused_not_read_as_empty():
+    """A pipe's size reads 0 whatever it holds, so ranges bounded by it
+    would read nothing; the reader refuses it, as it always has."""
+    read, write = os.pipe()
+    try:
+        os.write(write, (episode_line("e-1") + "\n").encode())
+        os.close(write)
+        with pytest.raises(OSError, match="not seekable"):
+            _load_logs([f"/dev/fd/{read}"], summary)
+    finally:
+        os.close(read)
 
 class Boom(Exception):
     pass

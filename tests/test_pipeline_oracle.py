@@ -17,7 +17,7 @@ scaffolds and prices, and step counts around twice the MOP window. The
 pipeline's tables must equal the oracle's cell for cell, floats bit for bit,
 with the same counts and issue counts; each subcommand must print the same
 bytes and exit with the same code. Every comparison runs with each log read
-in one, two and three byte ranges.
+in one, two, three and seven byte ranges.
 
 Tier-1 runs a few derandomized examples. A longer run with fresh draws:
 ``PYTHONPATH=src:tests python tests/test_pipeline_oracle.py 2000``.
@@ -75,7 +75,7 @@ from reliakit import (
 from reliakit import report
 from reliakit.cli import main
 
-RANGE_COUNTS = (1, 2, 3)
+RANGE_COUNTS = (1, 2, 3, 7)
 MODELS = ("m1", "m2", "m3")
 TOOLS = ("read", "edit", "run", "grep", "plan")
 WEIGHTS = {3: (0.5, 0.3, 0.2), 4: (0.25, 0.35, 0.2, 0.2)}
