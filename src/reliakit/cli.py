@@ -260,7 +260,7 @@ def _print_counts(counts: dict[str, int]) -> None:
 def _read_logs(paths: Sequence[str], summarize: Callable[..., Any]) -> list:
     """The pipeline's log loader, with its line accounting on stderr: the
     summary of each kept episode, refusing logs without one. ``summarize``
-    takes the episode, its tool names and its token pairs (see _load_logs)."""
+    takes the episode and its step columns (see _load_logs)."""
     logs = _load_logs(paths, summarize)
     _print_counts(logs.counts())
     if not logs.summaries:
@@ -295,7 +295,7 @@ def _cmd_mop(args: argparse.Namespace) -> int:
         raise _UsageError("--calibrate f1 requires --labels")
     w = args.mop_window
     if args.calibrate == "f1":
-        rises = _read_logs(args.logs, lambda ep, tools, tokens: (
+        rises = _read_logs(args.logs, lambda ep, tools, *tokens: (
             ep.episode_id, _largest_rises(tools, DEFAULT_F1_GRID_THETA, w)))
         labels, _ = _load_reference(_load_labels, args.labels, "labels")
         missing = sorted(episode_id for episode_id, _ in rises if episode_id not in labels)
@@ -309,14 +309,14 @@ def _cmd_mop(args: argparse.Namespace) -> int:
               f" recall={result.recall:.4f}")
         return 0
     if args.calibrate == "baseline":
-        terms = _read_logs(args.logs, lambda ep, tools, tokens: _baseline_terms(tools, w))
+        terms = _read_logs(args.logs, lambda ep, tools, *tokens: _baseline_terms(tools, w))
         theta, delta = _baseline_theta(terms, args.percentile, w)
         print(f"theta_h={theta} delta={delta}")
         return 0
 
     config = MopConfig(window_w=w, theta_h=args.mop_theta, delta=args.mop_delta)
 
-    def row(episode: Episode, tools: list[str], tokens: list[tuple[int, int]]) -> tuple:
+    def row(episode: Episode, tools: list[str], *tokens: list[int]) -> tuple:
         r = _detect(episode.episode_id, tools, config)
         return r.episode_id, r.onset_step, r.max_entropy, r.too_short, r.melted
 
@@ -391,7 +391,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    logs = _load_logs(args.logs, lambda episode, tools, tokens: episode)
+    logs = _load_logs(args.logs, lambda episode, *columns: episode)
     _print_counts(logs.counts())
     reports = logs.reports
     if args.registry:
@@ -415,7 +415,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     pricing, _ = _load_reference(load_pricing, args.pricing, "cost")
     prices = {p.model_id: p for p in pricing}
     rows = _cost_rows(_cost_report(_read_logs(
-        args.logs, lambda ep, tools, tokens: _episode_cost(ep, tokens, prices))))
+        args.logs, lambda ep, tools, *tokens: _episode_cost(ep, *tokens, prices))))
     path = _write_csv(args.out, "cost.csv",
                       ("model_id", "n_episodes", "tokens_in", "tokens_out", "total_cost"), rows)
     if path:

@@ -139,22 +139,23 @@ def window_entropy(dist: Mapping[str, float]) -> float:
 def entropy_series(
     trajectory: Sequence[ToolStep], w: int
 ) -> tuple[tuple[int, float], ...]:
-    """(step, entropy) for every full window, computed with an incremental
-    sliding count: one tool enters and one leaves per step.
+    """(step, entropy) for every full window; see ``_entropy_levels``."""
+    return tuple(enumerate(_entropy_levels([step.tool for step in trajectory], w), w))
+
+
+def _entropy_levels(tools: Sequence[str], w: int) -> list[float]:
+    """The entropy of every full window of the steps' tool names, the
+    window ending at step w + i at index i: the one scan behind every MOP
+    path. An incremental sliding count lets one tool enter and one leave
+    per step.
 
     A window's entropy depends only on the multiset of its counts (fsum is
     exactly rounded, so the order of the terms does not matter), so each
     distinct sorted count tuple is computed once per call."""
-    return _entropy_series([step.tool for step in trajectory], w)
-
-
-def _entropy_series(tools: Sequence[str], w: int) -> tuple[tuple[int, float], ...]:
-    """entropy_series over the steps' tool names."""
     if w < 1:
         raise MeltdownError(f"window size must be >= 1, got {w}")
-    n = len(tools)
-    if n < w:
-        return ()
+    if len(tools) < w:
+        return []
     counts: dict[str, int] = {}
     for tool in tools[:w]:
         counts[tool] = counts.get(tool, 0) + 1
@@ -179,19 +180,20 @@ def _entropy_series(tools: Sequence[str], w: int) -> tuple[tuple[int, float], ..
                 del counts[leaving]
             h = entropy()
         levels.append(h)
-    return tuple(zip(range(w, n + 1), levels))
+    return levels
 
 
-def _onset_from_series(
-    series: Sequence[tuple[int, float]], w: int, theta_h: float, delta: float
-) -> int | None:
-    # series[i] is step w + i, so series[i - w] is one window span earlier
-    # and i >= w is t >= 2w
-    for i in range(w, len(series)):
-        t, h = series[i]
-        if h > theta_h and h - series[i - w][1] > delta:
-            return t
-    return None
+def _onset(levels: Sequence[float], config: MopConfig) -> tuple[int | None, bool]:
+    """The onset step and the too-short flag of an episode's window
+    entropies. levels[i] is step w + i, so levels[i - w] is one window span
+    earlier and i >= w is step 2w or later. An episode shorter than 2w
+    steps has at most w levels, so it is too short and has no onset."""
+    w, theta_h, delta = config.window_w, config.theta_h, config.delta
+    for i in range(w, len(levels)):
+        h = levels[i]
+        if h > theta_h and h - levels[i - w] > delta:
+            return w + i, False
+    return None, len(levels) <= w
 
 
 def detect_mop(
@@ -206,15 +208,11 @@ def detect_mop(
 
 def _detect(episode_id: str, tools: Sequence[str], config: MopConfig) -> MopResult:
     """detect_mop over the steps' tool names."""
-    series = _entropy_series(tools, config.window_w)
-    max_entropy = max((h for _, h in series), default=0.0)
-    too_short = len(tools) < 2 * config.window_w
-    onset = None
-    if not too_short:
-        onset = _onset_from_series(series, config.window_w, config.theta_h, config.delta)
+    levels = _entropy_levels(tools, config.window_w)
+    onset, too_short = _onset(levels, config)
     return MopResult(
-        episode_id=episode_id, onset_step=onset, max_entropy=max_entropy,
-        entropy_series=series, too_short=too_short,
+        episode_id=episode_id, onset_step=onset, max_entropy=max(levels, default=0.0),
+        entropy_series=tuple(enumerate(levels, config.window_w)), too_short=too_short,
     )
 
 
@@ -237,8 +235,8 @@ def calibrate_mop_f1(
 ) -> CalibrationResult:
     """Grid-search (theta_h, delta) maximizing detection F1 on a labeled set.
 
-    Ties prefer the lower theta_h, then the lower delta. Entropy series are
-    computed once per episode and scanned once per theta; every delta then
+    Ties prefer the lower theta_h, then the lower delta. Window entropies
+    are computed once per episode and scanned once per theta; every delta then
     costs one comparison per episode. Defined over ``_largest_rises`` per
     episode and ``_best_f1`` over them, which ``mop --calibrate f1`` calls
     as it reads each episode.
@@ -260,7 +258,7 @@ def _largest_rises(tools: Sequence[str], grid_theta: Sequence[float],
     An episode is detected at (theta, delta) exactly when that rise exceeds
     delta, so one scan per theta serves every delta. Too-short episodes
     have no eligible step and a largest rise of -inf."""
-    levels = [h for _, h in _entropy_series(tools, w)]
+    levels = _entropy_levels(tools, w)
     eligible = [(h, h - earlier) for h, earlier in zip(levels[w:], levels)]
     return tuple(max((rise for h, rise in eligible if h > theta), default=-math.inf)
                  for theta in grid_theta)
@@ -324,7 +322,7 @@ def calibrate_mop_baseline(
 def _baseline_terms(tools: Sequence[str], w: int) -> tuple[bool, float | None]:
     """Whether an episode of these tool names reaches detection eligibility
     (2w steps), and its maximum window entropy (None without a full window)."""
-    return len(tools) >= 2 * w, max((h for _, h in _entropy_series(tools, w)), default=None)
+    return len(tools) >= 2 * w, max(_entropy_levels(tools, w), default=None)
 
 
 def _baseline_theta(terms: Sequence[tuple[bool, float | None]], percentile: float,
@@ -373,11 +371,10 @@ def _mop_outcome(
 ) -> tuple[int | None, bool, tuple[tuple[int, float], ...] | None]:
     """What the meltdown table needs of an episode's tool names: its onset
     step, its too-short flag and, when ``keep_series``, its entropy series
-    (else None). One shorter than a window needs no scan."""
-    if len(tools) < config.window_w:
-        return None, True, (() if keep_series else None)
-    result = _detect("", tools, config)
-    return result.onset_step, result.too_short, result.entropy_series if keep_series else None
+    (else None)."""
+    levels = _entropy_levels(tools, config.window_w)
+    series = tuple(enumerate(levels, config.window_w)) if keep_series else None
+    return *_onset(levels, config), series
 
 
 def _meltdown_cells(

@@ -178,24 +178,23 @@ def compute_cost(episodes: Iterable[Episode], pricing: Sequence[PricingEntry]) -
     """
     prices = {p.model_id: p for p in pricing}
     return _cost_report(
-        _episode_cost(ep, [(s.tokens_in, s.tokens_out) for s in ep.steps], prices)
+        _episode_cost(ep, [s.tokens_in for s in ep.steps], [s.tokens_out for s in ep.steps],
+                      prices)
         for ep in episodes)
 
 
-def _episode_cost(episode: Episode, tokens: Sequence[tuple[int, int]],
+def _episode_cost(episode: Episode, tokens_in: Sequence[int], tokens_out: Sequence[int],
                   prices: Mapping[str, PricingEntry]) -> EpisodeCost:
     """One episode's token sums and the exact sum of its per-step costs,
-    from its (tokens_in, tokens_out) per step. Its cost is None when its
-    model has no price, and inf when it is too large for a float;
+    from its steps' tokens_in and tokens_out columns. Its cost is None when
+    its model has no price, and inf when it is too large for a float;
     _cost_report refuses both."""
     entry = prices.get(episode.model_id)
-    if not tokens:
-        return EpisodeCost(episode.episode_id, episode.model_id, 0, 0, None if entry is None else 0.0)
-    cost = None if entry is None else _exact_sum(
-        (tokens_in * entry.input_per_million + tokens_out * entry.output_per_million) / 1e6
-        for tokens_in, tokens_out in tokens)
-    return EpisodeCost(episode.episode_id, episode.model_id, sum(i for i, _ in tokens),
-                       sum(o for _, o in tokens), cost)
+    cost = None if entry is None else _exact_sum(map(
+        lambda i, o: (i * entry.input_per_million + o * entry.output_per_million) / 1e6,
+        tokens_in, tokens_out))
+    return EpisodeCost(episode.episode_id, episode.model_id, sum(tokens_in), sum(tokens_out),
+                       cost)
 
 
 def _exact_sum(values: Iterable[float]) -> float:
@@ -397,17 +396,17 @@ class _Logs(Generic[_S]):
         }
 
 
-_Summarize = Callable[[Episode, list[str], list[tuple[int, int]]], Any]
+_Summarize = Callable[[Episode, list[str], list[int], list[int]], Any]
 
 
 def _load_logs(paths: Sequence[str | Path], summarize: _Summarize,
                keep: Callable[[Any], _S] | None = None) -> _Logs[_S]:
     """Parse every log, keeping the first record of an episode_id across
-    files as within one, and keep only ``summarize(episode, tools, tokens)``
-    of each kept episode, in order, or what ``keep`` returns of it. The
-    episode comes without its steps: ``tools`` holds each step's tool name
-    and ``tokens`` its (tokens_in, tokens_out), the only step fields any
-    subcommand reads. No step is built and no argument is canonicalized,
+    files as within one, and keep only ``summarize(episode, tools,
+    tokens_in, tokens_out)`` of each kept episode, in order, or what
+    ``keep`` returns of it. The episode comes without its steps; the three
+    lists hold each step's tool name, tokens_in and tokens_out, the only
+    step fields any subcommand reads. No step is built and no argument is canonicalized,
     and all of it can be freed as soon as it is summarized, so memory grows
     with the summaries, not with the steps. ``summarize`` must be pure: it may
     run in a worker process. It runs on every parsed episode, duplicates
@@ -645,8 +644,8 @@ def run_pipeline(
     join_reports: list[ValidationReport] = []
     infra_excluded = 0
 
-    def summarize(episode: Episode, tools: list[str], tokens: list[tuple[int, int]]) -> tuple:
-        cost = None if prices is None else _episode_cost(episode, tokens, prices)
+    def summarize(episode: Episode, tools: list[str], *tokens: list[int]) -> tuple:
+        cost = None if prices is None else _episode_cost(episode, *tokens, prices)
         task = registry.get(episode.task_id)
         if task is None or len(episode.subtask_outcomes) != len(task.subtasks):
             return cross_validate((episode,), registry)[1], False, None, None, None, None, cost

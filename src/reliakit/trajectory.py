@@ -204,17 +204,17 @@ class ValidationReport:
 
 
 def _iter_lines(
-    source: str | Path | IO[str] | Iterable[str], first: int = 1,
+    source: str | Path | IO[str] | Iterable[str],
 ) -> Iterator[tuple[int, str | UnicodeDecodeError]]:
     """Yield (line number, stripped line), skipping blank lines; the first
-    line is number ``first``. A path is read with lines ending only at line
-    feeds, each decoded on its own; a line that is not UTF-8 is yielded as
-    its UnicodeDecodeError."""
+    line is number 1. A path is read with lines ending only at line feeds,
+    each decoded on its own; a line that is not UTF-8 is yielded as its
+    UnicodeDecodeError."""
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
-            yield from _iter_lines(fh, first)
+            yield from _iter_lines(fh)
         return
-    for lineno, raw in enumerate(source, start=first):
+    for lineno, raw in enumerate(source, start=1):
         if isinstance(raw, bytes):
             try:
                 raw = raw.decode("utf-8")
@@ -567,19 +567,19 @@ def _tool_steps(raw: Any, errors: list[ValidationIssue], shared: dict[Any, Any],
 
 
 def _read_columns(raw: Any, errors: list[ValidationIssue], shared: dict[Any, Any]
-                  ) -> tuple[tuple[()], list[str], list[tuple[int, int]]] | None:
+                  ) -> tuple[tuple[()], list[str], list[int], list[int]] | None:
     """What the subcommands keep of one record's steps: no steps on the
-    episode, its tool names and its (tokens_in, tokens_out) per step. Or
-    None after appending its first error. Arguments are checked for
-    presence only, never canonicalized, and tool names are not shared,
-    since each episode's are dropped once it is summarized."""
+    episode, and its tool, tokens_in and tokens_out columns. Or None after
+    appending its first error. Arguments are checked for presence only,
+    never canonicalized, and tool names are not shared, since each
+    episode's are dropped once it is summarized."""
     if raw == []:
-        return (), [], []
+        return (), [], [], []
     columns = _step_columns(raw, errors)
     if columns is None:
         return None
     tools, _, tokens_in, tokens_out = columns
-    return (), tools, list(zip(tokens_in, tokens_out))
+    return (), tools, tokens_in, tokens_out
 
 
 _StepReader = Callable[[Any, list[ValidationIssue], dict[Any, Any]], tuple | None]

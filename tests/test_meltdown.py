@@ -254,8 +254,8 @@ class TestCalibrateBaseline:
 
 @pytest.mark.parametrize("w, n", [(w, n) for w in (2, 3, 5) for n in range(2 * w)])
 def test_mop_outcome_of_a_short_episode_is_detects(w, n):
-    """Below one window _mop_outcome answers without a scan; up to 2w - 1
-    tools it must still give _detect's onset, too-short flag and series."""
+    """Up to 2w - 1 tools, where the scan has at most w levels, _mop_outcome
+    gives _detect's onset, too-short flag and series."""
     config = MopConfig(window_w=w, theta_h=0.0, delta=0.0)
     tools = [f"t{i % 3}" for i in range(n)]
     result = _detect("", tools, config)

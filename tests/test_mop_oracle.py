@@ -10,16 +10,18 @@ cells. The reference table is ``meltdown_table`` run with the reference
 """
 from __future__ import annotations
 
+import json
 import math
+import sys
 from collections import Counter
 from typing import Sequence
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_episode, make_task, steps_from_tools
 from reliakit import meltdown
+from reliakit.cli import main
 from reliakit.meltdown import (
     DEFAULT_F1_GRID_DELTA,
     DEFAULT_F1_GRID_THETA,
@@ -30,13 +32,16 @@ from reliakit.meltdown import (
     _check_window,
     _meltdown_cells,
     _steps_of,
+    calibrate_mop_baseline,
     calibrate_mop_f1,
     detect_mop,
     entropy_series,
     meltdown_table,
     window_entropy,
 )
-from reliakit.trajectory import BUCKETS, Episode, ToolStep
+from reliakit.report import PipelineOptions, run_pipeline
+from reliakit.trajectory import (BUCKETS, Episode, ToolStep, write_episode_log,
+                                 write_task_registry)
 
 
 def _reference_entropy_series(
@@ -154,6 +159,20 @@ def _outcome(fn, *args):
         return MeltdownError, str(exc)
 
 
+# Each hypothesis oracle, undecorated, with its strategies: ``python
+# tests/test_mop_oracle.py N`` runs each on N fresh examples.
+_ORACLES = []
+
+
+def _oracle(max_examples, *strategies):
+    """``given(*strategies)`` at tier-1's ``max_examples``, registered in
+    ``_ORACLES``."""
+    def register(check):
+        _ORACLES.append((check, strategies))
+        return settings(max_examples=max_examples, deadline=None)(given(*strategies)(check))
+    return register
+
+
 # --- strategies ---------------------------------------------------------------
 
 _TOOLS = ["read", "edit", "test", "grep", "plan", "shell"]
@@ -189,8 +208,7 @@ _THETAS = [0.0, 0.5, 1.0, 1.5, 1.711, 2.0, 2.5]
 _DELTAS = [-1.0, -0.5, -1e-12, 0.0, 0.2, 0.5, 1.0]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
+@_oracle(300, st.data())
 def test_entropy_series_and_detection_equal_reference(data):
     w = data.draw(st.integers(2, 8))
     steps = data.draw(_trajectory(w))
@@ -203,8 +221,7 @@ def test_entropy_series_and_detection_equal_reference(data):
     assert detect_mop(steps, config) == _reference_detect_mop(steps, config)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
+@_oracle(300, st.data())
 def test_calibration_equals_reference(data):
     w = data.draw(st.integers(2, 8))
     labeled = [(data.draw(_trajectory(w)), data.draw(st.booleans()))
@@ -220,8 +237,7 @@ def test_calibration_equals_reference(data):
     assert got == _outcome(_reference_calibrate_mop_f1, labeled, grid_theta, grid_delta, w)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
+@_oracle(150, st.data())
 def test_meltdown_table_equals_reference(data):
     w = data.draw(st.integers(2, 8))
     tasks = {b: make_task(f"t-{b}", bucket=b) for b in BUCKETS}
@@ -253,21 +269,65 @@ def test_calibration_ties_at_a_grid_value_are_strict():
     assert calibrate_mop_f1(labeled, [1.0], [0.0], w=2).f1 == 0.0
 
 
-def test_calibration_reads_entropy_series_through_the_module():
-    """A wrapper bound to ``meltdown._entropy_series``, which every public
-    MOP function and the mop subcommand reach, sees one call per labeled
-    episode."""
-    calls = []
-    series = meltdown._entropy_series
+def test_every_mop_path_scans_each_analyzed_episode_once(tmp_path, monkeypatch):
+    """A wrapper bound to ``meltdown._entropy_levels``, the one scan behind
+    every MOP path, sees one call per analyzed episode on each path: the
+    public functions, the three ``mop`` modes and ``run_pipeline``, with
+    and without the series. An episode that the join excludes, or an infra
+    failure, is never scanned. Every episode has its own length, so the
+    sorted lengths scanned name the episodes."""
+    scanned = []
+    scan = meltdown._entropy_levels
 
     def counted(tools, w):
-        calls.append(len(tools))
-        return series(tools, w)
+        scanned.append(len(tools))
+        return scan(tools, w)
 
-    labeled = [(steps_from_tools(["a", "b"] * 6), True), (steps_from_tools(["a"] * 12), False)]
-    with mock.patch.object(meltdown, "_entropy_series", counted):
-        calibrate_mop_f1(labeled, w=3)
-    assert calls == [12, 12]
+    def scans(call):
+        """``call()`` and the sorted lengths of the episodes it scanned."""
+        scanned.clear()
+        return call(), sorted(scanned)
+
+    monkeypatch.setattr(meltdown, "_entropy_levels", counted)
+    task, ghost = make_task("t-0001"), make_task("ghost-task")
+
+    def steps(n):
+        return steps_from_tools([f"tool-{i % 3}" for i in range(n)])
+
+    lengths = [20, 12, 4, 0]
+    analyzed = [make_episode(f"ep-{e}", task, passed=e % 2 == 0, repeat_index=e + 1,
+                             steps=steps(n)) for e, n in enumerate(lengths)]
+    infra = make_episode("x-infra", task, passed=False, termination="infra_error",
+                         steps=steps(11))
+    labeled = [(ep, e % 2 == 0) for e, ep in enumerate(analyzed)]
+    want = sorted(lengths)
+
+    assert scans(lambda: [detect_mop(ep) for ep in analyzed])[1] == want
+    assert scans(lambda: [entropy_series(ep.steps, 5) for ep in analyzed])[1] == want
+    assert scans(lambda: meltdown_table(analyzed + [infra], {task.task_id: task}))[1] == want
+    assert scans(lambda: calibrate_mop_f1(labeled, w=3))[1] == want
+    assert scans(lambda: calibrate_mop_baseline(analyzed, w=3))[1] == want
+
+    # mop analyzes every parsed episode; analyze only those that join and
+    # are not infra failures.
+    log, registry = tmp_path / "episodes.jsonl", tmp_path / "tasks.jsonl"
+    labels = tmp_path / "labels.jsonl"
+    write_episode_log(analyzed, log)
+    write_task_registry([task], registry)
+    labels.write_text("".join(json.dumps({"episode_id": ep.episode_id, "meltdown": label}) + "\n"
+                              for ep, label in labeled), encoding="utf-8")
+    for mode in ([], ["--calibrate", "f1", "--labels", str(labels)], ["--calibrate", "baseline"]):
+        assert scans(lambda: main(["mop", "--logs", str(log), *mode])) == (0, want)
+    excluded = [make_episode("x-ghost", ghost, steps=steps(7)),
+                make_episode("x-mismatch", task, outcomes=(True,), steps=steps(9)), infra]
+    write_episode_log(analyzed + excluded, log)
+    for emit_series in (False, True):
+        options = PipelineOptions(bootstrap_b=0, emit_series=emit_series)
+        bundle, got = scans(lambda: run_pipeline([log], registry, options=options))
+        assert got == want
+        counts = bundle.run_metadata["episodes"]
+        assert (counts["join_excluded"], counts["infra_excluded"], counts["analyzed"]) == (2, 1, 4)
+        assert bundle.run_metadata["validation_issues"]["subtask_mismatch"] == 1
 
 
 @pytest.mark.parametrize("n", [0, 1, 4, 5, 9, 10, 11])
@@ -276,3 +336,11 @@ def test_series_of_every_short_length_equals_reference(n):
     assert entropy_series(steps, 5) == _reference_entropy_series(steps, 5)
     assert detect_mop(steps, MopConfig(window_w=5, theta_h=0.0, delta=-math.inf)) == \
         _reference_detect_mop(steps, MopConfig(window_w=5, theta_h=0.0, delta=-math.inf))
+
+
+if __name__ == "__main__":
+    examples = int(sys.argv[1]) if len(sys.argv) > 1 else 1000
+    for check, strategies in _ORACLES:
+        settings(max_examples=examples, deadline=None, database=None)(given(*strategies)(check))()
+    print(f"{examples} examples each: {', '.join(check.__name__ for check, _ in _ORACLES)}"
+          " equal their oracles")

@@ -22,6 +22,7 @@ import dataclasses
 import io
 import json
 import pickle
+import sys
 from datetime import datetime
 from typing import Any, Iterable, Mapping
 
@@ -381,8 +382,21 @@ def _line(draw) -> str:
     return draw(st.sampled_from(["", " ", "\t"])) + text + draw(st.sampled_from(["", "  ", "\r"]))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_line(), min_size=1, max_size=8))
+# Each hypothesis oracle, undecorated, with its strategies: ``python
+# tests/test_parse_oracle.py N`` runs each on N fresh examples.
+_ORACLES = []
+
+
+def _oracle(max_examples, *strategies):
+    """``given(*strategies)`` at tier-1's ``max_examples``, registered in
+    ``_ORACLES``."""
+    def register(check):
+        _ORACLES.append((check, strategies))
+        return settings(max_examples=max_examples, deadline=None)(given(*strategies)(check))
+    return register
+
+
+@_oracle(200, st.lists(_line(), min_size=1, max_size=8))
 def test_parse_equals_reference(lines):
     got = parse_episode_log(io.StringIO("\n".join(lines)))
     want = _reference_parse_episode_log(io.StringIO("\n".join(lines)))
@@ -392,10 +406,11 @@ def test_parse_equals_reference(lines):
 def read_path(lines: list[str]):
     """What the subcommands' read path hands over of each line, in the
     shape of parse_episode_log's result: (episode without steps, tool
-    names, token pairs) per kept episode, and the reports."""
+    names, tokens_in, tokens_out) per kept episode, and the reports."""
     kept, reports = [], []
     items = _parse_lines(_iter_lines(lines), _read_columns,
-                         lambda episode, tools, tokens: (episode, tools, tokens))
+                         lambda episode, tools, tokens_in, tokens_out:
+                         (episode, tools, tokens_in, tokens_out))
     for item in _dedup(items):
         if isinstance(item, ValidationReport):
             reports.append(item)
@@ -404,13 +419,18 @@ def read_path(lines: list[str]):
     return kept, reports
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_line(), min_size=1, max_size=8))
+def read_view(episodes: list[Episode]) -> list[tuple]:
+    """What the read path must hand over of parsed episodes: each without
+    its steps, with its steps' tool, tokens_in and tokens_out columns."""
+    return [(dataclasses.replace(ep, steps=()), [s.tool for s in ep.steps],
+             [s.tokens_in for s in ep.steps], [s.tokens_out for s in ep.steps])
+            for ep in episodes]
+
+
+@_oracle(200, st.lists(_line(), min_size=1, max_size=8))
 def test_read_path_equals_parse(lines):
     episodes, reports = parse_episode_log(lines)
-    assert read_path(lines) == (
-        [(dataclasses.replace(ep, steps=()), [s.tool for s in ep.steps],
-          [(s.tokens_in, s.tokens_out) for s in ep.steps]) for ep in episodes], reports)
+    assert read_path(lines) == (read_view(episodes), reports)
 
 
 def test_generated_logs_reach_every_outcome():
@@ -618,8 +638,11 @@ def _assert_every_path_agrees(line: str, codes: list[str], tmp_path, capsys) -> 
 
 @pytest.mark.parametrize("edit, code", _BOUNDARIES.values(), ids=_BOUNDARIES.keys())
 def test_step_check_boundaries_agree_on_every_path(edit, code, tmp_path, capsys):
-    """Every path gives the same verdict and the one step error."""
-    _assert_every_path_agrees(_boundary_line(edit), [code] if code else [], tmp_path, capsys)
+    """Every path gives the same verdict and the one step error; an
+    accepted line hands over the same columns on the read path."""
+    line = _boundary_line(edit)
+    episodes = _assert_every_path_agrees(line, [code] if code else [], tmp_path, capsys)
+    assert read_path([line])[0] == read_view(episodes)
 
 
 # --- the record checks at their boundaries ------------------------------------
@@ -691,6 +714,14 @@ def test_record_check_boundaries_agree_on_every_path(edit, codes, tmp_path, caps
     an accepted record is the same episode on the read path."""
     line = _record_line(edit)
     episodes = _assert_every_path_agrees(line, codes, tmp_path, capsys)
-    assert read_path([line])[0] == [(ep, [], []) for ep in episodes]
+    assert read_path([line])[0] == [(ep, [], [], []) for ep in episodes]
     if not codes:
         assert type(episodes[0].evaluator_score) is float
+
+
+if __name__ == "__main__":
+    examples = int(sys.argv[1]) if len(sys.argv) > 1 else 1000
+    for check, strategies in _ORACLES:
+        settings(max_examples=examples, deadline=None, database=None)(given(*strategies)(check))()
+    print(f"{examples} examples each: {', '.join(check.__name__ for check, _ in _ORACLES)}"
+          " equal their oracles")

@@ -13,6 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reliakit
 
@@ -35,7 +36,7 @@ from reliakit import (
 )
 from reliakit import report
 from reliakit.cli import main
-from reliakit.report import Column, PricingEntry, Table
+from reliakit.report import Column, EpisodeCost, PricingEntry, Table, _exact_sum
 from reliakit.trajectory import RegistryError, episode_gds, serialize_episode
 
 
@@ -97,6 +98,37 @@ class TestLoadPricing:
             load_pricing(path)
 
 
+def _reference_episode_cost(episode: Episode, tokens, prices) -> EpisodeCost:
+    """The pair-based _episode_cost that the column version replaced, kept
+    verbatim: ``tokens`` holds (tokens_in, tokens_out) per step."""
+    entry = prices.get(episode.model_id)
+    if not tokens:
+        return EpisodeCost(episode.episode_id, episode.model_id, 0, 0, None if entry is None else 0.0)
+    cost = None if entry is None else _exact_sum(
+        (tokens_in * entry.input_per_million + tokens_out * entry.output_per_million) / 1e6
+        for tokens_in, tokens_out in tokens)
+    return EpisodeCost(episode.episode_id, episode.model_id, sum(i for i, _ in tokens),
+                       sum(o for _, o in tokens), cost)
+
+
+# Token counts, some past the float range.
+_COUNTS = st.one_of(st.integers(0, 10 ** 7), st.integers(2 ** 1020, 2 ** 1030))
+_PRICES = {p.model_id: p for p in load_pricing(PRICING_LINES)}
+
+
+def _typed(cost: EpisodeCost) -> tuple:
+    """A cost with the type of each field, so that 0 and 0.0 differ."""
+    return cost, [type(v) for v in dataclasses.astuple(cost)]
+
+
+def _costs(pairs, model_id) -> tuple[EpisodeCost, EpisodeCost]:
+    """_episode_cost of an episode whose steps have these token pairs,
+    handed over as two columns, and _reference_episode_cost of the pairs."""
+    ep = make_episode("e1", make_task("t-0001"), model_id=model_id)
+    return (report._episode_cost(ep, [i for i, _ in pairs], [o for _, o in pairs], _PRICES),
+            _reference_episode_cost(ep, pairs, _PRICES))
+
+
 class TestComputeCost:
     def test_million_token_episode(self):
         task = make_task("t-0001")
@@ -115,16 +147,31 @@ class TestComputeCost:
 
     @pytest.mark.parametrize("model_id", ["m1", "unpriced"])
     def test_no_token_pairs_is_the_general_sum(self, model_id):
-        """_episode_cost answers an episode without steps at once, with the
-        values and types that the sums over its token pairs give."""
+        """_episode_cost of empty columns has the values and types that the
+        sums over its columns give, with no branch of its own."""
         ep = make_episode("e1", make_task("t-0001"), model_id=model_id)
-        prices = {p.model_id: p for p in load_pricing(PRICING_LINES)}
-        got = report._episode_cost(ep, [], prices)
-        general = report.EpisodeCost("e1", model_id, sum(()), sum(()),
-                                     report._exact_sum(()) if model_id in prices else None)
-        assert got == general
-        assert [type(v) for v in dataclasses.astuple(got)] == [
-            type(v) for v in dataclasses.astuple(general)]
+        got = report._episode_cost(ep, [], [], _PRICES)
+        general = EpisodeCost("e1", model_id, sum(()), sum(()),
+                              _exact_sum(()) if model_id in _PRICES else None)
+        assert _typed(got) == _typed(general)
+
+    @pytest.mark.parametrize("pairs, model_id, cost", [
+        ([], "m1", 0.0), ([], "unpriced", None), ([(100, 20)], "unpriced", None),
+        ([(2 ** 1024, 0)], "m1", math.inf), ([(1, 1), (0, 2 ** 1100)], "sim-agent", math.inf),
+        ([(2 ** 1023, 2 ** 1023)], "m1", math.inf),
+    ])
+    def test_column_pricing_equals_pair_pricing_at_the_edges(self, pairs, model_id, cost):
+        """No steps, an unpriced model (None) and counts past 2**1024 (inf)."""
+        got, want = _costs(pairs, model_id)
+        assert _typed(got) == _typed(want)
+        assert got.cost == cost
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_COUNTS, _COUNTS), max_size=8),
+           st.sampled_from(["m1", "sim-agent", "unpriced"]))
+    def test_column_pricing_equals_pair_pricing(self, pairs, model_id):
+        got, want = _costs(pairs, model_id)
+        assert _typed(got) == _typed(want)
 
     def test_total_is_exact_sum(self):
         task = make_task("t-0001")
@@ -232,34 +279,6 @@ class TestRunPipeline:
         assert counts["analyzed"] == 32
         assert bundle.run_metadata["conservation_holds"]
         assert bundle.run_metadata["validation_issues"]["unknown_task"] == 1
-
-    def test_only_analyzed_episodes_get_a_mop_scan(self, tmp_path, monkeypatch):
-        from reliakit import meltdown
-
-        task, ghost = make_task("t-0001"), make_task("ghost-task")
-        steps = [make_step(i, f"tool-{i % 3}") for i in range(1, 21)]
-        episodes = [make_episode(f"ep-{e}", task, passed=e % 2 == 0, repeat_index=e + 1,
-                                 steps=steps) for e in range(4)]
-        episodes += [
-            make_episode("x-ghost", ghost, steps=steps),
-            make_episode("x-mismatch", task, outcomes=(True,), steps=steps),
-            make_episode("x-infra", task, passed=False, termination="infra_error", steps=steps),
-        ]
-        log, registry = tmp_path / "episodes.jsonl", tmp_path / "tasks.jsonl"
-        write_episode_log(episodes, log)
-        write_task_registry([task], registry)
-        detect, scanned = meltdown._detect, []
-
-        def counted(episode_id, tools, config):
-            scanned.append(len(tools))
-            return detect(episode_id, tools, config)
-
-        monkeypatch.setattr(meltdown, "_detect", counted)
-        bundle = run_pipeline([log], registry, options=PipelineOptions(bootstrap_b=0))
-        counts = bundle.run_metadata["episodes"]
-        assert (counts["join_excluded"], counts["infra_excluded"]) == (2, 1)
-        assert len(scanned) == counts["analyzed"] == 4
-        assert bundle.run_metadata["validation_issues"]["subtask_mismatch"] == 1
 
     def test_each_analyzed_episode_is_scored_once(self, tmp_path, monkeypatch):
         """run_pipeline joins and scores an episode as it reads it; every
