@@ -34,6 +34,7 @@ from .meltdown import (
     _best_f1,
     _detect,
     _largest_rises,
+    window_entropy,
 )
 from .metrics import _CI_METHODS, _MAX_BOOTSTRAP_B, MetricError, REGRESSORS
 from .report import (
@@ -239,6 +240,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         regressor=args.regressor,
         emit_series=args.emit_series,
     )
+    _warn_if_unreachable(args.mop_theta, args.mop_window)
     bundle = run_pipeline(args.logs, args.registry, args.pricing, options)
     counts = bundle.run_metadata["episodes"]
     _print_counts(counts)
@@ -248,6 +250,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
           f" {counts['join_excluded']} join-excluded);"
           f" wrote {len(written)} files to {args.out}")
     return 0
+
+
+def _warn_if_unreachable(theta: float, w: int) -> None:
+    """A warning on stderr when no window of w steps can exceed theta:
+    detection is strict, and the highest entropy such a window reaches, w
+    distinct tools, is computed here as ``_entropy_levels`` computes it."""
+    top = window_entropy({i: 1 / w for i in range(w)})
+    if theta >= top:
+        print(f"warning: theta_h={theta} is at least {top}, the highest entropy a window"
+              f" of {w} steps can reach, so no episode can be detected", file=sys.stderr)
 
 
 def _print_counts(counts: dict[str, int]) -> None:
@@ -311,10 +323,12 @@ def _cmd_mop(args: argparse.Namespace) -> int:
     if args.calibrate == "baseline":
         terms = _read_logs(args.logs, lambda ep, tools, *tokens: _baseline_terms(tools, w))
         theta, delta = _baseline_theta(terms, args.percentile, w)
+        _warn_if_unreachable(theta, w)
         print(f"theta_h={theta} delta={delta}")
         return 0
 
     config = MopConfig(window_w=w, theta_h=args.mop_theta, delta=args.mop_delta)
+    _warn_if_unreachable(config.theta_h, w)
 
     def row(episode: Episode, tools: list[str], *tokens: list[int]) -> tuple:
         r = _detect(episode.episode_id, tools, config)

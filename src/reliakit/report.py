@@ -43,8 +43,8 @@ import threading
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Any, BinaryIO, Callable, Generator, Generic, Iterable, Iterator, Mapping,
-                    Sequence, TypeVar)
+from typing import (Any, BinaryIO, Callable, Generic, Iterable, Iterator, Mapping, Sequence,
+                    TypeVar)
 
 from .meltdown import MeltdownCell, MopConfig, _meltdown_cells, _mop_outcome
 from .metrics import (
@@ -321,26 +321,24 @@ def _read_lines(path: str | Path, stage: str, meta: dict[str, Any], size: int | 
     when opened unless given. Lines end only at line feeds, and never past
     ``size``; each is decoded on its own, so the file is never held whole.
     A part past byte 0 starts at the first line start at or after its
-    offset, and counts the line feeds before it itself. At the end ``meta``
-    holds the count of non-blank lines read and, for part 0, the file's path
-    and the sha256 of its bytes [0, size): those it read, then the rest."""
+    offset, and numbers its lines from there. At the end ``meta`` holds
+    the count of non-blank lines read and, for part 0, the file's path and
+    the sha256 of its bytes [0, size): those it read, then the rest."""
     lines = 0
     with _open(path, stage) as fh:
         if size is None:
             size = os.fstat(fh.fileno()).st_size
         offset, stop = size * part // parts, size * (part + 1) // parts
-        pos = lineno = 0
+        pos = max(offset - 1, 0)
+        fh.seek(pos)  # also refuses a pipe, whose size says nothing
         # The first line start at or after the offset: just past the first
         # line feed at or after the byte before it.
-        while offset and pos < stop and (block := fh.read(_HASH_BLOCK)):
-            feed = block.find(b"\n", max(offset - 1 - pos, 0))
-            end = len(block) if feed < 0 else feed + 1
-            lineno += block.count(b"\n", 0, end)
-            pos += end
-            if feed >= 0:
+        while offset and pos < stop and (block := fh.readline(_HASH_BLOCK)):
+            pos += len(block)
+            if block.endswith(b"\n"):
                 break
-        fh.seek(pos)  # also refuses a pipe, whose size says nothing
         sha = hashlib.sha256() if part == 0 else None
+        lineno = 0
         while pos < stop and (raw := fh.readline(size - pos)):
             pos += len(raw)
             lineno += 1
@@ -349,7 +347,8 @@ def _read_lines(path: str | Path, stage: str, meta: dict[str, Any], size: int | 
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:
-                raise InputError(f"{stage}: {path} is not UTF-8: line {lineno}: {exc}") from exc
+                raise InputError(f"{stage}: {path} is not UTF-8:"
+                                 f" line {lineno + _lines_before(path, offset)}: {exc}") from exc
             lines += bool(line)
             yield lineno, line
         if sha is not None:
@@ -358,6 +357,20 @@ def _read_lines(path: str | Path, stage: str, meta: dict[str, Any], size: int | 
                 pos += len(block)
             meta.update(path=str(path), sha256=sha.hexdigest())
     meta["lines"] = lines
+
+
+def _lines_before(path: str | Path, offset: int) -> int:
+    """How many lines of a log precede its first line start at or after
+    ``offset``: the line feeds before the byte before it, plus one. Only a
+    range that stops at a line that is not UTF-8 reads these bytes."""
+    if not offset:
+        return 0
+    feeds = pos = 0
+    with _open(path, "parse") as fh:
+        while pos < offset - 1 and (block := fh.read(min(_HASH_BLOCK, offset - 1 - pos))):
+            feeds += block.count(b"\n")
+            pos += len(block)
+    return feeds + 1
 
 
 def _open(path: str | Path, stage: str) -> BinaryIO:
@@ -454,23 +467,24 @@ def _load_logs(paths: Sequence[str | Path], summarize: _Summarize,
 # The smallest byte range worth a worker process. On a 1.3 MB log of
 # episodes without steps, two ranges saved no wall time and raised peak RSS.
 _MIN_RANGE_BYTES = 1 << 20
-# A range reads at most this much at a time while it counts the line feeds
-# before its first line, and the first range while it hashes the rest of
-# the log; 1 MiB blocks raised the traced peak of hashing a 3 MB log past a
-# quarter of the file's size.
+# A range reads at most this much at a time while it looks for its first
+# line or counts the lines before it, and the first range while it hashes
+# the rest of the log; 1 MiB blocks raised the traced peak of hashing a 3 MB
+# log past a quarter of the file's size.
 _HASH_BLOCK = 1 << 16
 # A worker pickles its items in lists of this many.
 _PICKLE_BATCH = 256
 
 
 def _range_items(path: str | Path, summarize: _Summarize, meta: dict[str, Any], size: int,
-                 part: int, parts: int) -> Iterator[ValidationReport | tuple[int, str, bool, Any]]:
+                 part: int, parts: int) -> Iterator[ValidationReport | tuple]:
     """``_parse_lines`` over the lines that start in part ``part`` of
     ``parts`` of a log's first ``size`` bytes (see ``_read_lines``), each
-    episode's payload its summary."""
-    return _parse_lines(((lineno, line) for lineno, line in
-                         _read_lines(path, "parse", meta, size, part, parts) if line),
-                        _read_columns, summarize)
+    episode's payload its summary and each line numbered from the part's
+    first line. At the end ``meta["read"]`` counts the part's lines, blank
+    ones too."""
+    meta["read"] = yield from _parse_lines(
+        _read_lines(path, "parse", meta, size, part, parts), _read_columns, summarize)
 
 
 def _range_count(path: str | Path) -> int:
@@ -488,12 +502,13 @@ def _range_count(path: str | Path) -> int:
 
 
 def _read_log(path: str | Path, summarize: _Summarize,
-              meta: dict[str, Any]) -> Iterator[ValidationReport | tuple[int, str, bool, Any]]:
+              meta: dict[str, Any]) -> Iterator[ValidationReport | tuple]:
     """``_range_items`` over each byte range of one log's bytes up to its
     size at the start, in line order; at the end ``meta`` holds the file's
     path, the sha256 of those bytes and their non-blank lines.
 
-    No pass over the log comes first: each range finds its own first line.
+    No pass over the log comes first: each range finds its own first line,
+    and the fold adds the earlier ranges' line counts to its line numbers.
     The parent forks a worker for every range but the first, then reads the
     first itself, hashing the log as it goes. A worker summarizes as it
     reads and pickles its items to an anonymous temporary file (a pipe
@@ -510,13 +525,16 @@ def _read_log(path: str | Path, summarize: _Summarize,
     try:
         for part in range(1, n):
             workers.append(_fork_range(path, summarize, size, part, n))
-        lines = 0
+        before = lines = 0
         for part, worker in enumerate([None, *workers]):
             if worker is None:  # the first range, or one whose fork failed
-                yield from _range_items(path, summarize, meta, size, part, n)
-                lines += meta["lines"]
+                items = _range_items(path, summarize, meta, size, part, n)
             else:
-                lines += yield from _worker_items(path, worker)
+                items = _worker_items(path, worker, meta)
+            for item in items:
+                yield item if type(item) is ValidationReport else (item[0] + before, *item[1:])
+            before += meta.pop("read")
+            lines += meta["lines"]
     finally:
         _reap(workers)
     meta["lines"] = lines
@@ -550,8 +568,8 @@ def _fork_range(path: str | Path, summarize: _Summarize, size: int, part: int,
         return None
     if pid == 0:
         # The worker writes one pickled list per _PICKLE_BATCH items, then
-        # the count of non-blank lines read, or the exception that stopped
-        # the read. A list is pickled whole before it is written, so a
+        # its counts of lines and of non-blank ones, or the exception that
+        # stopped the read. A list is pickled whole before it is written, so a
         # failure leaves no partial item in the file; and within one list,
         # the values the parse shares stay one object when read back.
         status = 1
@@ -564,7 +582,7 @@ def _fork_range(path: str | Path, summarize: _Summarize, size: int, part: int,
                     if len(batch) == _PICKLE_BATCH:
                         out.write(pickle.dumps(batch, pickle.HIGHEST_PROTOCOL))
                         batch.clear()
-                end: Any = meta["lines"]
+                end: Any = meta["read"], meta["lines"]
             except Exception as exc:
                 end = exc
             out.write(pickle.dumps(batch, pickle.HIGHEST_PROTOCOL))
@@ -576,9 +594,9 @@ def _fork_range(path: str | Path, summarize: _Summarize, size: int, part: int,
     return _Worker(pid, out)
 
 
-def _worker_items(path: str | Path, worker: _Worker) -> Generator[Any, None, int]:
-    """A worker's items, read back once it has exited; returns its count of
-    non-blank lines, or raises the exception that stopped it."""
+def _worker_items(path: str | Path, worker: _Worker, meta: dict[str, Any]) -> Iterator[Any]:
+    """A worker's items, read back once it has exited, with its two line
+    counts put in ``meta``, or the exception that stopped it raised."""
     _, status = os.waitpid(worker.pid, 0)
     worker.pid = None
     worker.out.seek(0)
@@ -588,8 +606,9 @@ def _worker_items(path: str | Path, worker: _Worker) -> Generator[Any, None, int
         except (EOFError, pickle.UnpicklingError) as exc:
             raise PipelineError(f"parse: the worker reading {path} exited with status"
                                 f" {os.waitstatus_to_exitcode(status)} ({exc!r})") from exc
-        if type(item) is int:
-            return item
+        if type(item) is tuple:
+            meta["read"], meta["lines"] = item
+            return
         if isinstance(item, Exception):
             raise item
         yield from item

@@ -22,7 +22,7 @@ from datetime import date
 from decimal import Decimal, InvalidOperation
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import IO, Any, Callable, Generator, Iterable, Iterator, Mapping, TypeVar
 import warnings
 
 __all__ = [
@@ -696,15 +696,21 @@ def parse_episode_log(
 def _parse_lines(
     lines: Iterable[tuple[int, str | UnicodeDecodeError]], read_steps: _StepReader,
     payload: Callable[..., _T],
-) -> Iterator[ValidationReport | tuple[int, str, bool, _T]]:
-    """Each (line number, non-blank line) parsed, in line order: the
-    ValidationReport that rejects the line, or (line number, episode_id, is
-    infra failure, ``payload(episode, *kept)``), where ``kept`` is what
+) -> Generator[ValidationReport | tuple, None, int]:
+    """Each (line number, line) parsed, in line order, blank lines skipped:
+    the ValidationReport that rejects the line, or (line number, episode_id,
+    is infra failure, ``payload(episode, *kept)``), where ``kept`` is what
     ``read_steps`` returned besides the episode's steps (see
-    ``_episode_from_record``). One call keeps one sharing memo, so the
-    caller may drop each episode once ``payload`` has what it needs."""
+    ``_episode_from_record``). A line rejected without a usable episode_id
+    comes as (line number, None, its malformed JSON's problem or its
+    errors), for ``_dedup`` to name by its number. One call keeps one
+    sharing memo, so the caller may drop each episode once ``payload`` has
+    what it needs. Returns the last line number, 0 without lines."""
     shared: dict[Any, Any] = {}
+    lineno = 0
     for lineno, line in lines:
+        if not line:
+            continue
         if isinstance(line, UnicodeDecodeError):
             problem = f"not UTF-8: {line}"
         else:
@@ -714,41 +720,44 @@ def _parse_lines(
             except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
                 problem = str(exc)
         if problem:
-            yield ValidationReport(
-                episode_id=f"<line {lineno}>",
-                errors=(ValidationIssue("malformed_line", f"line {lineno}: {problem}"),),
-            )
+            yield lineno, None, problem
             continue
-        label = record.get("episode_id")
-        label = label if isinstance(label, str) and label else f"<line {lineno}>"
         problem = _check_schema_version(record)
-        if problem:
-            yield ValidationReport(
-                episode_id=label, errors=(ValidationIssue("schema_version", problem),))
-            continue
-
-        errors: list[ValidationIssue] = []
-        parsed = _episode_from_record(record, errors, shared, read_steps)
+        errors = [ValidationIssue("schema_version", problem)] if problem else []
+        parsed = None if problem else _episode_from_record(record, errors, shared, read_steps)
         if parsed is None:
-            yield ValidationReport(episode_id=label, errors=tuple(errors))
+            label = record.get("episode_id")
+            if isinstance(label, str) and label:
+                yield ValidationReport(episode_id=label, errors=tuple(errors))
+            else:
+                yield lineno, None, tuple(errors)
             continue
         episode, kept = parsed
         yield lineno, episode.episode_id, episode.is_infra_failure, payload(episode, *kept)
+    return lineno
 
 
 def _dedup(
-    items: Iterable[ValidationReport | tuple[int, str, bool, _T]],
+    items: Iterable[ValidationReport | tuple],
 ) -> Iterator[ValidationReport | tuple[int, str, bool, _T]]:
-    """The within-file dedup of one log's per-line results, in line order.
+    """The within-file dedup of one log's per-line results (see
+    ``_parse_lines``), in line order.
 
     Each episode comes as (line number, episode_id, is infra failure, any
     payload). The first of an episode_id is kept and passed on, just after
     an advisory warning when it is an infra failure; each later one becomes
-    a duplicate warning. Reports pass through as they are."""
+    a duplicate warning. Reports pass through as they are, and a line
+    without a usable episode_id gets its report here, named by its number."""
     seen: set[str] = set()
     for item in items:
         if isinstance(item, ValidationReport):
             yield item
+            continue
+        if item[1] is None:
+            lineno, _, errors = item
+            if isinstance(errors, str):  # the problem of a malformed line
+                errors = (ValidationIssue("malformed_line", f"line {lineno}: {errors}"),)
+            yield ValidationReport(episode_id=f"<line {lineno}>", errors=errors)
             continue
         lineno, episode_id, infra, _ = item
         if episode_id in seen:

@@ -60,6 +60,16 @@ def episode_line(episode_id: str, steps: int = 3, **kwargs) -> str:
                                  for i in range(1, steps + 1)], **kwargs))
 
 
+def unlabeled_line(n: int) -> str:
+    """An episode line whose episode_id is missing (even ``n``) or empty (odd
+    ``n``): it fails validation and is reported by its line, ``<line N>``."""
+    record = json.loads(episode_line(f"e-{n}"))
+    del record["episode_id"]
+    if n % 2:
+        record["episode_id"] = ""
+    return json.dumps(record)
+
+
 # One line of each kind a log can hold.
 LINE_KINDS = {
     "episode": lambda n: episode_line(f"e-{n}"),
@@ -72,6 +82,7 @@ LINE_KINDS = {
                                        "nudges_used": -1}),
     "schema": lambda n: json.dumps({**json.loads(episode_line(f"e-{n}")),
                                     "schema_version": "9"}),
+    "unlabeled": unlabeled_line,
 }
 
 
@@ -133,15 +144,24 @@ def test_a_duplicate_of_an_earlier_range_keeps_the_in_file_wording(tmp_path):
 
 
 def test_blank_and_bad_lines_keep_their_numbers_in_every_range(tmp_path):
+    """Every range holds malformed and unlabeled lines, each reported by its
+    number in the log, and duplicates, warned of by theirs."""
     lines = []
     for i in range(40):
-        lines += [episode_line(f"e-{i}", steps=10), "", '{"broken',
-                  episode_line(f"i-{i}", termination="infra_error")]
+        lines += [episode_line(f"e-{i}", steps=10), "", '{"broken', unlabeled_line(i),
+                  episode_line(f"i-{i}", termination="infra_error"), episode_line(f"e-{i}")]
     logs = load_all([write_log(tmp_path / "log.jsonl", lines)])
-    assert [r.episode_id for r in logs.reports if r.fatal] == [
-        f"<line {4 * i + 3}>" for i in range(40)]
-    assert sum(1 for r in logs.reports if r.warnings) == 40
-    assert logs.counts()["log_lines"] == 120
+    fatal = [r for r in logs.reports if r.fatal]
+    assert [r.episode_id for r in fatal] == [
+        f"<line {6 * i + j}>" for i in range(40) for j in (3, 4)]
+    assert [r.errors[0].message.partition(": ")[0] for r in fatal[::2]] == [
+        f"line {6 * i + 3}" for i in range(40)]
+    assert [r.errors[0].code for r in fatal[1::2]] == ["bad_episode_id"] * 40
+    assert [issue.message for r in logs.reports for issue in r.warnings
+            if issue.code == "duplicate_episode_id"] == [
+        f"line {6 * i + 6}: duplicate of 'e-{i}'; keeping the first" for i in range(40)]
+    assert sum(1 for r in logs.reports if r.warnings) == 80
+    assert logs.counts()["log_lines"] == 200
 
 
 def test_a_line_that_is_not_utf8_in_a_later_range_is_the_same_error(tmp_path):
@@ -200,6 +220,9 @@ OFFSETS = {
     "among_blank_and_whitespace_lines": (
         raw_line(1) + b"\n\n \t\n\n",
         b"\n   \n\n" + raw_line(2) + b"\n\n\t \n" + raw_line(3) + b"\n"),
+    "after_blank_lines_before_lines_named_by_number": (
+        raw_line(1) + b"\n\n \t\n\n",
+        b'{"broken\n' + unlabeled_line(2).encode() + b"\n" + raw_line(1) + b"\n"),
     "just_after_a_crlf": (raw_line(1) + b"\r\n", raw_line(2) + b"\r\n" + raw_line(3) + b"\r\n"),
     "between_a_carriage_return_and_its_line_feed": (
         raw_line(1) + b"\r", b"\n" + raw_line(2) + b"\r\n" + raw_line(3) + b"\r\n"),
@@ -259,6 +282,44 @@ def test_the_calling_process_reads_each_log_byte_once(tmp_path, monkeypatch):
     assert logs.counts()["parsed"] == 100
     assert at_fork[0] - start < 1024
     assert end - start <= size + report._HASH_BLOCK
+
+
+def process_rchar() -> int:
+    """Bytes this process has read through read system calls so far,
+    including those of the children it has reaped: Linux adds a reaped
+    child's counts to its parent's."""
+    with open("/proc/self/io", encoding="ascii") as fh:
+        return next(int(row.split()[1]) for row in fh if row.startswith("rchar:"))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="needs /proc/self/io")
+@pytest.mark.parametrize("ranges", [2, 3, 7])
+def test_each_range_reads_only_its_own_bytes(tmp_path, monkeypatch, ranges):
+    """The calling process reads the log once (its range, then the rest for
+    the hash) and each worker its own range, plus at most a block around
+    each range's start and end; no range reads the bytes before its offset
+    to number its lines. Then the calling process reads back the workers'
+    pickles. So n ranges read at most (2 - 1/n) times the log's size, n
+    blocks and the pickles' bytes."""
+    log = write_log(tmp_path / "log.jsonl",
+                    [episode_line(f"e-{i}", steps=40) for i in range(400)])
+    size = log.stat().st_size
+    assert ranges * report._HASH_BLOCK < size / 4
+    pickled, reap = [], report._reap
+
+    def measured_reap(workers):
+        pickled.extend(os.fstat(w.out.fileno()).st_size for w in workers if w is not None)
+        reap(workers)
+
+    monkeypatch.setattr(report, "_reap", measured_reap)
+    use_ranges(monkeypatch, ranges)
+    start = process_rchar()
+    logs = _load_logs([log], lambda episode, *columns: None)
+    read = process_rchar() - start
+    assert_no_children()
+    assert logs.counts()["parsed"] == 400
+    assert len(pickled) == ranges - 1
+    assert read <= (2 - 1 / ranges) * size + ranges * report._HASH_BLOCK + sum(pickled)
 
 
 @pytest.mark.parametrize("ranges", RANGE_COUNTS)

@@ -746,6 +746,43 @@ class TestCli:
                      "--calibrate", "baseline"]) == 0
         assert "theta_h=0.0" in capsys.readouterr().out
 
+    # The highest entropy of a window of w steps, w distinct tools, as the
+    # scan computes it: log2(5) for w=5, and 1.0 for w=2.
+    @pytest.mark.parametrize("w, top", [(5, 2.321928094887362), (2, 1.0)])
+    def test_a_theta_no_window_can_exceed_is_warned_of(self, tmp_path, capsys, w, top):
+        """Detection is strict, so at theta >= the highest level a window
+        can reach nothing is ever detected: calibrated, given to mop or given
+        to analyze, such a theta is warned of once on stderr. One step below
+        it is not, and stdout stays as it was."""
+        task = make_task("t-1")
+        episodes = [make_episode(f"e-{e}", task, steps=[make_step(i, f"tool-{i % w}")
+                                                         for i in range(1, 21)])
+                    for e in range(10)]
+        log, registry = tmp_path / "episodes.jsonl", tmp_path / "tasks.jsonl"
+        write_episode_log(episodes, log)
+        write_task_registry([task], registry)
+        warning = (f"warning: theta_h={top} is at least {top}, the highest entropy a window"
+                   f" of {w} steps can reach, so no episode can be detected")
+        below = math.nextafter(top, 0.0)
+        window = ["--mop-window", str(w)]
+
+        def run(*argv):
+            capsys.readouterr()
+            assert main([*argv[:1], "--logs", str(log), *window, *argv[1:]]) == 0
+            captured = capsys.readouterr()
+            return captured.out, [line for line in captured.err.splitlines()
+                                  if line.startswith("warning: theta_h")]
+
+        assert run("mop", "--calibrate", "baseline") == (f"theta_h={top} delta=0.0\n", [warning])
+        for theta, warned in ((top, [warning]), (below, [])):
+            out, warnings = run("mop", "--mop-theta", repr(theta))
+            assert warnings == warned
+            assert out.splitlines()[1:] == [f"e-{e},,{top},False,False" for e in range(10)]
+            out, warnings = run("analyze", "--registry", str(registry), "--bootstrap-b", "0",
+                                "--mop-theta", repr(theta), "--out", str(tmp_path / "out"))
+            assert warnings == warned
+            assert out.startswith("analyzed 10 episodes")
+
     def test_cost_missing_model_is_exit_2(self, tmp_path, capsys):
         data = tmp_path / "data"
         main(["simulate", "--mode", "study", "--out", str(data),
