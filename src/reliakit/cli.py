@@ -22,8 +22,6 @@ import warnings
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
-import numpy as np
-
 from .meltdown import (
     DEFAULT_F1_GRID_DELTA,
     DEFAULT_F1_GRID_THETA,
@@ -367,15 +365,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         fail_counts = failures.sum(axis=1)
         summary = {
             **dataclasses.asdict(config),
-            "observed_all_success_rate": float(np.mean(fail_counts == 0)),
-            "observed_failcount_variance": float(np.var(fail_counts)),
+            "observed_all_success_rate": float((fail_counts == 0).mean()),
+            "observed_failcount_variance": float(fail_counts.var()),
             "predicted_failcount_variance": predicted_failcount_variance(
                 config.epsilon, config.rho, config.horizon_t),
             "predicted_success_lower_bound": predicted_success_bound(
                 config.epsilon, config.rho, config.horizon_t),
         }
         out.mkdir(parents=True, exist_ok=True)
-        np.savetxt(out / "steps.csv", failures.astype(int), fmt="%d", delimiter=",")
+        with open(out / "steps.csv", "w", encoding="utf-8") as steps_csv:
+            steps_csv.writelines(",".join(map(str, row.tolist())) + "\n"
+                                 for row in failures.astype(int))
         (out / "summary.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {out / 'steps.csv'} and {out / 'summary.json'}")

@@ -18,9 +18,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .metrics import _joined, ols_slope
+from .metrics import _joined, _percentiles, ols_slope
 from .trajectory import BUCKETS, NUDGE_LIMIT, Episode, TaskSpec, ToolStep
 
 __all__ = [
@@ -302,7 +300,8 @@ def calibrate_mop_baseline(
     w: int = 5,
 ) -> tuple[float, float]:
     """Level threshold from healthy traffic: the chosen percentile of the
-    per-episode maximum window entropy, with delta pinned at 0.
+    per-episode maximum window entropy, with delta pinned at 0. The
+    percentile is numpy's "linear" one (definition 7 of Hyndman & Fan 1996).
 
     Episodes too short for even one window contribute nothing; if no
     episode reaches detection eligibility (2w steps) the baseline cannot
@@ -332,7 +331,7 @@ def _baseline_theta(terms: Sequence[tuple[bool, float | None]], percentile: floa
         raise MeltdownError(
             f"calibrate_mop_baseline: every baseline episode is shorter than 2w={2 * w} steps")
     maxima = [h for _, h in terms if h is not None]
-    theta = float(np.percentile(maxima, percentile * 100.0))
+    (theta,) = _percentiles(maxima, [percentile * 100.0])
     return theta, 0.0
 
 

@@ -593,43 +593,50 @@ def _percentile_bootstrap(
 
 
 def _percentile_interval(values: np.ndarray, level: float) -> tuple[float, float]:
-    """``np.percentile(values, [tail, 100 - tail])`` for the two tails of
-    ``level``, by numpy's default "linear" method (definition 7 of Hyndman
-    & Fan 1996), each bound nan there taken by its "higher" method instead.
-
-    The same arithmetic as numpy's, without ``np.percentile``: the same
-    ``partition`` calls, so that equal values of opposite sign land where
-    numpy puts them; the same ``(n - 1) * q`` virtual index; and the same
-    two-sided lerp, ``a + d * t`` or, when t >= 0.5, ``b - d * (1 - t)``.
-    Interpolating next to an infinite value (a ratio whose denominator
-    underflowed) computes inf - inf or inf * 0, which is nan; the "higher"
-    bound is then the infinite neighbour, or the value itself when its
-    weight is 0. A nan among the values makes both bounds nan.
-    """
+    """``_percentiles`` at the two tails of ``level``."""
     tail = 100.0 * (1.0 - level) / 2.0
+    low, high = _percentiles(values, [tail, 100.0 - tail])
+    return low, high
+
+
+def _percentiles(values: Sequence[float] | np.ndarray, qs: Sequence[float]) -> list[float]:
+    """``np.percentile(values, qs)`` for percentiles ``qs`` in [0, 100], by
+    numpy's default "linear" method (definition 7 of Hyndman & Fan 1996),
+    each result nan there taken by its "higher" method instead.
+
+    The same arithmetic as numpy's, without ``np.percentile``, which loads
+    ``numpy.ma``: the same ``partition`` calls, so that equal values of
+    opposite sign land where numpy puts them; the same ``(n - 1) * (q / 100)``
+    virtual index; and the same two-sided lerp, ``a + d * t`` or, when
+    t >= 0.5, ``b - d * (1 - t)``. Interpolating next to an infinite value
+    (a ratio whose denominator underflowed), or across a difference that
+    overflows, computes inf - inf or inf * 0, which is nan; the "higher"
+    result is then the infinite neighbour, or the value itself when its
+    weight is 0. A nan among the values makes every result nan.
+    """
+    values = np.asarray(values, dtype=float)
     n = len(values)
-    virtual = [(n - 1) * (tail / 100), (n - 1) * ((100.0 - tail) / 100)]
-    # Each bound's neighbours; the last value's are itself.
+    virtual = [(n - 1) * (q / 100) for q in qs]
+    # Each result's neighbours; the last value's are itself.
     below = [-1 if v >= n - 1 else math.floor(v) for v in virtual]
     above = [-1 if v >= n - 1 else i + 1 for v, i in zip(virtual, below)]
     ordered = values.copy()
     ordered.partition(np.array(sorted({0, -1, *below, *above})))
     if math.isnan(ordered[-1]):
-        return float(ordered[-1]), float(ordered[-1])
-    bounds = []
+        return [float(ordered[-1])] * len(qs)
+    results = []
     for v, i, j in zip(virtual, below, above):
         lower, upper = float(ordered[i]), float(ordered[j])
         t = v - i
         d = upper - lower
-        bounds.append(lower + d * t if t < 0.5 else upper - d * (1 - t))
-    if any(math.isnan(bound) for bound in bounds):
+        results.append(lower + d * t if t < 0.5 else upper - d * (1 - t))
+    if any(math.isnan(result) for result in results):
         higher = [math.ceil(v) for v in virtual]
         ordered = values.copy()
         ordered.partition(np.array([*higher, -1]))
-        bounds = [float(ordered[h]) if math.isnan(bound) else bound
-                  for bound, h in zip(bounds, higher)]
-    low, high = bounds
-    return low, high
+        results = [float(ordered[h]) if math.isnan(result) else result
+                   for result, h in zip(results, higher)]
+    return results
 
 
 def _repeated(values: Sequence[float], counts: Sequence[int]) -> Iterator[float]:

@@ -20,7 +20,6 @@ import re
 from dataclasses import dataclass, field
 from datetime import date
 from decimal import Decimal, InvalidOperation
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Any, Callable, Generator, Iterable, Iterator, Mapping, TypeVar
 import warnings
@@ -87,10 +86,6 @@ def bucket_for_minutes(minutes: float) -> str:
 
 _decode_json = json.JSONDecoder().decode
 _encode_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-# The C encoder behind _encode_canonical, built once instead of per call.
-# Without cycle markers: freshly decoded JSON cannot be cyclic.
-_encode_decoded = None if c_make_encoder is None else c_make_encoder(
-    None, None, encode_basestring_ascii, None, ":", ",", True, False, True)
 
 
 def canonical_args(args: Any) -> str:
@@ -109,9 +104,7 @@ def canonical_args(args: Any) -> str:
         except (ValueError, RecursionError):
             return args
         if isinstance(parsed, (dict, list)):
-            if _encode_decoded is None:
-                return _encode_canonical(parsed)
-            return "".join(_encode_decoded(parsed, 0))
+            return _encode_canonical(parsed)
         return args
     return _encode_canonical(args)
 

@@ -12,7 +12,8 @@ again exactly. ``_vafs``, which feeds many selections one pass over shared
 index rows, must give each selection exactly what that selection gets
 alone. Each fast path inside keeps its scalar original here too:
 ``np.random.Philox`` for ``rng._philox_words``, ``np.percentile`` for
-``metrics._percentile_interval`` and the per-pool, per-row loop for
+``metrics._percentiles`` (the bootstrap interval's two tails and the MOP
+baseline's one percentile) and the per-pool, per-row loop for
 ``metrics._pool_variances``.
 """
 from __future__ import annotations
@@ -29,7 +30,8 @@ from conftest import make_task
 from reliakit import DegenerateStatisticError, MetricError, bootstrap_ci, vaf
 from reliakit import metrics, rng
 from reliakit.metrics import (DEFAULT_VAF_DENOMINATOR, DEFAULT_VAF_NUMERATOR, _level_pvar,
-                              _percentile_interval, _pool_variances, _vafs, _variance_ratio)
+                              _percentile_interval, _percentiles, _pool_variances, _vafs,
+                              _variance_ratio)
 from reliakit.rng import _philox_words, _resample_chunks, substream
 
 
@@ -313,9 +315,9 @@ _special = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0,
 
 
 @st.composite
-def _percentile_values(draw):
+def _percentile_values(draw, elements=_special | st.floats()):
     """Values with ties: a few distinct ones, each repeated, in draw order."""
-    distinct = draw(st.lists(_special | st.floats(), min_size=1, max_size=6))
+    distinct = draw(st.lists(elements, min_size=1, max_size=6))
     n = draw(st.sampled_from([1, 2, 3, 4, 7, 1000, 1001]) | st.integers(1, 40))
     picks = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).integers(
         0, len(distinct), size=n)
@@ -329,6 +331,47 @@ def test_percentile_interval_equals_np_percentile(values, level):
     slow = _reference_interval(values, level)
     assert all(map(_same_float, fast, slow)), (fast, slow)
     assert values.tobytes() == untouched.tobytes()
+
+
+def _reference_percentile(values, q):
+    """``np.percentile(values, q)``; where its lerp is nan, which finite
+    values reach only when their difference overflows, the "higher" method's
+    value, as ``_reference_interval`` takes it."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        linear = float(np.percentile(values, q))
+    return float(np.percentile(values, q, method="higher")) if math.isnan(linear) else linear
+
+
+_finite = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5])
+           | st.floats(allow_nan=False, allow_infinity=False))
+# Percentiles as the MOP baseline passes them: 100 times a fraction in [0, 1].
+_q = st.sampled_from([0.0, 100.0]) | st.floats(0.0, 1.0).map(lambda p: p * 100.0)
+
+
+@_oracle(300, values=_percentile_values(_finite), q=_q)
+def test_percentile_equals_np_percentile(values, q):
+    untouched = values.copy()
+    (fast,) = _percentiles(values, [q])
+    slow = _reference_percentile(values, q)
+    assert _same_float(fast, slow), (fast, slow)
+    assert values.tobytes() == untouched.tobytes()
+    # The MOP baseline passes a list of Python floats.
+    (from_list,) = _percentiles(values.tolist(), [q])
+    assert _same_float(from_list, fast)
+
+
+@pytest.mark.parametrize("values, q", [
+    ([3.0], 0.0), ([3.0], 100.0), ([3.0], 37.5),
+    ([2.0, 1.0, 2.0, 1.0, 2.0], 0.0), ([2.0, 1.0, 2.0, 1.0, 2.0], 100.0),
+    ([0.0, -0.0, 0.0, -0.0], 0.0), ([0.0, -0.0, 0.0, -0.0], 100.0), ([-0.0, 0.0], 50.0),
+    # Window entropies of w=5: few levels, many ties.
+    ([0.0, 0.7219280948873623, 1.5219280948873621, 1.5219280948873621, 2.321928094887362], 95.0),
+    # The neighbours' difference overflows: numpy's lerp is nan at weight 0.
+    ([-1e308, -1e308, 1e308], 50.0), ([-1e308, 1e308], 25.0),
+])
+def test_percentile_edge_cases(values, q):
+    (fast,) = _percentiles(values, [q])
+    assert _same_float(fast, _reference_percentile(np.array(values), q))
 
 
 @pytest.mark.parametrize("values, level", [

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import make_episode, make_step, make_task, steps_from_tools
 from reliakit import (
@@ -222,15 +222,20 @@ class TestCalibrateBaseline:
         assert theta == detect_mop(hot).max_entropy
         assert delta == 0.0
 
-    def test_matches_percentile_of_episode_maxima(self):
-        episodes = [
-            steps_from_tools(["probe"] * 12),
-            steps_from_tools(burst_tools(12)),
-            steps_from_tools(["a", "b"] * 6),
-        ]
-        maxima = [detect_mop(e).max_entropy for e in episodes]
-        theta, _ = calibrate_mop_baseline(episodes, percentile=0.95)
-        assert theta == float(np.percentile(maxima, 95.0))
+    @settings(max_examples=200, deadline=None)
+    @given(tools=st.lists(st.lists(st.sampled_from("abcdefg"), max_size=24), min_size=1,
+                          max_size=8),
+           p=st.sampled_from([0.0, 0.95, 1.0]) | st.floats(0.0, 1.0), w=st.integers(2, 5))
+    def test_matches_percentile_of_episode_maxima(self, tools, p, w):
+        assume(any(len(t) >= 2 * w for t in tools))
+        episodes = [steps_from_tools(t) for t in tools]
+        # Episodes too short for one window contribute nothing.
+        maxima = [detect_mop(e, MopConfig(window_w=w)).max_entropy
+                  for e in episodes if len(e) >= w]
+        theta, delta = calibrate_mop_baseline(episodes, percentile=p, w=w)
+        expected = float(np.percentile(maxima, p * 100.0))
+        assert (theta, math.copysign(1.0, theta)) == (expected, math.copysign(1.0, expected))
+        assert delta == 0.0
 
     def test_coherent_traffic_calibrates_below_one_bit(self):
         profile = TrajectoryProfile("coherent")

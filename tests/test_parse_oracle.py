@@ -31,7 +31,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_episode, make_task, steps_from_tools
 from reliakit import canonical_args, parse_episode_log, serialize_episode
-from reliakit import trajectory
 from reliakit.cli import main
 from reliakit.trajectory import (
     _EPISODE_FIELDS,
@@ -538,12 +537,21 @@ def _case_id(args: str) -> str:
     return text if len(text) <= 40 else f"{text[:30]}...({len(args)} chars)"
 
 
-@pytest.mark.parametrize("c_encoder", [True, False], ids=["c_encoder", "no_c_encoder"])
 @pytest.mark.parametrize("args", _CANONICAL_CASES, ids=_case_id)
-def test_canonical_args_edge_cases_equal_reference(args, c_encoder, monkeypatch):
-    if not c_encoder:
-        monkeypatch.setattr(trajectory, "_encode_decoded", None)
+def test_canonical_args_edge_cases_equal_reference(args):
     assert _outcome(canonical_args, args) == _outcome(_reference_canonical_args, args)
+
+
+def _decodes_to_container(args: str) -> bool:
+    return isinstance(_outcome(json.loads, args), (dict, list))
+
+
+@pytest.mark.parametrize("args", filter(_decodes_to_container, _CANONICAL_CASES), ids=_case_id)
+def test_decoded_args_render_as_their_text(args):
+    """Argument text and the value it decodes to go through the one encoder:
+    both render as the reference renders the value."""
+    parsed = json.loads(args)
+    assert canonical_args(parsed) == _reference_canonical_args(parsed) == canonical_args(args)
 
 
 @pytest.mark.parametrize("args", ["[" * 100_000 + "]" * 100_000, "[" + "7" * 5000 + "]"],

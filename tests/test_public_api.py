@@ -2,7 +2,9 @@
 the lists below."""
 from __future__ import annotations
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -61,3 +63,20 @@ def test_each_name_is_listed_by_one_module():
     names = [name for names in lists for name in names]
     assert len(names) == len(set(names))
     assert sorted(names) == sorted(reliakit.__all__) == PUBLIC_NAMES
+
+
+# The modules that compute with numpy arrays. Elsewhere a single call such as
+# np.percentile or np.mean would tie the whole module's import to numpy.
+NUMPY_MODULES = ["metrics", "rng", "simulate"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(reliakit.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_only_the_numeric_modules_import_numpy(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    numpy = sorted(name for name in imported if name.partition(".")[0] == "numpy")
+    assert path.stem in NUMPY_MODULES or numpy == []

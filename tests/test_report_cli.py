@@ -12,6 +12,7 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,12 +26,16 @@ from reliakit import (
     MopConfig,
     PipelineOptions,
     ReportBundle,
+    SimConfig,
     compute_cost,
     emit_report,
     load_pricing,
     parse_episode_log,
+    predicted_failcount_variance,
+    predicted_success_bound,
     run_pipeline,
     simulate_agent_study,
+    simulate_steps,
     write_episode_log,
     write_task_registry,
 )
@@ -46,6 +51,14 @@ def write_corpus(tmp_path: Path, corpus, name="corpus") -> tuple[Path, Path]:
     write_episode_log(corpus.episodes, log)
     write_task_registry(corpus.tasks, registry)
     return log, registry
+
+
+def _env_with_src() -> dict[str, str]:
+    """This environment, with the tested ``src/`` first on PYTHONPATH, for a
+    fresh interpreter."""
+    src = Path(reliakit.__file__).resolve().parent.parent
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
 
 
 def small_corpus(seed=0, tasks=4, k=2):
@@ -314,9 +327,7 @@ class TestRunPipeline:
         rejected (where ``rng.substream`` recomputes the row), or unless
         importing numpy loads it anyway, as numpy 1.x does."""
         log, registry = write_corpus(tmp_path, small_corpus(tasks=8, k=3))
-        src = Path(reliakit.__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        env = _env_with_src()
         probe = ("import contextlib, io, json, sys\n"
                  "from reliakit.cli import main\n"
                  "loaded = lambda: [m for m in ('numpy.random', 'numpy.ma') if m in sys.modules]\n"
@@ -600,6 +611,38 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert abs(summary["predicted_failcount_variance"] - 1.35) <= 1e-12
         assert (out / "steps.csv").read_text().count("\n") == 2000
+
+    @pytest.mark.parametrize("episodes, horizon", [(1, 1), (300, 12)])
+    @pytest.mark.parametrize("model, rates", [
+        ("iid", {"epsilon": 0.2}),
+        ("exchangeable", {"epsilon": 0.1, "rho": 0.5}),
+        ("hazard", {"epsilon": 0.05, "hazard_gamma": 0.1}),
+    ])
+    def test_simulate_steps_writes_what_numpy_wrote(self, tmp_path, model, rates, episodes,
+                                                    horizon):
+        """steps.csv and summary.json hold the bytes that np.savetxt, np.mean
+        and np.var gave them."""
+        config = SimConfig(model=model, horizon_t=horizon, episodes=episodes, seed=5, **rates)
+        out = tmp_path / "steps"
+        assert main(["simulate", "--mode", "steps", "--sim-model", model,
+                     "--epsilon", str(config.epsilon), "--rho", str(config.rho),
+                     "--gamma", str(config.hazard_gamma), "--horizon", str(horizon),
+                     "--episodes", str(episodes), "--seed", "5", "--out", str(out)]) == 0
+        failures = simulate_steps(config)
+        fail_counts = failures.sum(axis=1)
+        summary = {
+            **dataclasses.asdict(config),
+            "observed_all_success_rate": float(np.mean(fail_counts == 0)),
+            "observed_failcount_variance": float(np.var(fail_counts)),
+            "predicted_failcount_variance": predicted_failcount_variance(
+                config.epsilon, config.rho, config.horizon_t),
+            "predicted_success_lower_bound": predicted_success_bound(
+                config.epsilon, config.rho, config.horizon_t),
+        }
+        np.savetxt(tmp_path / "steps.csv", failures.astype(int), fmt="%d", delimiter=",")
+        assert (out / "steps.csv").read_bytes() == (tmp_path / "steps.csv").read_bytes()
+        assert (out / "summary.json").read_bytes() == (
+            json.dumps(summary, indent=2, sort_keys=True) + "\n").encode()
 
     def test_simulate_study_bad_p_arity(self, capsys):
         assert main(["simulate", "--mode", "study", "--out", "ignored",
@@ -1012,9 +1055,7 @@ class TestEverySubcommandReadsLogsAlike:
                 " (first seen on line 1)") in capsys.readouterr().err
 
     def test_python_m_runs_the_cli(self, tmp_path):
-        src = Path(reliakit.__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        env = _env_with_src()
         proc = subprocess.run(
             [sys.executable, "-m", "reliakit.cli", "simulate", "--mode", "study",
              "--tasks-per-bucket", "1", "--k", "1", "--out", str(tmp_path / "data")],
@@ -1022,6 +1063,61 @@ class TestEverySubcommandReadsLogsAlike:
         assert proc.returncode == 0, proc.stderr
         assert "wrote 4 tasks and 4 episodes" in proc.stdout
         assert (tmp_path / "data" / "episodes.jsonl").exists()
+
+
+_NUMPY_MA_PROBE = """
+import sys
+from reliakit.cli import main
+code = main(sys.argv[1:])
+print("numpy.ma loaded:", "numpy.ma" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+class TestNoSubcommandLoadsNumpyMa:
+    """``np.percentile``'s first call imports ``numpy.ma``, which no
+    subcommand needs. Each runs in a fresh interpreter, since this one has
+    imported it already."""
+
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("numpy_ma")
+        assert main(["simulate", "--mode", "trajectories", "--count", "20", "--length", "30",
+                     "--seed", "2", "--out", str(root / "spiral")]) == 0
+        assert main(["simulate", "--mode", "study", "--tasks-per-bucket", "3",
+                     "--out", str(root / "study")]) == 0
+        lines = (root / "spiral" / "episodes.jsonl").read_text(encoding="utf-8").splitlines()
+        (root / "labels.jsonl").write_text("".join(
+            json.dumps({"episode_id": json.loads(line)["episode_id"], "meltdown": i % 2 == 0})
+            + "\n" for i, line in enumerate(lines)), encoding="utf-8")
+        (root / "pricing.jsonl").write_text(PRICING_LINES[0] + "\n", encoding="utf-8")
+        return root
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param("validate --logs spiral/episodes.jsonl --registry spiral/tasks.jsonl",
+                     id="validate"),
+        pytest.param("cost --logs spiral/episodes.jsonl --pricing pricing.jsonl", id="cost"),
+        pytest.param("mop --logs spiral/episodes.jsonl", id="mop"),
+        pytest.param("mop --logs spiral/episodes.jsonl --calibrate f1 --labels labels.jsonl",
+                     id="mop_f1"),
+        pytest.param("mop --logs spiral/episodes.jsonl --calibrate baseline",
+                     id="mop_baseline"),
+        pytest.param("analyze --logs spiral/episodes.jsonl --registry spiral/tasks.jsonl"
+                     " --out a0 --bootstrap-b 0", id="analyze_b0"),
+        pytest.param("analyze --logs study/episodes.jsonl --registry study/tasks.jsonl"
+                     " --out a1000 --bootstrap-b 1000", id="analyze_b1000"),
+        pytest.param("simulate --mode steps --episodes 10 --out steps", id="simulate_steps"),
+        pytest.param("simulate --mode study --tasks-per-bucket 2 --out study2",
+                     id="simulate_study"),
+        pytest.param("simulate --mode trajectories --count 2 --out trajectories",
+                     id="simulate_trajectories"),
+    ])
+    def test_numpy_ma_is_not_loaded(self, data, argv):
+        env = _env_with_src()
+        proc = subprocess.run([sys.executable, "-c", _NUMPY_MA_PROBE, *argv.split()],
+                              cwd=data, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "numpy.ma loaded: False"
 
 
 class TestEachEpisodeIsReducedAsItIsRead:
