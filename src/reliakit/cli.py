@@ -30,8 +30,9 @@ from .meltdown import (
     _baseline_terms,
     _baseline_theta,
     _best_f1,
-    _detect,
+    _entropy_levels,
     _largest_rises,
+    _onset,
     window_entropy,
 )
 from .metrics import _CI_METHODS, _MAX_BOOTSTRAP_B, MetricError, REGRESSORS
@@ -329,8 +330,9 @@ def _cmd_mop(args: argparse.Namespace) -> int:
     _warn_if_unreachable(config.theta_h, w)
 
     def row(episode: Episode, tools: list[str], *tokens: list[int]) -> tuple:
-        r = _detect(episode.episode_id, tools, config)
-        return r.episode_id, r.onset_step, r.max_entropy, r.too_short, r.melted
+        levels = _entropy_levels(tools, w)
+        onset, too_short = _onset(levels, config)
+        return episode.episode_id, onset, max(levels, default=0.0), too_short, onset is not None
 
     rows = _read_logs(args.logs, row)
     path = _write_csv(args.out, "mop.csv",
@@ -458,6 +460,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except (RegistryError, InputError, MeltdownError, SimulationError,
             MetricError, OSError) as exc:
+        if isinstance(exc, InputError) and exc.counts is not None:
+            _print_counts(exc.counts)  # the logs were read before the error was found
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except PipelineError as exc:

@@ -201,12 +201,8 @@ def detect_mop(
     """Earliest step whose window entropy strictly exceeds theta_h while
     strictly exceeding the entropy one window span earlier by delta."""
     episode_id, steps = _steps_of(source)
-    return _detect(episode_id, [step.tool for step in steps], config or MopConfig())
-
-
-def _detect(episode_id: str, tools: Sequence[str], config: MopConfig) -> MopResult:
-    """detect_mop over the steps' tool names."""
-    levels = _entropy_levels(tools, config.window_w)
+    config = config or MopConfig()
+    levels = _entropy_levels([step.tool for step in steps], config.window_w)
     onset, too_short = _onset(levels, config)
     return MopResult(
         episode_id=episode_id, onset_step=onset, max_entropy=max(levels, default=0.0),
@@ -356,24 +352,13 @@ def meltdown_table(
     The rate denominator is every non-infra episode in the cell, including
     too-short ones (tracked separately). Medians use the lower median and
     are suppressed below MIN_EVENTS_FOR_MEDIAN events. Defined over
-    ``_mop_outcome`` per episode and ``_meltdown_cells`` over them, which
-    the pipeline calls as it reads each episode.
+    ``_onset`` of each episode's ``_entropy_levels`` and ``_meltdown_cells``
+    over them, as the pipeline computes them while it reads each episode.
     """
     config = config or MopConfig()
     return _meltdown_cells(
-        (ep.model_id, task.bucket, *_mop_outcome(_tools_of(ep), config, keep_series=False)[:2])
+        (ep.model_id, task.bucket, *_onset(_entropy_levels(_tools_of(ep), config.window_w), config))
         for ep, task in _joined(episodes, registry, MeltdownError))
-
-
-def _mop_outcome(
-    tools: Sequence[str], config: MopConfig, keep_series: bool,
-) -> tuple[int | None, bool, tuple[tuple[int, float], ...] | None]:
-    """What the meltdown table needs of an episode's tool names: its onset
-    step, its too-short flag and, when ``keep_series``, its entropy series
-    (else None)."""
-    levels = _entropy_levels(tools, config.window_w)
-    series = tuple(enumerate(levels, config.window_w)) if keep_series else None
-    return *_onset(levels, config), series
 
 
 def _meltdown_cells(

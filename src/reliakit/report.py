@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import (Any, BinaryIO, Callable, Generic, Iterable, Iterator, Mapping, Sequence,
                     TypeVar)
 
-from .meltdown import MeltdownCell, MopConfig, _meltdown_cells, _mop_outcome
+from .meltdown import MeltdownCell, MopConfig, _entropy_levels, _meltdown_cells, _onset
 from .metrics import (
     DEFAULT_VAF_DENOMINATOR,
     DEFAULT_VAF_NUMERATOR,
@@ -76,7 +76,6 @@ from .trajectory import (
     ValidationReport,
     _dedup,
     _parse_lines,
-    _read_columns,
     _read_records,
     cross_validate,
     episode_gds,
@@ -101,7 +100,13 @@ _S = TypeVar("_S")
 
 
 class InputError(Exception):
-    """A problem with user-supplied inputs; CLI exit code 2."""
+    """A problem with user-supplied inputs; CLI exit code 2. ``counts`` is
+    the logs' line accounting (see ``_Logs.counts``) when the logs were read
+    before the problem was found, else None."""
+
+    def __init__(self, message: str, counts: dict[str, int] | None = None) -> None:
+        super().__init__(message)
+        self.counts = counts
 
 
 class PipelineError(Exception):
@@ -483,8 +488,12 @@ def _range_items(path: str | Path, summarize: _Summarize, meta: dict[str, Any], 
     episode's payload its summary and each line numbered from the part's
     first line. At the end ``meta["read"]`` counts the part's lines, blank
     ones too."""
+    def payload(episode: Episode, raw: list[Any], columns: tuple) -> Any:
+        tools, _, tokens_in, tokens_out = columns
+        return summarize(episode, tools, tokens_in, tokens_out)
+
     meta["read"] = yield from _parse_lines(
-        _read_lines(path, "parse", meta, size, part, parts), _read_columns, summarize)
+        _read_lines(path, "parse", meta, size, part, parts), payload)
 
 
 def _range_count(path: str | Path) -> int:
@@ -670,7 +679,9 @@ def run_pipeline(
             return cross_validate((episode,), registry)[1], False, None, None, None, None, cost
         if episode.is_infra_failure:
             return (), True, None, None, None, None, cost
-        onset, too_short, entropy = _mop_outcome(tools, opts.mop, opts.emit_series)
+        levels = _entropy_levels(tools, opts.mop.window_w)
+        onset, too_short = _onset(levels, opts.mop)
+        entropy = tuple(enumerate(levels, opts.mop.window_w)) if opts.emit_series else None
         return ((), False, episode, episode_gds(episode, task),
                 (episode.model_id, task.bucket, onset, too_short), entropy, cost)
 
@@ -687,13 +698,12 @@ def run_pipeline(
         return cost
 
     logs = _load_logs(log_paths, summarize, keep)
+    counts = logs.counts()
     if not logs.summaries:
-        raise InputError("parse: no valid episodes")
+        raise InputError("parse: no valid episodes", counts)
     if not analysis:
         raise InputError("join: no valid episodes remain after registry join"
-                         " and infra exclusion")
-
-    counts = logs.counts()
+                         " and infra exclusion", counts)
     counts.update(join_excluded=len(join_reports), infra_excluded=infra_excluded,
                   analyzed=len(analysis))
     try:

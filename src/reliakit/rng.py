@@ -107,18 +107,12 @@ def _resample_chunks(
     columns = np.flatnonzero(np.repeat(np.array(sizes) > 1, sizes))
     n_draws = len(bounds)
     n_words = (n_draws + 1) // 2
-    # Row i's key hashes the same bytes as _key(seed, tag, i); the constant
-    # prefix is hashed once and its state copied per row.
-    prefix = hashlib.sha256(_SEP.join((str(seed), str(tag), "")).encode("utf-8"))
 
     for first in range(0, b, _CHUNK):
         rows = min(_CHUNK, b - first)
-        keys = []
-        for r in range(first, first + rows):
-            sha = prefix.copy()
-            sha.update(str(r).encode("utf-8"))
-            keys.append(sha.digest()[:16])
-        words = _philox_words(np.frombuffer(b"".join(keys), dtype="<u8").reshape(rows, 2), n_words)
+        keys = b"".join(_key(seed, tag, r).to_bytes(16, "little")
+                        for r in range(first, first + rows))
+        words = _philox_words(np.frombuffer(keys, dtype="<u8").reshape(rows, 2), n_words)
         # Philox hands out the low half of each 64-bit word, then the high half.
         draws = words.astype("<u8", copy=False).view("<u4")[:, :n_draws]
         scaled = draws.astype(np.uint64) * bounds

@@ -13,11 +13,10 @@ exclude the episode from the returned list, warnings do not.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -450,7 +449,7 @@ _BOOL = {bool}
 
 
 def _checked_columns(raw: list[Any]) -> tuple[list[str], list[int], list[int], list[int]] | None:
-    """The tool, result_chars, tokens_in and tokens_out columns of at most
+    """The tool, result_chars, tokens_in and tokens_out columns of 1 to
     MAX_STEPS steps, or None when any step fails a check of
     ``_first_step_error``. Each check runs once per column rather than once
     per step, and accepts exactly the steps that the per-step loop accepts."""
@@ -465,8 +464,6 @@ def _checked_columns(raw: list[Any]) -> tuple[list[str], list[int], list[int], l
         # A step that is not an object, a missing key, or a timestamp that
         # is not a string (only a string has .replace).
         return None
-    if not raw:
-        return tools, chars, tokens_in, tokens_out
     # type() rather than isinstance(), so a bool is not an index or a count.
     if (index != _POSITIONS[:len(raw)] or set(map(type, index)) != _INT
             or set(map(type, tools)) != _STR or not all(tools)
@@ -512,8 +509,8 @@ def _first_step_error(raw: list[Any]) -> ValidationIssue | None:
 
 def _step_columns(raw: Any, errors: list[ValidationIssue]
                   ) -> tuple[list[str], list[int], list[int], list[int]] | None:
-    """The checked columns of one record's steps (see ``_checked_columns``),
-    or None after appending its first error."""
+    """The checked columns of one record's steps, which are not ``[]`` (see
+    ``_checked_columns``), or None after appending its first error."""
     if not isinstance(raw, list):
         errors.append(ValidationIssue("bad_steps", "steps must be an array"))
         return None
@@ -527,21 +524,19 @@ def _step_columns(raw: Any, errors: list[ValidationIssue]
     return columns
 
 
-def _tool_steps(raw: Any, errors: list[ValidationIssue], shared: dict[Any, Any],
-                args_seen: dict[str, str]) -> tuple[tuple[ToolStep, ...]] | None:
-    """parse_episode_log's steps of one record, as a one-tuple, or None
-    after appending its first error.
+def _tool_steps(raw: list[Any], columns: tuple[list[str], list[int], list[int], list[int]],
+                tools_seen: dict[str, str], args_seen: dict[str, str]) -> tuple[ToolStep, ...]:
+    """parse_episode_log's steps of one record's raw steps and their
+    checked columns (see ``_step_columns``).
 
-    ``args_seen`` maps each raw argument string to its canonical_args result
-    (the raw string itself when already canonical), so a parse does the JSON
-    work once per distinct argument string. ``shared`` maps each value to
-    the first equal object the parse kept, so equal tool names are one
-    string. The two stay apart: a tool name equal to a non-canonical raw
-    argument string must not become that string's canonical form.
-    Timestamps and counts are not shared, since real logs rarely repeat them."""
-    columns = _step_columns(raw, errors)
-    if columns is None:
-        return None
+    ``tools_seen`` maps each tool name to the first equal string the parse
+    kept, so equal tool names are one string. ``args_seen`` maps each raw
+    argument string to its canonical_args result (the raw string itself
+    when already canonical), so a parse does the JSON work once per
+    distinct argument string. The two stay apart: a tool name equal to a
+    non-canonical raw argument string must not become that string's
+    canonical form. Timestamps and counts are not shared, since real logs
+    rarely repeat them."""
     steps = []
     for pos, rec, tool, chars, tokens_in, tokens_out in zip(_POSITIONS, raw, *columns):
         args = rec["args_canonical"] if "args_canonical" in rec else rec["args"]
@@ -554,28 +549,9 @@ def _tool_steps(raw: Any, errors: list[ValidationIssue], shared: dict[Any, Any],
             canonical = canonical_args(args)
         extras = (_NO_EXTRAS if rec.keys() <= _STEP_FIELDS
                   else {k: v for k, v in rec.items() if k not in _STEP_FIELDS})
-        steps.append(ToolStep(pos, shared.setdefault(tool, tool), canonical, chars,
+        steps.append(ToolStep(pos, tools_seen.setdefault(tool, tool), canonical, chars,
                               tokens_in, tokens_out, rec["timestamp"], extras))
-    return (tuple(steps),)
-
-
-def _read_columns(raw: Any, errors: list[ValidationIssue], shared: dict[Any, Any]
-                  ) -> tuple[tuple[()], list[str], list[int], list[int]] | None:
-    """What the subcommands keep of one record's steps: no steps on the
-    episode, and its tool, tokens_in and tokens_out columns. Or None after
-    appending its first error. Arguments are checked for presence only,
-    never canonicalized, and tool names are not shared, since each
-    episode's are dropped once it is summarized."""
-    if raw == []:
-        return (), [], [], []
-    columns = _step_columns(raw, errors)
-    if columns is None:
-        return None
-    tools, _, tokens_in, tokens_out = columns
-    return (), tools, tokens_in, tokens_out
-
-
-_StepReader = Callable[[Any, list[ValidationIssue], dict[Any, Any]], tuple | None]
+    return tuple(steps)
 
 
 def _field_issue(key: str, value: Any, kind: str, describe: str = "") -> ValidationIssue:
@@ -586,15 +562,14 @@ def _field_issue(key: str, value: Any, kind: str, describe: str = "") -> Validat
 
 
 def _episode_from_record(record: Mapping[str, Any], errors: list[ValidationIssue],
-                         shared: dict[Any, Any],
-                         read_steps: _StepReader) -> tuple[Episode, tuple] | None:
-    """The episode of one record and what else ``read_steps`` kept of its
-    steps, or None after appending every error found.
+                         shared: dict[Any, Any]) -> tuple[Episode, list[Any], tuple] | None:
+    """The episode of one record without its steps, its raw step list and
+    that list's checked columns (see ``_step_columns``), or None after
+    appending every error found.
 
-    ``read_steps(raw, errors, shared)`` returns the episode's ``steps``
-    followed by anything else, or None after appending the first step
-    error; ``shared`` maps each bounded-vocabulary value to the first equal
-    object the parse kept. A message is built only for a check that fails."""
+    ``shared`` maps each bounded-vocabulary value to the first equal object
+    the parse kept. A message is built only for a check that fails, and a
+    record without steps skips the step checks."""
     get = record.get
     episode_id = get("episode_id")
     if not isinstance(episode_id, str) or not episode_id:
@@ -635,7 +610,8 @@ def _episode_from_record(record: Mapping[str, Any], errors: list[ValidationIssue
     else:
         outcomes = tuple(outcomes_raw)
 
-    steps = read_steps(get("steps", []), errors, shared)
+    raw = get("steps", [])
+    columns = ([], [], [], []) if raw == [] else _step_columns(raw, errors)
 
     if passed is not None and score is not None:
         at_full_score = abs(score - 1.0) <= _SCORE_TOLERANCE
@@ -653,11 +629,11 @@ def _episode_from_record(record: Mapping[str, Any], errors: list[ValidationIssue
     return Episode(
         episode_id=episode_id, task_id=share(task_id, task_id),
         model_id=share(model_id, model_id), scaffold=share(scaffold, scaffold),
-        repeat_index=repeat_index, steps=steps[0], nudges_used=nudges,
+        repeat_index=repeat_index, steps=(), nudges_used=nudges,
         termination=share(termination, termination),
         subtask_outcomes=share(outcomes, outcomes), evaluator_score=float(score),
         passed=passed, extras=extras,
-    ), steps[1:]
+    ), raw, columns
 
 
 def parse_episode_log(
@@ -672,13 +648,18 @@ def parse_episode_log(
     metric code excludes them from every denominator.
 
     The lists collect what ``_dedup`` passes on of ``_parse_lines``, which
-    is also how the pipeline reads each byte range of a log, there with
-    ``_read_columns`` in place of ``_tool_steps``.
+    is also how the pipeline reads each byte range of a log. Only here does
+    an episode get its steps, built by ``_tool_steps``.
     """
     episodes: list[Episode] = []
     reports: list[ValidationReport] = []
-    read_steps = functools.partial(_tool_steps, args_seen={})
-    for item in _dedup(_parse_lines(_iter_lines(source), read_steps, lambda episode: episode)):
+    tools_seen: dict[str, str] = {}
+    args_seen: dict[str, str] = {}
+
+    def with_steps(episode: Episode, raw: list[Any], columns: tuple) -> Episode:
+        return replace(episode, steps=_tool_steps(raw, columns, tools_seen, args_seen))
+
+    for item in _dedup(_parse_lines(_iter_lines(source), with_steps)):
         if isinstance(item, ValidationReport):
             reports.append(item)
         else:
@@ -687,14 +668,13 @@ def parse_episode_log(
 
 
 def _parse_lines(
-    lines: Iterable[tuple[int, str | UnicodeDecodeError]], read_steps: _StepReader,
-    payload: Callable[..., _T],
+    lines: Iterable[tuple[int, str | UnicodeDecodeError]],
+    payload: Callable[[Episode, list[Any], tuple], _T],
 ) -> Generator[ValidationReport | tuple, None, int]:
     """Each (line number, line) parsed, in line order, blank lines skipped:
     the ValidationReport that rejects the line, or (line number, episode_id,
-    is infra failure, ``payload(episode, *kept)``), where ``kept`` is what
-    ``read_steps`` returned besides the episode's steps (see
-    ``_episode_from_record``). A line rejected without a usable episode_id
+    is infra failure, ``payload(episode, raw steps, checked columns)``) of
+    ``_episode_from_record``. A line rejected without a usable episode_id
     comes as (line number, None, its malformed JSON's problem or its
     errors), for ``_dedup`` to name by its number. One call keeps one
     sharing memo, so the caller may drop each episode once ``payload`` has
@@ -717,7 +697,7 @@ def _parse_lines(
             continue
         problem = _check_schema_version(record)
         errors = [ValidationIssue("schema_version", problem)] if problem else []
-        parsed = None if problem else _episode_from_record(record, errors, shared, read_steps)
+        parsed = None if problem else _episode_from_record(record, errors, shared)
         if parsed is None:
             label = record.get("episode_id")
             if isinstance(label, str) and label:
@@ -725,8 +705,8 @@ def _parse_lines(
             else:
                 yield lineno, None, tuple(errors)
             continue
-        episode, kept = parsed
-        yield lineno, episode.episode_id, episode.is_infra_failure, payload(episode, *kept)
+        episode = parsed[0]
+        yield lineno, episode.episode_id, episode.is_infra_failure, payload(*parsed)
     return lineno
 
 

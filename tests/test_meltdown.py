@@ -24,8 +24,9 @@ from reliakit import (
     window_distribution,
     window_entropy,
 )
-from reliakit.meltdown import _detect, _mop_outcome
+from reliakit.cli import main
 from reliakit.simulate import TrajectoryProfile
+from reliakit.trajectory import write_episode_log
 
 
 def burst_tools(onset: int) -> list[str]:
@@ -258,15 +259,24 @@ class TestCalibrateBaseline:
 
 
 @pytest.mark.parametrize("w, n", [(w, n) for w in (2, 3, 5) for n in range(2 * w)])
-def test_mop_outcome_of_a_short_episode_is_detects(w, n):
-    """Up to 2w - 1 tools, where the scan has at most w levels, _mop_outcome
-    gives _detect's onset, too-short flag and series."""
-    config = MopConfig(window_w=w, theta_h=0.0, delta=0.0)
-    tools = [f"t{i % 3}" for i in range(n)]
-    result = _detect("", tools, config)
-    expected = (result.onset_step, result.too_short)
-    assert _mop_outcome(tools, config, keep_series=True) == (*expected, result.entropy_series)
-    assert _mop_outcome(tools, config, keep_series=False) == (*expected, None)
+def test_a_short_episode_is_too_short_on_every_path(w, n, tmp_path, capsys):
+    """Up to 2w - 1 tools, where the scan has at most w levels, detect_mop,
+    meltdown_table and the mop CSV each call the episode too short, with no
+    onset, even at thresholds that any rise would exceed."""
+    config = MopConfig(window_w=w, theta_h=0.0, delta=-math.inf)
+    task = make_task()
+    episode = make_episode("e1", task, steps=steps_from_tools([f"t{i % 3}" for i in range(n)]))
+    result = detect_mop(episode, config)
+    assert (result.onset_step, result.too_short) == (None, True)
+    assert result.entropy_series == entropy_series(episode.steps, w)
+    cell = meltdown_table([episode], {task.task_id: task}, config)[("m1", task.bucket)]
+    assert (cell.n_events, cell.n_episodes, cell.n_too_short) == (0, 1, 1)
+    log = tmp_path / "episodes.jsonl"
+    write_episode_log([episode], log)
+    assert main(["mop", "--logs", str(log), "--mop-window", str(w), "--mop-theta", "0",
+                 "--mop-delta=-1e300"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[1:] == [
+        "", repr(result.max_entropy), "True", "False"]
 
 
 class TestMeltdownTable:
@@ -291,13 +301,14 @@ class TestMeltdownTable:
         assert cell.median_onset is None
         assert cell.n_episodes == 10
 
-    def test_lower_median_at_five_events(self):
+    @pytest.mark.parametrize("onsets", [[20, 12, 16, 18, 14], [20, 12, 16, 18, 14, 22]])
+    def test_lower_median_from_five_events(self, onsets):
         task = make_task("mt-long", bucket="long")
-        eps = self._cell_corpus([20, 12, 16, 18, 14], 5, task)
+        eps = self._cell_corpus(onsets, 5, task)
         cell = meltdown_table(eps, {task.task_id: task})[("m1", "long")]
-        assert cell.n_events == 5
+        assert cell.n_events == len(onsets)
         assert cell.median_onset == 16
-        assert cell.rate == 0.5
+        assert cell.rate == len(onsets) / (len(onsets) + 5)
 
     def test_quiet_cell(self):
         task = make_task("mt-short", bucket="short")

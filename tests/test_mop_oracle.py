@@ -271,11 +271,12 @@ def test_calibration_ties_at_a_grid_value_are_strict():
 
 def test_every_mop_path_scans_each_analyzed_episode_once(tmp_path, monkeypatch):
     """A wrapper bound to ``meltdown._entropy_levels``, the one scan behind
-    every MOP path, sees one call per analyzed episode on each path: the
-    public functions, the three ``mop`` modes and ``run_pipeline``, with
-    and without the series. An episode that the join excludes, or an infra
-    failure, is never scanned. Every episode has its own length, so the
-    sorted lengths scanned name the episodes."""
+    every MOP path, in every reliakit module that looks the name up, sees
+    one call per analyzed episode on each path: the public functions, the
+    three ``mop`` modes and ``run_pipeline``, with and without the series.
+    An episode that the join excludes, or an infra failure, is never
+    scanned. Every episode has its own length, so the sorted lengths
+    scanned name the episodes."""
     scanned = []
     scan = meltdown._entropy_levels
 
@@ -288,7 +289,11 @@ def test_every_mop_path_scans_each_analyzed_episode_once(tmp_path, monkeypatch):
         scanned.clear()
         return call(), sorted(scanned)
 
-    monkeypatch.setattr(meltdown, "_entropy_levels", counted)
+    modules = [m for name, m in sorted(sys.modules.items())
+               if name.startswith("reliakit") and getattr(m, "_entropy_levels", None) is scan]
+    assert meltdown in modules
+    for module in modules:
+        monkeypatch.setattr(module, "_entropy_levels", counted)
     task, ghost = make_task("t-0001"), make_task("ghost-task")
 
     def steps(n):

@@ -11,7 +11,7 @@ decoder refuses with RecursionError (nesting too deep) or ValueError (an
 integer too long) is a malformed line, or opaque argument text. The fast
 parser must return lists equal by ``==``: the same episodes, steps and
 extras, and the same validation reports in the same order with the same
-messages. The read path (``_parse_lines`` with ``_read_columns``) must
+messages. The read path (``_parse_lines`` as the subcommands call it) must
 report the same lines, and hand over each same episode without its steps,
 with its tool names and token counts.
 """
@@ -49,7 +49,6 @@ from reliakit.trajectory import (
     _dedup,
     _iter_lines,
     _parse_lines,
-    _read_columns,
 )
 
 
@@ -407,9 +406,8 @@ def read_path(lines: list[str]):
     shape of parse_episode_log's result: (episode without steps, tool
     names, tokens_in, tokens_out) per kept episode, and the reports."""
     kept, reports = [], []
-    items = _parse_lines(_iter_lines(lines), _read_columns,
-                         lambda episode, tools, tokens_in, tokens_out:
-                         (episode, tools, tokens_in, tokens_out))
+    items = _parse_lines(_iter_lines(lines),
+                         lambda episode, raw, columns: (episode, columns[0], *columns[2:]))
     for item in _dedup(items):
         if isinstance(item, ValidationReport):
             reports.append(item)
@@ -475,6 +473,27 @@ def test_argument_memo_hits_across_episodes_and_keeps_its_verdicts():
         ("e1", "bad_timestamp"), ("e3", "bad_timestamp")]
     # Each distinct argument string is held once: equal ones come back as one object.
     assert episodes[1].steps[0].args_canonical is episodes[2].steps[0].args_canonical
+
+
+def test_equal_tool_names_are_one_object_across_episodes():
+    """Within one parse_episode_log call, equal tool names are one string,
+    however many episodes and steps carry them, and stay apart from a raw
+    argument string of the same text."""
+    task = make_task()
+    lines = []
+    for n in range(3):
+        rec = json.loads(serialize_episode(make_episode(
+            f"e{n}", task, steps=steps_from_tools(["read_file", "grep", "read_file"]))))
+        rec["steps"][1]["args_canonical"] = " [1] "
+        lines.append(json.dumps(rec))
+    lines.append(lines[0].replace('"grep"', '" [1] "').replace('"e0"', '"e3"'))
+    episodes, reports = parse_episode_log(lines)
+    assert (episodes, reports) == _reference_parse_episode_log(lines)
+    steps = [step for ep in episodes for step in ep.steps]
+    for name in ("read_file", "grep"):
+        shared = [step.tool for step in steps if step.tool == name]
+        assert len(shared) > 2 and all(tool is shared[0] for tool in shared), name
+    assert (episodes[3].steps[1].tool, episodes[3].steps[1].args_canonical) == (" [1] ", "[1]")
 
 
 def test_first_bad_count_is_the_one_reported():

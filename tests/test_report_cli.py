@@ -969,6 +969,26 @@ class TestEverySubcommandReadsLogsAlike:
                                           f" parsed={counts['parsed']}\n")
         assert "read logs" not in captured.out
 
+    @pytest.mark.parametrize("command", ["validate", "analyze", "mop", "cost"])
+    def test_accounting_line_before_no_valid_episodes(self, tmp_path, capsys, command):
+        write_corpus(tmp_path, small_corpus())
+        log = tmp_path / "bad.jsonl"
+        log.write_text("{broken\n[]\n", encoding="utf-8")
+        assert self.run(command, [log], tmp_path) == 2
+        error = [] if command == "validate" else ["input error: parse: no valid episodes"]
+        assert capsys.readouterr().err.splitlines() == [
+            "read logs: log_lines=2 parse_errors=2 duplicates=0 parsed=0", *error]
+
+    def test_analyze_accounting_line_before_an_empty_join(self, tmp_path, capsys):
+        corpus = small_corpus()
+        log, _ = write_corpus(tmp_path, corpus)
+        write_episode_log([replace(ep, task_id="ghost-task") for ep in corpus.episodes], log)
+        assert self.run("analyze", [log], tmp_path) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "read logs: log_lines=32 parse_errors=0 duplicates=0 parsed=32",
+            "input error: join: no valid episodes remain after registry join and infra exclusion"]
+        assert not (tmp_path / "report").exists()
+
     def test_loading_streams_the_log(self, tmp_path):
         from reliakit.report import _load_logs
 
