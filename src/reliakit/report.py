@@ -43,8 +43,7 @@ import threading
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Any, BinaryIO, Callable, Generic, Iterable, Iterator, Mapping, Sequence,
-                    TypeVar)
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .meltdown import MeltdownCell, MopConfig, _entropy_levels, _meltdown_cells, _onset
 from .metrics import (
@@ -72,7 +71,6 @@ from .trajectory import (
     Episode,
     RegistryError,
     TaskSpec,
-    ValidationIssue,
     ValidationReport,
     _dedup,
     _parse_lines,
@@ -94,9 +92,6 @@ __all__ = [
     "load_pricing",
     "run_pipeline",
 ]
-
-
-_S = TypeVar("_S")
 
 
 class InputError(Exception):
@@ -319,16 +314,17 @@ class ReportBundle:
 # --- pipeline ---------------------------------------------------------------
 
 def _read_lines(path: str | Path, stage: str, meta: dict[str, Any], size: int | None = None,
-                part: int = 0, parts: int = 1) -> Iterator[tuple[int, str]]:
+                part: int = 0, parts: int = 1) -> Iterator[tuple[int, str | UnicodeDecodeError]]:
     """Stream (line number, stripped line) for each line of one input file
-    ("" when blank) that starts in its part ``part`` of ``parts``: the bytes
-    [size·part/parts, size·(part+1)/parts), where ``size`` is the file's size
-    when opened unless given. Lines end only at line feeds, and never past
-    ``size``; each is decoded on its own, so the file is never held whole.
-    A part past byte 0 starts at the first line start at or after its
-    offset, and numbers its lines from there. At the end ``meta`` holds
-    the count of non-blank lines read and, for part 0, the file's path and
-    the sha256 of its bytes [0, size): those it read, then the rest."""
+    ("" when blank, its UnicodeDecodeError when not UTF-8) that starts in
+    its part ``part`` of ``parts``: the bytes [size·part/parts,
+    size·(part+1)/parts), where ``size`` is the file's size when opened
+    unless given. Lines end only at line feeds, and never past ``size``;
+    each is decoded on its own, so the file is never held whole. A part
+    past byte 0 starts at the first line start at or after its offset, and
+    numbers its lines from there. At the end ``meta`` holds the count of
+    non-blank lines read and, for part 0, the file's path and the sha256 of
+    its bytes [0, size): those it read, then the rest."""
     lines = 0
     with _open(path, stage) as fh:
         if size is None:
@@ -350,10 +346,9 @@ def _read_lines(path: str | Path, stage: str, meta: dict[str, Any], size: int | 
             if sha is not None:
                 sha.update(raw)
             try:
-                line = raw.decode("utf-8").strip()
+                line: str | UnicodeDecodeError = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:
-                raise InputError(f"{stage}: {path} is not UTF-8:"
-                                 f" line {lineno + _lines_before(path, offset)}: {exc}") from exc
+                line = exc
             lines += bool(line)
             yield lineno, line
         if sha is not None:
@@ -362,20 +357,6 @@ def _read_lines(path: str | Path, stage: str, meta: dict[str, Any], size: int | 
                 pos += len(block)
             meta.update(path=str(path), sha256=sha.hexdigest())
     meta["lines"] = lines
-
-
-def _lines_before(path: str | Path, offset: int) -> int:
-    """How many lines of a log precede its first line start at or after
-    ``offset``: the line feeds before the byte before it, plus one. Only a
-    range that stops at a line that is not UTF-8 reads these bytes."""
-    if not offset:
-        return 0
-    feeds = pos = 0
-    with _open(path, "parse") as fh:
-        while pos < offset - 1 and (block := fh.read(min(_HASH_BLOCK, offset - 1 - pos))):
-            feeds += block.count(b"\n")
-            pos += len(block)
-    return feeds + 1
 
 
 def _open(path: str | Path, stage: str) -> BinaryIO:
@@ -388,17 +369,24 @@ def _open(path: str | Path, stage: str) -> BinaryIO:
 def _load_reference(loader: Callable[[Iterable[str]], Any], path: str | Path,
                     stage: str) -> tuple[Any, dict[str, Any]]:
     """``loader`` over a reference file (registry, pricing, labels) and the
-    file's metadata; its defects become InputError."""
+    file's metadata; its defects, or a line that is not UTF-8, are InputError."""
     meta: dict[str, Any] = {}
+
+    def lines() -> Iterator[str]:
+        for lineno, line in _read_lines(path, stage, meta):
+            if isinstance(line, UnicodeDecodeError):
+                raise InputError(f"{stage}: {path} is not UTF-8: line {lineno}: {line}") from line
+            yield line
+
     try:
-        return loader(line for _, line in _read_lines(path, stage, meta)), meta
+        return loader(lines()), meta
     except RegistryError as exc:
         raise InputError(f"{stage}: {exc}") from exc
 
 
 @dataclass(frozen=True)
-class _Logs(Generic[_S]):
-    summaries: list[_S]
+class _Logs:
+    summaries: list
     reports: list[ValidationReport]
     inputs: list[dict[str, Any]]
 
@@ -417,54 +405,39 @@ class _Logs(Generic[_S]):
 _Summarize = Callable[[Episode, list[str], list[int], list[int]], Any]
 
 
-def _load_logs(paths: Sequence[str | Path], summarize: _Summarize,
-               keep: Callable[[Any], _S] | None = None) -> _Logs[_S]:
+def _load_logs(paths: Sequence[str | Path], summarize: _Summarize) -> _Logs:
     """Parse every log, keeping the first record of an episode_id across
     files as within one, and keep only ``summarize(episode, tools,
-    tokens_in, tokens_out)`` of each kept episode, in order, or what
-    ``keep`` returns of it. The episode comes without its steps; the three
-    lists hold each step's tool name, tokens_in and tokens_out, the only
-    step fields any subcommand reads. No step is built and no argument is canonicalized,
-    and all of it can be freed as soon as it is summarized, so memory grows
-    with the summaries, not with the steps. ``summarize`` must be pure: it may
-    run in a worker process. It runs on every parsed episode, duplicates
-    too, and its first exception in line order stops the read and is
-    raised here. ``keep`` runs here, on each kept episode's summary in line
-    order.
+    tokens_in, tokens_out)`` of each kept episode, in order. The episode
+    comes without its steps; the three lists hold each step's tool name,
+    tokens_in and tokens_out, the only step fields any subcommand reads. No
+    step is built and no argument is canonicalized, and all of it can be
+    freed as soon as it is summarized, so memory grows with the summaries,
+    not with the steps. ``summarize`` must be pure: it may run in a worker
+    process. It runs on every parsed episode, duplicates too, and its first
+    exception in line order stops the read and is raised here.
 
-    Each log is read in byte ranges (see ``_read_log``), and the ranges'
-    results are folded here in line order, so nothing returned or raised
-    depends on how many there were.
-    Reports come in parse_episode_log's order per file, each file's
-    cross-file duplicate warnings after its parse reports."""
-    summaries: list[_S] = []
+    Each log is read in byte ranges, and the ranges' results are folded in
+    line order (see ``_read_log``); ``_dedup`` then decides each line's
+    fate, against the episode_ids kept from earlier logs. So nothing
+    returned or raised depends on how many ranges there were. Reports come
+    in parse_episode_log's order per file, each file's cross-file duplicate
+    warnings after its parse reports."""
+    summaries: list = []
     reports: list[ValidationReport] = []
     inputs = []
-    seen_ids: set[str] = set()
+    kept: set[str] = set()
     for path in paths:
         meta: dict[str, Any] = {}
-        duplicates: list[ValidationReport] = []
         items = _read_log(path, summarize, meta)
         try:
-            for item in _dedup(items):
+            for item in _dedup(items, kept, path):
                 if isinstance(item, ValidationReport):
                     reports.append(item)
-                    continue
-                _, episode_id, _, summary = item
-                if episode_id in seen_ids:
-                    duplicates.append(ValidationReport(
-                        episode_id=episode_id,
-                        warnings=(ValidationIssue(
-                            "duplicate_episode_id",
-                            f"{path}: duplicate of {episode_id!r} from an earlier log;"
-                            " keeping the first"),),
-                    ))
-                    continue
-                seen_ids.add(episode_id)
-                summaries.append(summary if keep is None else keep(summary))
+                else:
+                    summaries.append(item[3])
         finally:
             items.close()
-        reports.extend(duplicates)
         inputs.append(meta)
     return _Logs(summaries, reports, inputs)
 
@@ -473,9 +446,9 @@ def _load_logs(paths: Sequence[str | Path], summarize: _Summarize,
 # episodes without steps, two ranges saved no wall time and raised peak RSS.
 _MIN_RANGE_BYTES = 1 << 20
 # A range reads at most this much at a time while it looks for its first
-# line or counts the lines before it, and the first range while it hashes
-# the rest of the log; 1 MiB blocks raised the traced peak of hashing a 3 MB
-# log past a quarter of the file's size.
+# line, and the first range while it hashes the rest of the log; 1 MiB
+# blocks raised the traced peak of hashing a 3 MB log past a quarter of the
+# file's size.
 _HASH_BLOCK = 1 << 16
 # A worker pickles its items in lists of this many.
 _PICKLE_BATCH = 256
@@ -496,16 +469,12 @@ def _range_items(path: str | Path, summarize: _Summarize, meta: dict[str, Any], 
         _read_lines(path, "parse", meta, size, part, parts), payload)
 
 
-def _range_count(path: str | Path) -> int:
-    """How many byte ranges to read a log in: one per usable CPU, each at
-    least _MIN_RANGE_BYTES. One wherever a worker cannot be forked safely:
-    without os.fork, or while another Python thread runs."""
+def _range_count(size: int) -> int:
+    """How many byte ranges to read a log of ``size`` bytes in: one per
+    usable CPU, each at least _MIN_RANGE_BYTES. One wherever a worker cannot
+    be forked safely: without os.fork, or while another Python thread runs."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    try:
-        size = os.path.getsize(path)
-    except OSError:
-        return 1  # _read_log reports it
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, min(cpus or 1, size // _MIN_RANGE_BYTES))
 
@@ -517,8 +486,9 @@ def _read_log(path: str | Path, summarize: _Summarize,
     path, the sha256 of those bytes and their non-blank lines.
 
     No pass over the log comes first: each range finds its own first line,
-    and the fold adds the earlier ranges' line counts to its line numbers.
-    The parent forks a worker for every range but the first, then reads the
+    and the fold adds the earlier ranges' line counts to its line numbers,
+    then refuses a line that is not UTF-8 by its number in the log. The
+    parent forks a worker for every range but the first, then reads the
     first itself, hashing the log as it goes. A worker summarizes as it
     reads and pickles its items to an anonymous temporary file (a pipe
     would fill and stall the worker until the parent got to it). The parent
@@ -527,9 +497,9 @@ def _read_log(path: str | Path, summarize: _Summarize,
     ``summarize`` closure without pickling it. Closing this generator early
     kills and reaps every worker it started; none outlives it. A one-range
     read forks nothing."""
-    n = _range_count(path)
     with _open(path, "parse") as fh:
         size = os.fstat(fh.fileno()).st_size
+    n = _range_count(size)
     workers: list[_Worker | None] = []
     try:
         for part in range(1, n):
@@ -541,7 +511,12 @@ def _read_log(path: str | Path, summarize: _Summarize,
             else:
                 items = _worker_items(path, worker, meta)
             for item in items:
-                yield item if type(item) is ValidationReport else (item[0] + before, *item[1:])
+                if type(item) is not ValidationReport:
+                    item = (item[0] + before, *item[1:])
+                    if isinstance(item[2], UnicodeDecodeError):
+                        raise InputError(f"parse: {path} is not UTF-8:"
+                                         f" line {item[0]}: {item[2]}") from item[2]
+                yield item
             before += meta.pop("read")
             lines += meta["lines"]
     finally:
@@ -664,14 +639,6 @@ def run_pipeline(
     # series, its cost). The episode, its GDS and its row are None unless it
     # joined and is not an infra failure; the series is None without
     # emit_series, and the cost without pricing.
-    # keep then folds each kept episode's tuple here, in line order, and
-    # _load_logs keeps its cost.
-    analysis: list[_GdsRow] = []
-    outcomes: list[tuple[str, str, int | None, bool]] = []
-    series: dict[str, tuple[tuple[int, float], ...]] = {}
-    join_reports: list[ValidationReport] = []
-    infra_excluded = 0
-
     def summarize(episode: Episode, tools: list[str], *tokens: list[int]) -> tuple:
         cost = None if prices is None else _episode_cost(episode, *tokens, prices)
         task = registry.get(episode.task_id)
@@ -685,9 +652,18 @@ def run_pipeline(
         return ((), False, episode, episode_gds(episode, task),
                 (episode.model_id, task.bucket, onset, too_short), entropy, cost)
 
-    def keep(read: tuple) -> EpisodeCost | None:
-        nonlocal infra_excluded
-        reports, infra, episode, gds, outcome, entropy, cost = read
+    logs = _load_logs(log_paths, summarize)
+    counts = logs.counts()
+    if not logs.summaries:
+        raise InputError("parse: no valid episodes", counts)
+    analysis: list[_GdsRow] = []
+    outcomes: list[tuple[str, str, int | None, bool]] = []
+    series: dict[str, tuple[tuple[int, float], ...]] = {}
+    join_reports: list[ValidationReport] = []
+    infra_excluded = 0
+    # Each kept episode's tuple but its cost, in line order: no name bound
+    # here keeps a cost alive through the bootstrap.
+    for reports, infra, episode, gds, outcome, entropy in (read[:-1] for read in logs.summaries):
         join_reports.extend(reports)
         infra_excluded += infra
         if episode is not None:
@@ -695,12 +671,6 @@ def run_pipeline(
             outcomes.append(outcome)
             if opts.emit_series:
                 series[episode.episode_id] = entropy
-        return cost
-
-    logs = _load_logs(log_paths, summarize, keep)
-    counts = logs.counts()
-    if not logs.summaries:
-        raise InputError("parse: no valid episodes", counts)
     if not analysis:
         raise InputError("join: no valid episodes remain after registry join"
                          " and infra exclusion", counts)
@@ -708,7 +678,8 @@ def run_pipeline(
                   analyzed=len(analysis))
     try:
         melt = _meltdown_cells(outcomes)
-        cost_rows = None if prices is None else _cost_rows(_cost_report(logs.summaries))
+        cost_rows = None if prices is None else _cost_rows(
+            _cost_report(read[-1] for read in logs.summaries))
         # Every MOP outcome and cost is now in its cell or row: drop them
         # before the bootstrap, so the tables hold no more per episode than
         # the episode without its steps.

@@ -675,17 +675,18 @@ def _parse_lines(
     the ValidationReport that rejects the line, or (line number, episode_id,
     is infra failure, ``payload(episode, raw steps, checked columns)``) of
     ``_episode_from_record``. A line rejected without a usable episode_id
-    comes as (line number, None, its malformed JSON's problem or its
-    errors), for ``_dedup`` to name by its number. One call keeps one
-    sharing memo, so the caller may drop each episode once ``payload`` has
-    what it needs. Returns the last line number, 0 without lines."""
+    comes as (line number, None, its errors or its problem: the message of
+    malformed JSON, or the UnicodeDecodeError of a line not UTF-8), for the
+    caller to name by its number. One call keeps one sharing memo, so the
+    caller may drop each episode once ``payload`` has what it needs.
+    Returns the last line number, 0 without lines."""
     shared: dict[Any, Any] = {}
     lineno = 0
     for lineno, line in lines:
         if not line:
             continue
         if isinstance(line, UnicodeDecodeError):
-            problem = f"not UTF-8: {line}"
+            problem: str | UnicodeDecodeError | None = line
         else:
             try:
                 record = json.loads(line)
@@ -712,22 +713,30 @@ def _parse_lines(
 
 def _dedup(
     items: Iterable[ValidationReport | tuple],
+    kept: set[str] | None = None,
+    path: str | Path = "",
 ) -> Iterator[ValidationReport | tuple[int, str, bool, _T]]:
-    """The within-file dedup of one log's per-line results (see
-    ``_parse_lines``), in line order.
+    """The dedup of one log's per-line results (see ``_parse_lines``), in
+    line order, after the logs that kept the episode_ids in ``kept``.
 
     Each episode comes as (line number, episode_id, is infra failure, any
-    payload). The first of an episode_id is kept and passed on, just after
-    an advisory warning when it is an infra failure; each later one becomes
-    a duplicate warning. Reports pass through as they are, and a line
-    without a usable episode_id gets its report here, named by its number."""
+    payload). The first of an episode_id is kept, added to ``kept`` and
+    passed on, just after an advisory warning when it is an infra failure;
+    each later one becomes a duplicate warning, and so does one an earlier
+    log kept, named by ``path`` and after the log's other reports. Reports
+    pass through as they are, and a line without a usable episode_id (or
+    not UTF-8) gets its report here, named by its number."""
+    kept = set() if kept is None else kept
     seen: set[str] = set()
+    earlier: list[ValidationReport] = []
     for item in items:
         if isinstance(item, ValidationReport):
             yield item
             continue
         if item[1] is None:
             lineno, _, errors = item
+            if isinstance(errors, UnicodeDecodeError):
+                errors = f"not UTF-8: {errors}"
             if isinstance(errors, str):  # the problem of a malformed line
                 errors = (ValidationIssue("malformed_line", f"line {lineno}: {errors}"),)
             yield ValidationReport(episode_id=f"<line {lineno}>", errors=errors)
@@ -742,11 +751,18 @@ def _dedup(
             )
             continue
         seen.add(episode_id)
+        if episode_id in kept:
+            earlier.append(ValidationReport(episode_id=episode_id, warnings=(ValidationIssue(
+                "duplicate_episode_id",
+                f"{path}: duplicate of {episode_id!r} from an earlier log; keeping the first"),)))
+            continue
+        kept.add(episode_id)
         if infra:
             yield ValidationReport(episode_id=episode_id, warnings=(ValidationIssue(
                 "infra_excluded",
                 "infrastructure failure: retained in storage, excluded from metric denominators"),))
         yield item
+    yield from earlier
 
 
 def cross_validate(

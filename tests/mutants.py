@@ -63,7 +63,7 @@ MUTANTS = (
     Mutant("median_onset_upper", "meltdown.py",
            "events[(len(events) - 1) // 2]",
            "events[len(events) // 2]",
-           ("tests/test_meltdown.py::TestMeltdownTable",)),
+           ("tests/test_meltdown.py::TestMeltdownTable", "tests/test_mop_oracle.py")),
     Mutant("f1_tie_prefers_the_higher_theta", "meltdown.py",
            "(f1, -theta, -delta) > (best.f1, -best.theta_h, -best.delta)",
            "(f1, theta, -delta) > (best.f1, best.theta_h, -best.delta)",
@@ -72,6 +72,10 @@ MUTANTS = (
            "(item[0] + before, *item[1:])",
            "(item[0], *item[1:])",
            ("tests/test_log_ranges.py",)),
+    Mutant("not_utf8_numbered_within_its_range", "report.py",
+           " line {item[0]}: {item[2]}",
+           " line {item[0] - before}: {item[2]}",
+           ("tests/test_log_ranges.py::test_a_line_that_is_not_utf8_in_a_later_range_is_the_same_error",)),
     Mutant("args_memo_keeps_the_raw_string", "trajectory.py",
            "                canonical = args_seen[args] = args if canonical == args else canonical\n",
            "                args_seen[args] = args\n",
@@ -88,6 +92,22 @@ MUTANTS = (
            "        seen.add(episode_id)\n",
            "",
            ("tests/test_parse_oracle.py",)),
+    Mutant("no_cross_log_dedup", "trajectory.py",
+           "        if episode_id in kept:\n",
+           "        if False:\n",
+           ("tests/test_log_ranges.py::test_a_duplicate_of_an_earlier_range_keeps_the_in_file_wording",
+            "tests/test_pipeline_oracle.py")),
+    Mutant("infra_warning_before_the_cross_log_decision", "trajectory.py",
+           "        if episode_id in kept:\n",
+           "        if infra:\n"
+           "            yield ValidationReport(episode_id=episode_id, warnings=(ValidationIssue(\n"
+           "                \"infra_excluded\",\n"
+           "                \"infrastructure failure: retained in storage, excluded from metric\"\n"
+           "                \" denominators\"),))\n"
+           "            infra = False\n"
+           "        if episode_id in kept:\n",
+           ("tests/test_log_ranges.py::test_a_cross_log_duplicate_of_an_infra_failure_is_only_a_duplicate",
+            "tests/test_pipeline_oracle.py")),
     Mutant("resample_key_big_endian", "rng.py",
            '_key(seed, tag, r).to_bytes(16, "little")',
            '_key(seed, tag, r).to_bytes(16, "big")',

@@ -19,14 +19,14 @@ baseline's one percentile) and the per-pool, per-row loop for
 from __future__ import annotations
 
 import math
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, strategies as st
 
 from conftest import make_task
+from oracles import Oracles
 from reliakit import DegenerateStatisticError, MetricError, bootstrap_ci, vaf
 from reliakit import metrics, rng
 from reliakit.metrics import (DEFAULT_VAF_DENOMINATOR, DEFAULT_VAF_NUMERATOR, _level_pvar,
@@ -84,18 +84,8 @@ def _reference_bootstrap_ci(statistic, units, b=10000, level=0.95, seed=0):
     return float(low), float(high)
 
 
-# Each hypothesis oracle, undecorated, with its strategies: ``python
-# tests/test_bootstrap_oracle.py N`` runs each on N fresh examples.
-_ORACLES = []
-
-
-def _oracle(max_examples, **strategies):
-    """``given(**strategies)`` at tier-1's ``max_examples``, registered in
-    ``_ORACLES``."""
-    def register(check):
-        _ORACLES.append((check, strategies))
-        return settings(max_examples=max_examples, deadline=None)(given(**strategies)(check))
-    return register
+# ``python tests/test_bootstrap_oracle.py N`` runs each oracle on N fresh examples.
+_oracle = Oracles()
 
 
 def _outcome(fn, *args, **kwargs):
@@ -596,8 +586,4 @@ def test_pool_variances_equal_the_per_row_loop(n_levels, size, memo_entries, cou
 
 
 if __name__ == "__main__":
-    examples = int(sys.argv[1]) if len(sys.argv) > 1 else 200
-    for check, strategies in _ORACLES:
-        settings(max_examples=examples, deadline=None, database=None)(given(**strategies)(check))()
-    print(f"{examples} examples each: {', '.join(check.__name__ for check, _ in _ORACLES)}"
-          " equal their oracles")
+    _oracle.campaign(200)

@@ -143,6 +143,40 @@ def test_a_duplicate_of_an_earlier_range_keeps_the_in_file_wording(tmp_path):
     assert logs.counts() == {"log_lines": 34, "parse_errors": 0, "duplicates": 2, "parsed": 32}
 
 
+def test_a_cross_log_duplicate_of_an_infra_failure_is_only_a_duplicate(
+        tmp_path, monkeypatch, capsys):
+    """The kept record's infra_excluded warning is the only one: the copy in
+    a later log, here in its last range, is reported once, as a duplicate.
+    So validate prints each warning once, and analyze counts the infra
+    failure once both in its episodes and in its validation issues."""
+    infra = episode_line("infra", termination="infra_error")
+    first = write_log(tmp_path / "a.jsonl",
+                      [infra, *(episode_line(f"a-{i}", steps=10) for i in range(20))])
+    second = write_log(tmp_path / "b.jsonl",
+                       [*(episode_line(f"b-{i}", steps=10) for i in range(20)), infra])
+    registry = write_log(tmp_path / "tasks.jsonl", [serialize_task(TASK)])
+    logs = ["--logs", str(first), str(second)]
+    for ranges in RANGE_COUNTS:
+        use_ranges(monkeypatch, ranges)
+        capsys.readouterr()
+        assert main(["validate", *logs]) == 0
+        assert [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("WARNING infra ")] == [
+            "WARNING infra infra_excluded: infrastructure failure: retained in storage,"
+            " excluded from metric denominators",
+            f"WARNING infra duplicate_episode_id: {second}: duplicate of 'infra' from an"
+            " earlier log; keeping the first",
+        ]
+        out = tmp_path / f"out-{ranges}"
+        assert main(["analyze", *logs, "--registry", str(registry), "--bootstrap-b", "0",
+                     "--out", str(out)]) == 0
+        assert_no_children()
+        meta = json.loads((out / "run_metadata.json").read_text(encoding="utf-8"))
+        assert meta["episodes"]["infra_excluded"] == 1
+        assert meta["validation_issues"]["infra_excluded"] == 1
+        assert meta["validation_issues"]["duplicate_episode_id"] == 1
+
+
 def test_blank_and_bad_lines_keep_their_numbers_in_every_range(tmp_path):
     """Every range holds malformed and unlabeled lines, each reported by its
     number in the log, and duplicates, warned of by theirs."""
@@ -293,16 +327,22 @@ def process_rchar() -> int:
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="needs /proc/self/io")
-@pytest.mark.parametrize("ranges", [2, 3, 7])
-def test_each_range_reads_only_its_own_bytes(tmp_path, monkeypatch, ranges):
+@pytest.mark.parametrize("ranges, not_utf8", [(2, False), (3, False), (7, False),
+                                              (2, True), (3, True), (7, True)],
+                         ids=["2", "3", "7", "not_utf8-2", "not_utf8-3", "not_utf8-7"])
+def test_each_range_reads_only_its_own_bytes(tmp_path, monkeypatch, ranges, not_utf8):
     """The calling process reads the log once (its range, then the rest for
     the hash) and each worker its own range, plus at most a block around
     each range's start and end; no range reads the bytes before its offset
-    to number its lines. Then the calling process reads back the workers'
-    pickles. So n ranges read at most (2 - 1/n) times the log's size, n
-    blocks and the pickles' bytes."""
-    log = write_log(tmp_path / "log.jsonl",
-                    [episode_line(f"e-{i}", steps=40) for i in range(400)])
+    to number its lines, not even to refuse a line that is not UTF-8 in the
+    last range. Then the calling process reads back the workers' pickles.
+    So n ranges read at most (2 - 1/n) times the log's size, n blocks and
+    the pickles' bytes."""
+    lines = [episode_line(f"e-{i}", steps=40) for i in range(400)]
+    if not_utf8:
+        lines[-1] = lines[-1].replace("e-399", "e-\udcff")
+    log = tmp_path / "log.jsonl"
+    log.write_bytes("".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape"))
     size = log.stat().st_size
     assert ranges * report._HASH_BLOCK < size / 4
     pickled, reap = [], report._reap
@@ -312,12 +352,20 @@ def test_each_range_reads_only_its_own_bytes(tmp_path, monkeypatch, ranges):
         reap(workers)
 
     monkeypatch.setattr(report, "_reap", measured_reap)
+    if not_utf8:
+        with pytest.raises(InputError) as one_range:
+            load([log], summary, 1)
     use_ranges(monkeypatch, ranges)
     start = process_rchar()
-    logs = _load_logs([log], lambda episode, *columns: None)
+    if not_utf8:
+        with pytest.raises(InputError) as caught:
+            _load_logs([log], lambda episode, *columns: None)
+        assert str(caught.value) == str(one_range.value)
+        assert str(caught.value).startswith(f"parse: {log} is not UTF-8: line 400:")
+    else:
+        assert _load_logs([log], lambda episode, *columns: None).counts()["parsed"] == 400
     read = process_rchar() - start
     assert_no_children()
-    assert logs.counts()["parsed"] == 400
     assert len(pickled) == ranges - 1
     assert read <= (2 - 1 / ranges) * size + ranges * report._HASH_BLOCK + sum(pickled)
 
@@ -468,17 +516,13 @@ MIN_RANGE = 100
     (10 * MIN_RANGE, 8, None, 8),
     (10 * MIN_RANGE, 1, None, 1),
     (10 * MIN_RANGE, 2, "no_affinity", 2),
-    (10 * MIN_RANGE, 8, "missing", 1),
     (10 * MIN_RANGE, 8, "no_fork", 1),
     (10 * MIN_RANGE, 8, "thread", 1),
 ], ids=["empty", "below_one_range", "one_range", "capped_by_size", "capped_by_cpus",
-        "one_per_cpu", "one_cpu", "cpu_count", "missing", "no_fork", "thread"])
-def test_the_range_count(tmp_path, monkeypatch, size, cpus, case, expected):
+        "one_per_cpu", "one_cpu", "cpu_count", "no_fork", "thread"])
+def test_the_range_count(monkeypatch, size, cpus, case, expected):
     """One range per usable CPU, each at least ``_MIN_RANGE_BYTES``, and one
     wherever a worker cannot be forked."""
-    log = tmp_path / "log.jsonl"
-    if case != "missing":
-        log.write_bytes(b"x" * size)
     monkeypatch.setattr(report, "_MIN_RANGE_BYTES", MIN_RANGE)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     if case == "no_affinity":
@@ -491,7 +535,7 @@ def test_the_range_count(tmp_path, monkeypatch, size, cpus, case, expected):
     if case == "thread":
         thread.start()
     try:
-        assert report._range_count(log) == expected
+        assert report._range_count(size) == expected
     finally:
         stop.set()
         if case == "thread":

@@ -5,32 +5,35 @@
 verbatim. The fast ones must return results equal by ``==``: the same
 entropy series bit for bit, the same ``MopResult``, the same
 ``CalibrationResult`` (or the same error), and the same ``meltdown_table``
-cells. The reference table is ``meltdown_table`` run with the reference
-``detect_mop``.
+cells. The reference table is built here from the reference ``detect_mop``
+of each episode, sharing no code with ``meltdown_table``'s cells.
 """
 from __future__ import annotations
 
 import json
 import math
+import statistics
 import sys
 from collections import Counter
 from typing import Sequence
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import strategies as st
 
 from conftest import make_episode, make_task, steps_from_tools
+from oracles import Oracles
 from reliakit import meltdown
 from reliakit.cli import main
 from reliakit.meltdown import (
     DEFAULT_F1_GRID_DELTA,
     DEFAULT_F1_GRID_THETA,
+    MIN_EVENTS_FOR_MEDIAN,
     CalibrationResult,
+    MeltdownCell,
     MeltdownError,
     MopConfig,
     MopResult,
     _check_window,
-    _meltdown_cells,
     _steps_of,
     calibrate_mop_baseline,
     calibrate_mop_f1,
@@ -142,14 +145,27 @@ def _reference_calibrate_mop_f1(
 
 
 def _reference_meltdown_table(episodes, registry, config):
-    """meltdown_table's cells, with each outcome from the reference detect_mop."""
-    outcomes = []
+    """meltdown_table's cells from the reference detect_mop of each non-infra
+    episode, per (model, bucket) in model then bucket order: the rate of
+    episodes with an onset among them all, the lower median of the sorted
+    onsets from MIN_EVENTS_FOR_MEDIAN on, and the count of too-short ones."""
+    cells = {}
     for ep in episodes:
         if not ep.is_infra_failure:
-            result = _reference_detect_mop(ep, config)
-            outcomes.append((ep.model_id, registry[ep.task_id].bucket, result.onset_step,
-                             result.too_short))
-    return _meltdown_cells(outcomes)
+            key = (ep.model_id, BUCKETS.index(registry[ep.task_id].bucket))
+            cells.setdefault(key, []).append(_reference_detect_mop(ep, config))
+    table = {}
+    for (model_id, bucket), results in sorted(cells.items()):
+        onsets = sorted(r.onset_step for r in results if r.onset_step is not None)
+        table[(model_id, BUCKETS[bucket])] = MeltdownCell(
+            rate=len(onsets) / len(results),
+            median_onset=(statistics.median_low(onsets)
+                          if len(onsets) >= MIN_EVENTS_FOR_MEDIAN else None),
+            n_events=len(onsets),
+            n_episodes=len(results),
+            n_too_short=sum(r.too_short for r in results),
+        )
+    return table
 
 
 def _outcome(fn, *args):
@@ -159,18 +175,8 @@ def _outcome(fn, *args):
         return MeltdownError, str(exc)
 
 
-# Each hypothesis oracle, undecorated, with its strategies: ``python
-# tests/test_mop_oracle.py N`` runs each on N fresh examples.
-_ORACLES = []
-
-
-def _oracle(max_examples, *strategies):
-    """``given(*strategies)`` at tier-1's ``max_examples``, registered in
-    ``_ORACLES``."""
-    def register(check):
-        _ORACLES.append((check, strategies))
-        return settings(max_examples=max_examples, deadline=None)(given(*strategies)(check))
-    return register
+# ``python tests/test_mop_oracle.py N`` runs each oracle on N fresh examples.
+_oracle = Oracles()
 
 
 # --- strategies ---------------------------------------------------------------
@@ -250,8 +256,28 @@ def test_meltdown_table_equals_reference(data):
     config = MopConfig(window_w=w, theta_h=data.draw(st.sampled_from(levels + _THETAS)),
                        delta=data.draw(st.sampled_from(rises + _DELTAS)))
     registry = {task.task_id: task for task in tasks.values()}
-    assert meltdown_table(episodes, registry, config) == _reference_meltdown_table(
-        episodes, registry, config)
+    assert list(meltdown_table(episodes, registry, config).items()) == list(
+        _reference_meltdown_table(episodes, registry, config).items())
+
+
+def test_meltdown_table_of_six_onsets_equals_reference():
+    """Six distinct onsets in one cell, whose lower and upper medians
+    differ, as few generated tables are; beside them an episode without an
+    onset, a too-short one and an infra failure. Window 2: a run of k >= 3
+    "a" then a "b" melts at step k + 1."""
+    task = make_task("t-short", bucket="short")
+    episodes = [make_episode(f"e{k}", task, steps=steps_from_tools(["a"] * k + ["b", "a"]))
+                for k in range(3, 9)]
+    episodes += [make_episode("calm", task, steps=steps_from_tools(["a"] * 8)),
+                 make_episode("short", task, steps=steps_from_tools(["a", "b"])),
+                 make_episode("infra", task, termination="infra_error",
+                              steps=steps_from_tools(["a", "a", "a", "b"]))]
+    registry = {task.task_id: task}
+    config = MopConfig(window_w=2, theta_h=0.5, delta=0.5)
+    want = _reference_meltdown_table(episodes, registry, config)
+    assert want == {("m1", "short"): MeltdownCell(rate=6 / 8, median_onset=6, n_events=6,
+                                                  n_episodes=8, n_too_short=1)}
+    assert meltdown_table(episodes, registry, config) == want
 
 
 def test_calibration_ties_at_a_grid_value_are_strict():
@@ -344,8 +370,4 @@ def test_series_of_every_short_length_equals_reference(n):
 
 
 if __name__ == "__main__":
-    examples = int(sys.argv[1]) if len(sys.argv) > 1 else 1000
-    for check, strategies in _ORACLES:
-        settings(max_examples=examples, deadline=None, database=None)(given(*strategies)(check))()
-    print(f"{examples} examples each: {', '.join(check.__name__ for check, _ in _ORACLES)}"
-          " equal their oracles")
+    _oracle.campaign(1000)

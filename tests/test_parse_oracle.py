@@ -22,7 +22,6 @@ import dataclasses
 import io
 import json
 import pickle
-import sys
 from datetime import datetime
 from typing import Any, Iterable, Mapping
 
@@ -30,6 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_episode, make_task, steps_from_tools
+from oracles import Oracles
 from reliakit import canonical_args, parse_episode_log, serialize_episode
 from reliakit.cli import main
 from reliakit.trajectory import (
@@ -380,18 +380,8 @@ def _line(draw) -> str:
     return draw(st.sampled_from(["", " ", "\t"])) + text + draw(st.sampled_from(["", "  ", "\r"]))
 
 
-# Each hypothesis oracle, undecorated, with its strategies: ``python
-# tests/test_parse_oracle.py N`` runs each on N fresh examples.
-_ORACLES = []
-
-
-def _oracle(max_examples, *strategies):
-    """``given(*strategies)`` at tier-1's ``max_examples``, registered in
-    ``_ORACLES``."""
-    def register(check):
-        _ORACLES.append((check, strategies))
-        return settings(max_examples=max_examples, deadline=None)(given(*strategies)(check))
-    return register
+# ``python tests/test_parse_oracle.py N`` runs each oracle on N fresh examples.
+_oracle = Oracles()
 
 
 @_oracle(200, st.lists(_line(), min_size=1, max_size=8))
@@ -747,8 +737,4 @@ def test_record_check_boundaries_agree_on_every_path(edit, codes, tmp_path, caps
 
 
 if __name__ == "__main__":
-    examples = int(sys.argv[1]) if len(sys.argv) > 1 else 1000
-    for check, strategies in _ORACLES:
-        settings(max_examples=examples, deadline=None, database=None)(given(*strategies)(check))()
-    print(f"{examples} examples each: {', '.join(check.__name__ for check, _ in _ORACLES)}"
-          " equal their oracles")
+    _oracle.campaign(1000)

@@ -170,11 +170,15 @@ def write_study(root: Path, study) -> tuple[list[Path], Path, Path, Path]:
 
 def read_logs(paths: list[Path]):
     """parse_episode_log over each log, keeping an episode id's first record
-    across logs; reports per log, each log's cross-file duplicates last."""
+    across logs; reports per log, each log's cross-file duplicates last. A
+    cross-file duplicate is only a duplicate: its infra_excluded warning
+    goes."""
     episodes, reports, seen = [], [], set()
     for path in paths:
         parsed, parse_reports = parse_episode_log(path)
-        reports += parse_reports
+        dropped = {episode.episode_id for episode in parsed} & seen
+        reports += [r for r in parse_reports if r.episode_id not in dropped
+                    or all(issue.code != "infra_excluded" for issue in r.warnings)]
         for episode in parsed:
             if episode.episode_id in seen:
                 reports.append(("duplicate", path, episode.episode_id))

@@ -1205,9 +1205,8 @@ class TestEachEpisodeIsReducedAsItIsRead:
         load = report._load_logs
         peaks = []
 
-        def traced(paths, summarize, keep=None):
-            logs, _, peak = self.traced_load(
-                lambda paths, summarize: load(paths, summarize, keep), paths, summarize)
+        def traced(paths, summarize):
+            logs, _, peak = self.traced_load(load, paths, summarize)
             peaks.append(peak)
             return logs
 
