@@ -73,6 +73,7 @@ from .trajectory import (
     TaskSpec,
     ValidationReport,
     _dedup,
+    _encode_canonical,
     _parse_lines,
     _read_records,
     cross_validate,
@@ -423,23 +424,19 @@ def _load_logs(paths: Sequence[str | Path], summarize: _Summarize) -> _Logs:
     returned or raised depends on how many ranges there were. Reports come
     in parse_episode_log's order per file, each file's cross-file duplicate
     warnings after its parse reports."""
-    summaries: list = []
-    reports: list[ValidationReport] = []
-    inputs = []
+    logs = _Logs([], [], [])
     kept: set[str] = set()
     for path in paths:
         meta: dict[str, Any] = {}
         items = _read_log(path, summarize, meta)
         try:
-            for item in _dedup(items, kept, path):
-                if isinstance(item, ValidationReport):
-                    reports.append(item)
-                else:
-                    summaries.append(item[3])
+            summaries, reports = _dedup(items, kept, path)
         finally:
             items.close()
-        inputs.append(meta)
-    return _Logs(summaries, reports, inputs)
+        logs.summaries.extend(summaries)
+        logs.reports.extend(reports)
+        logs.inputs.append(meta)
+    return logs
 
 
 # The smallest byte range worth a worker process. On a 1.3 MB log of
@@ -702,7 +699,7 @@ def run_pipeline(
 
     options_dict = opts.to_dict()
     config_hash = hashlib.sha256(
-        json.dumps(options_dict, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        _encode_canonical(options_dict).encode("utf-8")
     ).hexdigest()
     issue_counts: dict[str, int] = {}
     for report in logs.reports + join_reports:

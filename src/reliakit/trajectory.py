@@ -647,24 +647,17 @@ def parse_episode_log(
     returned (they are data) but carry an advisory warning; downstream
     metric code excludes them from every denominator.
 
-    The lists collect what ``_dedup`` passes on of ``_parse_lines``, which
-    is also how the pipeline reads each byte range of a log. Only here does
-    an episode get its steps, built by ``_tool_steps``.
+    It is ``_dedup`` of ``_parse_lines``, which is also how the pipeline
+    reads each byte range of a log. Only here does an episode get its
+    steps, built by ``_tool_steps``.
     """
-    episodes: list[Episode] = []
-    reports: list[ValidationReport] = []
     tools_seen: dict[str, str] = {}
     args_seen: dict[str, str] = {}
 
     def with_steps(episode: Episode, raw: list[Any], columns: tuple) -> Episode:
         return replace(episode, steps=_tool_steps(raw, columns, tools_seen, args_seen))
 
-    for item in _dedup(_parse_lines(_iter_lines(source), with_steps)):
-        if isinstance(item, ValidationReport):
-            reports.append(item)
-        else:
-            episodes.append(item[3])
-    return episodes, reports
+    return _dedup(_parse_lines(_iter_lines(source), with_steps))
 
 
 def _parse_lines(
@@ -715,23 +708,27 @@ def _dedup(
     items: Iterable[ValidationReport | tuple],
     kept: set[str] | None = None,
     path: str | Path = "",
-) -> Iterator[ValidationReport | tuple[int, str, bool, _T]]:
+) -> tuple[list[_T], list[ValidationReport]]:
     """The dedup of one log's per-line results (see ``_parse_lines``), in
-    line order, after the logs that kept the episode_ids in ``kept``.
+    line order, after the logs that kept the episode_ids in ``kept``: the
+    payloads kept, in line order, and the reports.
 
     Each episode comes as (line number, episode_id, is infra failure, any
-    payload). The first of an episode_id is kept, added to ``kept`` and
-    passed on, just after an advisory warning when it is an infra failure;
-    each later one becomes a duplicate warning, and so does one an earlier
-    log kept, named by ``path`` and after the log's other reports. Reports
-    pass through as they are, and a line without a usable episode_id (or
-    not UTF-8) gets its report here, named by its number."""
+    payload). The first of an episode_id is kept and added to ``kept``,
+    its payload kept, and it gets an advisory warning when it is an infra
+    failure; each later one becomes a duplicate warning, and so does one an
+    earlier log kept, named by ``path`` and after the log's other reports.
+    Reports are kept as they are, and a line without a usable episode_id
+    (or not UTF-8) gets its report here, named by its number. An exception
+    of ``items`` surfaces in line order."""
     kept = set() if kept is None else kept
     seen: set[str] = set()
+    payloads: list[_T] = []
+    reports: list[ValidationReport] = []
     earlier: list[ValidationReport] = []
     for item in items:
         if isinstance(item, ValidationReport):
-            yield item
+            reports.append(item)
             continue
         if item[1] is None:
             lineno, _, errors = item
@@ -739,16 +736,16 @@ def _dedup(
                 errors = f"not UTF-8: {errors}"
             if isinstance(errors, str):  # the problem of a malformed line
                 errors = (ValidationIssue("malformed_line", f"line {lineno}: {errors}"),)
-            yield ValidationReport(episode_id=f"<line {lineno}>", errors=errors)
+            reports.append(ValidationReport(episode_id=f"<line {lineno}>", errors=errors))
             continue
-        lineno, episode_id, infra, _ = item
+        lineno, episode_id, infra, payload = item
         if episode_id in seen:
-            yield ValidationReport(
+            reports.append(ValidationReport(
                 episode_id=episode_id,
                 warnings=(ValidationIssue(
                     "duplicate_episode_id",
                     f"line {lineno}: duplicate of {episode_id!r}; keeping the first"),),
-            )
+            ))
             continue
         seen.add(episode_id)
         if episode_id in kept:
@@ -758,11 +755,11 @@ def _dedup(
             continue
         kept.add(episode_id)
         if infra:
-            yield ValidationReport(episode_id=episode_id, warnings=(ValidationIssue(
+            reports.append(ValidationReport(episode_id=episode_id, warnings=(ValidationIssue(
                 "infra_excluded",
-                "infrastructure failure: retained in storage, excluded from metric denominators"),))
-        yield item
-    yield from earlier
+                "infrastructure failure: retained in storage, excluded from metric denominators"),)))
+        payloads.append(payload)
+    return payloads, reports + earlier
 
 
 def cross_validate(

@@ -100,14 +100,18 @@ MUTANTS = (
     Mutant("infra_warning_before_the_cross_log_decision", "trajectory.py",
            "        if episode_id in kept:\n",
            "        if infra:\n"
-           "            yield ValidationReport(episode_id=episode_id, warnings=(ValidationIssue(\n"
+           "            reports.append(ValidationReport(episode_id=episode_id, warnings=(ValidationIssue(\n"
            "                \"infra_excluded\",\n"
            "                \"infrastructure failure: retained in storage, excluded from metric\"\n"
-           "                \" denominators\"),))\n"
+           "                \" denominators\"),)))\n"
            "            infra = False\n"
            "        if episode_id in kept:\n",
            ("tests/test_log_ranges.py::test_a_cross_log_duplicate_of_an_infra_failure_is_only_a_duplicate",
             "tests/test_pipeline_oracle.py")),
+    Mutant("cross_log_duplicates_ahead_of_the_logs_reports", "trajectory.py",
+           "    return payloads, reports + earlier\n",
+           "    return payloads, earlier + reports\n",
+           ("tests/test_log_ranges.py::test_a_logs_cross_log_duplicates_come_after_its_own_reports",)),
     Mutant("resample_key_big_endian", "rng.py",
            '_key(seed, tag, r).to_bytes(16, "little")',
            '_key(seed, tag, r).to_bytes(16, "big")',

@@ -14,14 +14,19 @@ with it and runs ``campaign`` as a script::
 
 Under pytest each check runs on its tier-1 examples.
 ``PYTHONPATH=src:tests python tests/<module>.py N`` runs each on N fresh
-examples instead (the ``campaign`` default without N).
+examples instead (the ``campaign`` default without N), without shrinking:
+a failing campaign reports the first example that failed.
 """
 from __future__ import annotations
 
 import sys
 from typing import Any, Callable
 
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
+
+# A campaign's phases: every default one but the shrink, and the explain
+# that follows it.
+CAMPAIGN_PHASES = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
 
 
 class Oracles:
@@ -42,10 +47,10 @@ class Oracles:
 
     def campaign(self, examples: int) -> None:
         """Every check on N fresh examples, N from the command line or
-        ``examples``; the first failure raises."""
+        ``examples``; the first failure raises, unshrunk."""
         examples = int(sys.argv[1]) if len(sys.argv) > 1 else examples
         for check, strategies, named in self.checks:
-            settings(max_examples=examples, deadline=None, database=None)(
-                given(*strategies, **named)(check))()
+            settings(max_examples=examples, deadline=None, database=None,
+                     phases=CAMPAIGN_PHASES)(given(*strategies, **named)(check))()
         print(f"{examples} examples each: {', '.join(check.__name__ for check, *_ in self.checks)}"
               " equal their oracles")

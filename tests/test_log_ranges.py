@@ -143,6 +143,26 @@ def test_a_duplicate_of_an_earlier_range_keeps_the_in_file_wording(tmp_path):
     assert logs.counts() == {"log_lines": 34, "parse_errors": 0, "duplicates": 2, "parsed": 32}
 
 
+def test_a_logs_cross_log_duplicates_come_after_its_own_reports(tmp_path):
+    """A log's reports come in line order, and its duplicates of episodes an
+    earlier log kept come after them, whatever lines they are on."""
+    first = write_log(tmp_path / "a.jsonl", [episode_line("a"), episode_line("b")])
+    second = write_log(tmp_path / "b.jsonl", [
+        episode_line("a"), '{"episode_id": "broken', episode_line("c"), episode_line("c"),
+        episode_line("b"), episode_line("d", termination="infra_error")])
+    logs = load_all([first, second])
+    assert [(r.episode_id, [i.code for i in r.errors + r.warnings]) for r in logs.reports] == [
+        ("<line 2>", ["malformed_line"]),
+        ("c", ["duplicate_episode_id"]),
+        ("d", ["infra_excluded"]),
+        ("a", ["duplicate_episode_id"]),
+        ("b", ["duplicate_episode_id"]),
+    ]
+    assert [i.message for r in logs.reports[-2:] for i in r.warnings] == [
+        f"{second}: duplicate of {episode_id!r} from an earlier log; keeping the first"
+        for episode_id in "ab"]
+
+
 def test_a_cross_log_duplicate_of_an_infra_failure_is_only_a_duplicate(
         tmp_path, monkeypatch, capsys):
     """The kept record's infra_excluded warning is the only one: the copy in

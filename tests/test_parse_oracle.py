@@ -395,15 +395,8 @@ def read_path(lines: list[str]):
     """What the subcommands' read path hands over of each line, in the
     shape of parse_episode_log's result: (episode without steps, tool
     names, tokens_in, tokens_out) per kept episode, and the reports."""
-    kept, reports = [], []
-    items = _parse_lines(_iter_lines(lines),
-                         lambda episode, raw, columns: (episode, columns[0], *columns[2:]))
-    for item in _dedup(items):
-        if isinstance(item, ValidationReport):
-            reports.append(item)
-        else:
-            kept.append(item[3])
-    return kept, reports
+    return _dedup(_parse_lines(_iter_lines(lines),
+                               lambda episode, raw, columns: (episode, columns[0], *columns[2:])))
 
 
 def read_view(episodes: list[Episode]) -> list[tuple]:

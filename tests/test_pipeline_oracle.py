@@ -19,7 +19,8 @@ with the same counts and issue counts; each subcommand must print the same
 bytes and exit with the same code. Every comparison runs with each log read
 in one, two, three and seven byte ranges.
 
-Tier-1 runs a few derandomized examples. A longer run with fresh draws:
+Tier-1 runs a few derandomized examples. A longer run with fresh draws,
+which reports the first failing study without shrinking it:
 ``PYTHONPATH=src:tests python tests/test_pipeline_oracle.py 2000``.
 """
 from __future__ import annotations
@@ -39,6 +40,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_episode, make_step
+from oracles import CAMPAIGN_PHASES
 from reliakit import (
     BUCKETS,
     DOMAINS,
@@ -436,6 +438,6 @@ def test_subcommands_equal_the_whole_episode_functions(study):
 if __name__ == "__main__":
     examples = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
     for check in (check_pipeline, check_commands):
-        settings(max_examples=examples, deadline=None, database=None)(
-            given(studies())(check))()
+        settings(max_examples=examples, deadline=None, database=None,
+                 phases=CAMPAIGN_PHASES)(given(studies())(check))()
     print(f"{examples} studies: every table and subcommand equals the oracle")
