@@ -68,11 +68,11 @@ from .simulate import (
 )
 from .trajectory import (
     BUCKETS,
-    Episode,
     RegistryError,
     Subtask,
     TaskSpec,
     _read_records,
+    _Record,
     cross_validate,
     load_task_registry,
     write_episode_log,
@@ -271,7 +271,7 @@ def _print_counts(counts: dict[str, int]) -> None:
 def _read_logs(paths: Sequence[str], summarize: Callable[..., Any]) -> list:
     """The pipeline's log loader, with its line accounting on stderr: the
     summary of each kept episode, refusing logs without one. ``summarize``
-    takes the episode and its step columns (see _load_logs)."""
+    takes the episode's record and its step columns (see _load_logs)."""
     logs = _load_logs(paths, summarize)
     _print_counts(logs.counts())
     if not logs.summaries:
@@ -329,7 +329,7 @@ def _cmd_mop(args: argparse.Namespace) -> int:
     config = MopConfig(window_w=w, theta_h=args.mop_theta, delta=args.mop_delta)
     _warn_if_unreachable(config.theta_h, w)
 
-    def row(episode: Episode, tools: list[str], *tokens: list[int]) -> tuple:
+    def row(episode: _Record, tools: list[str], *tokens: list[int]) -> tuple:
         levels = _entropy_levels(tools, w)
         onset, too_short = _onset(levels, config)
         return episode.episode_id, onset, max(levels, default=0.0), too_short, onset is not None

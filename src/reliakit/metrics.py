@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .rng import _resample_chunks
-from .trajectory import BUCKETS, Episode, TaskSpec, episode_gds
+from .trajectory import BUCKETS, Episode, TaskSpec, _Record, episode_gds
 
 __all__ = [
     "CurvePoint",
@@ -150,9 +150,9 @@ def outcome_groups(
                            for ep, task in _joined(selected, registry))
 
 
-# A non-infra episode, its registry task and its GDS: the row that the
-# pipeline keeps per analyzed episode and the table helpers group over.
-_GdsRow = tuple[Episode, TaskSpec, float]
+# A non-infra episode or its record, its registry task and its GDS: the row
+# that the pipeline keeps per analyzed episode and the table helpers group over.
+_GdsRow = tuple[Episode | _Record, TaskSpec, float]
 
 
 def _outcome_groups(rows: Iterable[_GdsRow]) -> list[TaskOutcomeGroup]:

@@ -74,8 +74,10 @@ from .trajectory import (
     ValidationReport,
     _dedup,
     _encode_canonical,
+    _finite_float,
     _parse_lines,
     _read_records,
+    _Record,
     cross_validate,
     episode_gds,
     load_task_registry,
@@ -133,13 +135,7 @@ def _pricing_entry(record: Mapping[str, Any]) -> PricingEntry:
         value = record.get(key)
         if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
             raise ValueError(f"{key} must be a non-negative number")
-        try:
-            value = float(value)
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            raise ValueError(f"{key} must be finite as a float")
-        prices[key] = value
+        prices[key] = _finite_float(value, key)
     return PricingEntry(model_id=model_id, **prices)
 
 
@@ -184,7 +180,7 @@ def compute_cost(episodes: Iterable[Episode], pricing: Sequence[PricingEntry]) -
         for ep in episodes)
 
 
-def _episode_cost(episode: Episode, tokens_in: Sequence[int], tokens_out: Sequence[int],
+def _episode_cost(episode: Episode | _Record, tokens_in: Sequence[int], tokens_out: Sequence[int],
                   prices: Mapping[str, PricingEntry]) -> EpisodeCost:
     """One episode's token sums and the exact sum of its per-step costs,
     from its steps' tokens_in and tokens_out columns. Its cost is None when
@@ -403,20 +399,20 @@ class _Logs:
         }
 
 
-_Summarize = Callable[[Episode, list[str], list[int], list[int]], Any]
+_Summarize = Callable[[_Record, list[str], list[int], list[int]], Any]
 
 
 def _load_logs(paths: Sequence[str | Path], summarize: _Summarize) -> _Logs:
     """Parse every log, keeping the first record of an episode_id across
-    files as within one, and keep only ``summarize(episode, tools,
-    tokens_in, tokens_out)`` of each kept episode, in order. The episode
-    comes without its steps; the three lists hold each step's tool name,
-    tokens_in and tokens_out, the only step fields any subcommand reads. No
-    step is built and no argument is canonicalized, and all of it can be
-    freed as soon as it is summarized, so memory grows with the summaries,
-    not with the steps. ``summarize`` must be pure: it may run in a worker
-    process. It runs on every parsed episode, duplicates too, and its first
-    exception in line order stops the read and is raised here.
+    files as within one, and keep only ``summarize(record, tools,
+    tokens_in, tokens_out)`` of each kept episode, in order. The record is
+    its ``_Record``; the three lists hold each step's tool name, tokens_in
+    and tokens_out, the only step fields any subcommand reads. No step or
+    ``Episode`` is built and no argument is canonicalized, and all of it can
+    be freed as soon as it is summarized, so memory grows with the
+    summaries, not with the steps. ``summarize`` must be pure: it may run
+    in a worker process. It runs on every parsed episode, duplicates too,
+    and its first exception in line order stops the read and is raised here.
 
     Each log is read in byte ranges, and the ranges' results are folded in
     line order (see ``_read_log``); ``_dedup`` then decides each line's
@@ -458,9 +454,9 @@ def _range_items(path: str | Path, summarize: _Summarize, meta: dict[str, Any], 
     episode's payload its summary and each line numbered from the part's
     first line. At the end ``meta["read"]`` counts the part's lines, blank
     ones too."""
-    def payload(episode: Episode, raw: list[Any], columns: tuple) -> Any:
+    def payload(record: _Record, raw: list[Any], columns: tuple) -> Any:
         tools, _, tokens_in, tokens_out = columns
-        return summarize(episode, tools, tokens_in, tokens_out)
+        return summarize(record, tools, tokens_in, tokens_out)
 
     meta["read"] = yield from _parse_lines(
         _read_lines(path, "parse", meta, size, part, parts), payload)
@@ -631,12 +627,12 @@ def run_pipeline(
 
     # Each episode is joined, scanned, scored and priced as it is read, in
     # whichever process reads it: summarize returns (join reports, is a
-    # joined infra failure, the episode (read without its steps), its GDS,
-    # its (model_id, bucket, onset, too short) meltdown row, its entropy
-    # series, its cost). The episode, its GDS and its row are None unless it
-    # joined and is not an infra failure; the series is None without
-    # emit_series, and the cost without pricing.
-    def summarize(episode: Episode, tools: list[str], *tokens: list[int]) -> tuple:
+    # joined infra failure, the episode's record, its GDS, its (model_id,
+    # bucket, onset, too short) meltdown row, its entropy series, its cost).
+    # The record, its GDS and its row are None unless it joined and is not
+    # an infra failure; the series is None without emit_series, and the
+    # cost without pricing.
+    def summarize(episode: _Record, tools: list[str], *tokens: list[int]) -> tuple:
         cost = None if prices is None else _episode_cost(episode, *tokens, prices)
         task = registry.get(episode.task_id)
         if task is None or len(episode.subtask_outcomes) != len(task.subtasks):
@@ -679,7 +675,7 @@ def run_pipeline(
             _cost_report(read[-1] for read in logs.summaries))
         # Every MOP outcome and cost is now in its cell or row: drop them
         # before the bootstrap, so the tables hold no more per episode than
-        # the episode without its steps.
+        # its record.
         outcomes.clear()
         logs.summaries.clear()
         tables = _build_tables(analysis, melt, cost_rows, registry, opts)

@@ -16,11 +16,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
-from typing import IO, Any, Callable, Generator, Iterable, Iterator, Mapping, TypeVar
+from typing import IO, Any, Callable, Generator, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 import warnings
 
 __all__ = [
@@ -176,6 +176,26 @@ class Episode:
         return self.termination == "infra_error"
 
 
+class _Record(NamedTuple):
+    """What the read path hands over of one parsed episode: ``Episode``'s
+    fields but ``steps``, in its order, so that ``Episode(*record[:5],
+    steps, *record[5:])`` is the episode with those steps."""
+
+    episode_id: str
+    task_id: str
+    model_id: str
+    scaffold: str
+    repeat_index: int
+    nudges_used: int
+    termination: str
+    subtask_outcomes: tuple[bool, ...]
+    evaluator_score: float
+    passed: bool
+    extras: Mapping[str, Any]
+
+    is_infra_failure = Episode.is_infra_failure
+
+
 @dataclass(frozen=True)
 class ValidationIssue:
     code: str
@@ -289,12 +309,7 @@ def _task_from_record(record: Mapping[str, Any]) -> TaskSpec:
     minutes = record["human_minutes_estimate"]
     if isinstance(minutes, bool) or not isinstance(minutes, (int, Decimal)):
         raise ValueError("human_minutes_estimate must be numeric")
-    try:
-        minutes = float(minutes)
-    except OverflowError:
-        minutes = math.inf
-    if not math.isfinite(minutes):
-        raise ValueError("human_minutes_estimate must be finite as a float")
+    minutes = _finite_float(minutes, "human_minutes_estimate")
     if minutes <= 0:
         raise ValueError("human_minutes_estimate must be positive")
     steps_estimate = record["agent_steps_estimate"]
@@ -347,6 +362,16 @@ def _task_from_record(record: Mapping[str, Any]) -> TaskSpec:
     )
 
 
+def _finite_float(value: Any, key: str) -> float:
+    """``value`` as a float, or a ValueError naming ``key`` unless finite."""
+    try:
+        if math.isfinite(number := float(value)):
+            return number
+    except OverflowError:
+        pass
+    raise ValueError(f"{key} must be finite as a float")
+
+
 def _plain(value: Any) -> Any:
     """Convert Decimal leftovers from parse_float back to plain floats."""
     if isinstance(value, Decimal):
@@ -360,11 +385,7 @@ def _plain(value: Any) -> Any:
 
 # --- episode log parsing -------------------------------------------------
 
-_EPISODE_FIELDS = {
-    "schema_version", "episode_id", "task_id", "model_id", "scaffold",
-    "repeat_index", "steps", "nudges_used", "termination",
-    "subtask_outcomes", "evaluator_score", "passed",
-}
+_EPISODE_FIELDS = {"schema_version", "steps", *_Record._fields} - {"extras"}
 
 _STEP_FIELDS = {
     "index", "tool", "args", "args_canonical", "result_chars",
@@ -427,17 +448,18 @@ _TIMESTAMP = re.compile(
     re.DOTALL)
 
 
-def _valid_timestamp(value: Any) -> bool:
-    if not isinstance(value, str):
-        return False
-    value = value.replace("Z", "+00:00")
-    if _TIMESTAMP.fullmatch(value) is None:
-        return False
+def _valid_timestamps(values: Iterable[Any]) -> bool:
+    """Whether every value is a timestamp string: "Z" read as "+00:00", it
+    matches _TIMESTAMP, and each distinct day is a date."""
     try:
-        date.fromisoformat(value[:10])
-    except ValueError:
-        return False
-    return True
+        stamps = [value.replace("Z", "+00:00") for value in values]
+        if all(map(_TIMESTAMP.fullmatch, stamps)):
+            for day in {stamp[:10] for stamp in stamps}:
+                date.fromisoformat(day)
+            return True
+    except (AttributeError, TypeError, ValueError):  # not a string, or not a date
+        pass
+    return False
 
 
 # Step indices are 1-based and contiguous: a record's indices must equal the
@@ -448,42 +470,42 @@ _STR = {str}
 _BOOL = {bool}
 
 
-def _checked_columns(raw: list[Any]) -> tuple[list[str], list[int], list[int], list[int]] | None:
-    """The tool, result_chars, tokens_in and tokens_out columns of 1 to
-    MAX_STEPS steps, or None when any step fails a check of
-    ``_first_step_error``. Each check runs once per column rather than once
-    per step, and accepts exactly the steps that the per-step loop accepts."""
+def _checked_columns(raw: Any) -> tuple[list[str], list[int], list[int], list[int]] | None:
+    """The tool, result_chars, tokens_in and tokens_out columns of a
+    record's steps, which are not ``[]``, or None when ``_first_step_error``
+    finds an error. Each check runs once per column rather than once per
+    step, and accepts exactly the steps that the per-step loop accepts."""
+    if not isinstance(raw, list) or len(raw) > MAX_STEPS:
+        return None
     try:
         index = [rec["index"] for rec in raw]
         tools = [rec["tool"] for rec in raw]
         chars = [rec["result_chars"] for rec in raw]
         tokens_in = [rec["tokens_in"] for rec in raw]
         tokens_out = [rec["tokens_out"] for rec in raw]
-        stamps = [rec["timestamp"].replace("Z", "+00:00") for rec in raw]
-    except (KeyError, TypeError, AttributeError):
-        # A step that is not an object, a missing key, or a timestamp that
-        # is not a string (only a string has .replace).
+        stamps = [rec["timestamp"] for rec in raw]
+    except (KeyError, TypeError):  # a step that is not an object, or a missing key
         return None
     # type() rather than isinstance(), so a bool is not an index or a count.
     if (index != _POSITIONS[:len(raw)] or set(map(type, index)) != _INT
             or set(map(type, tools)) != _STR or not all(tools)
             or set(map(type, chars)) | set(map(type, tokens_in)) | set(map(type, tokens_out)) != _INT
             or min(chars) < 0 or min(tokens_in) < 0 or min(tokens_out) < 0
-            or not all(map(_TIMESTAMP.fullmatch, stamps))
-            or not all("args_canonical" in rec or "args" in rec for rec in raw)):
-        return None
-    try:
-        for day in {stamp[:10] for stamp in stamps}:
-            date.fromisoformat(day)
-    except ValueError:
+            or not all("args_canonical" in rec or "args" in rec for rec in raw)
+            or not _valid_timestamps(stamps)):
         return None
     return tools, chars, tokens_in, tokens_out
 
 
-def _first_step_error(raw: list[Any]) -> ValidationIssue | None:
-    """The first failed check of at most MAX_STEPS steps, step by step and
-    in the order below; None when every step passes, which never happens
-    where ``_checked_columns`` rejected the steps."""
+def _first_step_error(raw: Any) -> ValidationIssue | None:
+    """The first failed check of a record's steps, in the order below: an
+    array of at most MAX_STEPS, then step by step; None when every check
+    passes, which never happens where ``_checked_columns`` rejected them."""
+    if not isinstance(raw, list):
+        return ValidationIssue("bad_steps", "steps must be an array")
+    if len(raw) > MAX_STEPS:
+        return ValidationIssue(
+            "step_limit", f"{len(raw)} steps exceeds the {MAX_STEPS}-step harness limit")
     for pos, rec in enumerate(raw, start=1):
         if not isinstance(rec, dict):
             return ValidationIssue("bad_step", f"step {pos} is not an object")
@@ -500,34 +522,17 @@ def _first_step_error(raw: list[Any]) -> ValidationIssue | None:
             if type(v) is not int or v < 0:
                 return ValidationIssue("bad_step", f"step {pos}: {key} must be a non-negative integer")
         timestamp = rec.get("timestamp")
-        if not _valid_timestamp(timestamp):
+        if not _valid_timestamps((timestamp,)):
             return ValidationIssue("bad_timestamp", f"step {pos}: timestamp {timestamp!r}")
         if "args_canonical" not in rec and "args" not in rec:
             return ValidationIssue("bad_step", f"step {pos}: missing args_canonical")
     return None
 
 
-def _step_columns(raw: Any, errors: list[ValidationIssue]
-                  ) -> tuple[list[str], list[int], list[int], list[int]] | None:
-    """The checked columns of one record's steps, which are not ``[]`` (see
-    ``_checked_columns``), or None after appending its first error."""
-    if not isinstance(raw, list):
-        errors.append(ValidationIssue("bad_steps", "steps must be an array"))
-        return None
-    if len(raw) > MAX_STEPS:
-        errors.append(ValidationIssue(
-            "step_limit", f"{len(raw)} steps exceeds the {MAX_STEPS}-step harness limit"))
-        return None
-    columns = _checked_columns(raw)
-    if columns is None:
-        errors.append(_first_step_error(raw))
-    return columns
-
-
 def _tool_steps(raw: list[Any], columns: tuple[list[str], list[int], list[int], list[int]],
                 tools_seen: dict[str, str], args_seen: dict[str, str]) -> tuple[ToolStep, ...]:
     """parse_episode_log's steps of one record's raw steps and their
-    checked columns (see ``_step_columns``).
+    checked columns (see ``_checked_columns``).
 
     ``tools_seen`` maps each tool name to the first equal string the parse
     kept, so equal tool names are one string. ``args_seen`` maps each raw
@@ -562,10 +567,10 @@ def _field_issue(key: str, value: Any, kind: str, describe: str = "") -> Validat
 
 
 def _episode_from_record(record: Mapping[str, Any], errors: list[ValidationIssue],
-                         shared: dict[Any, Any]) -> tuple[Episode, list[Any], tuple] | None:
-    """The episode of one record without its steps, its raw step list and
-    that list's checked columns (see ``_step_columns``), or None after
-    appending every error found.
+                         shared: dict[Any, Any]) -> tuple[_Record, list[Any], tuple] | None:
+    """The ``_Record`` of one JSON record, its raw step list and that list's
+    checked columns (see ``_checked_columns``), or None after appending every
+    error found.
 
     ``shared`` maps each bounded-vocabulary value to the first equal object
     the parse kept. A message is built only for a check that fails, and a
@@ -611,7 +616,9 @@ def _episode_from_record(record: Mapping[str, Any], errors: list[ValidationIssue
         outcomes = tuple(outcomes_raw)
 
     raw = get("steps", [])
-    columns = ([], [], [], []) if raw == [] else _step_columns(raw, errors)
+    columns = ([], [], [], []) if raw == [] else _checked_columns(raw)
+    if columns is None:
+        errors.append(_first_step_error(raw))
 
     if passed is not None and score is not None:
         at_full_score = abs(score - 1.0) <= _SCORE_TOLERANCE
@@ -626,10 +633,10 @@ def _episode_from_record(record: Mapping[str, Any], errors: list[ValidationIssue
     share = shared.setdefault
     extras = (_NO_EXTRAS if record.keys() <= _EPISODE_FIELDS
               else {k: v for k, v in record.items() if k not in _EPISODE_FIELDS})
-    return Episode(
+    return _Record(
         episode_id=episode_id, task_id=share(task_id, task_id),
         model_id=share(model_id, model_id), scaffold=share(scaffold, scaffold),
-        repeat_index=repeat_index, steps=(), nudges_used=nudges,
+        repeat_index=repeat_index, nudges_used=nudges,
         termination=share(termination, termination),
         subtask_outcomes=share(outcomes, outcomes), evaluator_score=float(score),
         passed=passed, extras=extras,
@@ -648,30 +655,28 @@ def parse_episode_log(
     metric code excludes them from every denominator.
 
     It is ``_dedup`` of ``_parse_lines``, which is also how the pipeline
-    reads each byte range of a log. Only here does an episode get its
-    steps, built by ``_tool_steps``.
+    reads each byte range of a log. Only here are steps built, by
+    ``_tool_steps``, and an ``Episode``, once per kept record.
     """
     tools_seen: dict[str, str] = {}
     args_seen: dict[str, str] = {}
-
-    def with_steps(episode: Episode, raw: list[Any], columns: tuple) -> Episode:
-        return replace(episode, steps=_tool_steps(raw, columns, tools_seen, args_seen))
-
-    return _dedup(_parse_lines(_iter_lines(source), with_steps))
+    kept, reports = _dedup(_parse_lines(_iter_lines(source), lambda record, raw, columns: (
+        record, _tool_steps(raw, columns, tools_seen, args_seen))))
+    return [Episode(*record[:5], steps, *record[5:]) for record, steps in kept], reports
 
 
 def _parse_lines(
     lines: Iterable[tuple[int, str | UnicodeDecodeError]],
-    payload: Callable[[Episode, list[Any], tuple], _T],
+    payload: Callable[[_Record, list[Any], tuple], _T],
 ) -> Generator[ValidationReport | tuple, None, int]:
     """Each (line number, line) parsed, in line order, blank lines skipped:
     the ValidationReport that rejects the line, or (line number, episode_id,
-    is infra failure, ``payload(episode, raw steps, checked columns)``) of
+    is infra failure, ``payload(record, raw steps, checked columns)``) of
     ``_episode_from_record``. A line rejected without a usable episode_id
     comes as (line number, None, its errors or its problem: the message of
     malformed JSON, or the UnicodeDecodeError of a line not UTF-8), for the
     caller to name by its number. One call keeps one sharing memo, so the
-    caller may drop each episode once ``payload`` has what it needs.
+    caller may drop each record once ``payload`` has what it needs.
     Returns the last line number, 0 without lines."""
     shared: dict[Any, Any] = {}
     lineno = 0
@@ -699,8 +704,7 @@ def _parse_lines(
             else:
                 yield lineno, None, tuple(errors)
             continue
-        episode = parsed[0]
-        yield lineno, episode.episode_id, episode.is_infra_failure, payload(*parsed)
+        yield lineno, parsed[0].episode_id, parsed[0].is_infra_failure, payload(*parsed)
     return lineno
 
 
@@ -813,8 +817,12 @@ def episode_gds(episode: Episode, task: TaskSpec) -> float:
 
 # --- serialization -------------------------------------------------------
 
+# Strict JSON: a value that is inf or nan raises ValueError.
+_encode_line = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+
+
 def _step_record(step: ToolStep) -> dict[str, Any]:
-    rec: dict[str, Any] = {
+    return {
         "index": step.index,
         "tool": step.tool,
         "args_canonical": step.args_canonical,
@@ -822,15 +830,13 @@ def _step_record(step: ToolStep) -> dict[str, Any]:
         "tokens_in": step.tokens_in,
         "tokens_out": step.tokens_out,
         "timestamp": step.timestamp,
+        **dict(sorted(step.extras.items())),
     }
-    for key in sorted(step.extras):
-        rec[key] = step.extras[key]
-    return rec
 
 
 def serialize_episode(episode: Episode) -> str:
     """One JSONL line, stable key order, unknown fields appended sorted."""
-    rec: dict[str, Any] = {
+    return _encode_line({
         "schema_version": SCHEMA_VERSION,
         "episode_id": episode.episode_id,
         "task_id": episode.task_id,
@@ -843,14 +849,13 @@ def serialize_episode(episode: Episode) -> str:
         "subtask_outcomes": list(episode.subtask_outcomes),
         "evaluator_score": episode.evaluator_score,
         "passed": episode.passed,
-    }
-    for key in sorted(episode.extras):
-        rec[key] = episode.extras[key]
-    return json.dumps(rec, separators=(",", ":"))
+        **dict(sorted(episode.extras.items())),
+    })
 
 
 def serialize_task(task: TaskSpec) -> str:
-    rec: dict[str, Any] = {
+    """One JSONL line, stable key order, unknown fields appended sorted."""
+    return _encode_line({
         "schema_version": SCHEMA_VERSION,
         "task_id": task.task_id,
         "domain": task.domain,
@@ -861,21 +866,19 @@ def serialize_task(task: TaskSpec) -> str:
             {"subtask_id": s.subtask_id, "weight": s.weight, "description": s.description}
             for s in task.subtasks
         ],
-    }
-    for key in sorted(task.extras):
-        rec[key] = task.extras[key]
-    return json.dumps(rec, separators=(",", ":"))
+        **dict(sorted(task.extras.items())),
+    })
 
 
 def write_episode_log(episodes: Iterable[Episode], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ep in episodes:
-            fh.write(serialize_episode(ep))
-            fh.write("\n")
+    _write_lines(map(serialize_episode, episodes), path)
 
 
 def write_task_registry(tasks: Iterable[TaskSpec], path: str | Path) -> None:
+    _write_lines(map(serialize_task, tasks), path)
+
+
+def _write_lines(lines: Iterable[str], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for task in tasks:
-            fh.write(serialize_task(task))
-            fh.write("\n")
+        for line in lines:
+            fh.write(line + "\n")

@@ -10,6 +10,7 @@ from reliakit.trajectory import (
     Subtask,
     TaskSpec,
     ToolStep,
+    _Record,
     canonical_args,
 )
 
@@ -51,6 +52,12 @@ def make_step(
         tokens_out=tokens_out,
         timestamp=f"2026-01-01T{index // 3600:02d}:{index // 60 % 60:02d}:{index % 60:02d}Z",
     )
+
+
+def record_of(episode: Episode) -> _Record:
+    """What the read path hands over of ``episode``: its fields but steps,
+    taken by name."""
+    return _Record(*(getattr(episode, name) for name in _Record._fields))
 
 
 def steps_from_tools(tools: Sequence[str]) -> tuple[ToolStep, ...]:

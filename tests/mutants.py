@@ -112,6 +112,28 @@ MUTANTS = (
            "    return payloads, reports + earlier\n",
            "    return payloads, earlier + reports\n",
            ("tests/test_log_ranges.py::test_a_logs_cross_log_duplicates_come_after_its_own_reports",)),
+    Mutant("record_fields_out_of_episode_order", "trajectory.py",
+           "    repeat_index: int\n    nudges_used: int\n",
+           "    nudges_used: int\n    repeat_index: int\n",
+           ("tests/test_parse_oracle.py::test_parse_equals_reference",
+            "tests/test_log_ranges.py::test_every_range_count_returns_the_same_logs")),
+    Mutant("record_never_an_infra_failure", "trajectory.py",
+           "    is_infra_failure = Episode.is_infra_failure\n",
+           "    is_infra_failure = False\n",
+           ("tests/test_log_ranges.py::test_a_logs_cross_log_duplicates_come_after_its_own_reports",
+            "tests/test_parse_oracle.py::test_parse_equals_reference")),
+    Mutant("count_rows_distinct_only_in_every_level", "metrics.py",
+           "(ordered[:, 1:] != ordered[:, :-1]).any(axis=0)",
+           "(ordered[:, 1:] != ordered[:, :-1]).all(axis=0)",
+           ("tests/test_bootstrap_oracle.py::test_pool_variances_equal_the_per_row_loop",)),
+    Mutant("missed_rows_all_take_the_first_rows_variance", "metrics.py",
+           "_level_pvar(levels, rows[r])",
+           "_level_pvar(levels, rows[0])",
+           ("tests/test_bootstrap_oracle.py::test_pool_variances_equal_the_per_row_loop",)),
+    Mutant("percentile_upper_neighbour_is_the_lower", "metrics.py",
+           "else i + 1 for v, i in zip(virtual, below)]",
+           "else i for v, i in zip(virtual, below)]",
+           ("tests/test_bootstrap_oracle.py::test_percentile_equals_np_percentile",)),
     Mutant("resample_key_big_endian", "rng.py",
            '_key(seed, tag, r).to_bytes(16, "little")',
            '_key(seed, tag, r).to_bytes(16, "big")',

@@ -12,7 +12,6 @@ calling process reads, and grow a log while it is read.
 """
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -23,11 +22,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_episode, make_step, make_task
+from conftest import make_episode, make_step, make_task, record_of
 from reliakit import report
 from reliakit.cli import main
 from reliakit.report import InputError, PipelineError, _load_logs
-from reliakit.trajectory import serialize_episode, serialize_task
+from reliakit.trajectory import Episode, parse_episode_log, serialize_episode, serialize_task
 
 RANGE_COUNTS = (1, 2, 3, 7)
 TASK = make_task("t-1")
@@ -91,24 +90,28 @@ def write_log(path: Path, lines: list[str]) -> Path:
     return path
 
 
-def summary(episode, *columns):
-    """All that the loader hands over of an episode: the episode without its
-    steps, a digest of any steps it has, and any step columns beside it."""
-    return (dataclasses.replace(episode, steps=()),
-            tuple((s.tool, s.args_canonical, s.tokens_in) for s in episode.steps), columns)
+def summary(record, *columns):
+    """All that the loader hands over of an episode: its record and its
+    step columns."""
+    return record, columns
 
 
-def load_all(paths, summarize=summary):
+def load_all(paths):
     """The loader's result at every range count, checking that each is the
-    one-range result and that no worker outlives the call."""
+    one-range result, that no worker outlives the call, and that each
+    record holds the fields but steps of the episode that
+    parse_episode_log keeps of the logs' lines."""
     results = []
     for ranges in RANGE_COUNTS:
-        logs = load(paths, summarize, ranges)
+        logs = load(paths, summary, ranges)
         assert_no_children()
         results.append((logs.summaries, logs.reports, logs.inputs))
     for ranges, result in zip(RANGE_COUNTS[1:], results[1:]):
         assert result == results[0], f"{ranges} ranges differ from one"
-    return load(paths, summarize, 1)
+    episodes, _ = parse_episode_log(
+        [line for path in paths for line in Path(path).read_bytes().split(b"\n")])
+    assert [record for record, _ in results[0][0]] == [record_of(ep) for ep in episodes]
+    return load(paths, summary, 1)
 
 
 @st.composite
@@ -475,6 +478,37 @@ def test_a_worker_s_episodes_share_their_repeated_values(tmp_path):
     for name in ("task_id", "model_id", "scaffold", "termination", "subtask_outcomes"):
         values = [getattr(ep, name) for ep in episodes]
         assert len({id(v) for v in values}) <= 3 * len(set(values)), name
+
+
+def test_an_episode_is_built_once_per_kept_record_and_never_while_loading(tmp_path,
+                                                                         monkeypatch):
+    """The loader hands over records and builds no Episode, in a worker or
+    here; parse_episode_log builds one per kept record, duplicates none."""
+    lines = []
+    for i in range(20):
+        lines += [episode_line(f"e-{i}", steps=i % 4), episode_line(f"i-{i}", steps=0,
+                                                                    termination="infra_error"),
+                  '{"broken', episode_line(f"e-{i}", steps=2)]
+    log = write_log(tmp_path / "log.jsonl", lines)
+    init = Episode.__init__
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an Episode was built while loading")
+
+    monkeypatch.setattr(Episode, "__init__", refuse)
+    for ranges in RANGE_COUNTS:
+        assert len(load([log], summary, ranges).summaries) == 40
+        assert_no_children()
+    built = []
+
+    def count(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Episode, "__init__", count)
+    episodes, _ = parse_episode_log(log)
+    assert built == [ep.episode_id for ep in episodes] == [
+        f"{kind}-{i}" for i in range(20) for kind in "ei"]
 
 
 def test_an_exception_on_a_duplicate_is_raised(tmp_path):

@@ -18,7 +18,6 @@ with its tool names and token counts.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import io
 import json
 import pickle
@@ -28,7 +27,7 @@ from typing import Any, Iterable, Mapping
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_episode, make_task, steps_from_tools
+from conftest import make_episode, make_task, record_of, steps_from_tools
 from oracles import Oracles
 from reliakit import canonical_args, parse_episode_log, serialize_episode
 from reliakit.cli import main
@@ -49,6 +48,7 @@ from reliakit.trajectory import (
     _dedup,
     _iter_lines,
     _parse_lines,
+    _Record,
 )
 
 
@@ -393,16 +393,17 @@ def test_parse_equals_reference(lines):
 
 def read_path(lines: list[str]):
     """What the subcommands' read path hands over of each line, in the
-    shape of parse_episode_log's result: (episode without steps, tool
-    names, tokens_in, tokens_out) per kept episode, and the reports."""
+    shape of parse_episode_log's result: (record, tool names, tokens_in,
+    tokens_out) per kept episode, and the reports."""
     return _dedup(_parse_lines(_iter_lines(lines),
-                               lambda episode, raw, columns: (episode, columns[0], *columns[2:])))
+                               lambda record, raw, columns: (record, columns[0], *columns[2:])))
 
 
 def read_view(episodes: list[Episode]) -> list[tuple]:
-    """What the read path must hand over of parsed episodes: each without
-    its steps, with its steps' tool, tokens_in and tokens_out columns."""
-    return [(dataclasses.replace(ep, steps=()), [s.tool for s in ep.steps],
+    """What the read path must hand over of parsed episodes: each one's
+    fields but steps, with its steps' tool, tokens_in and tokens_out
+    columns."""
+    return [(record_of(ep), [s.tool for s in ep.steps],
              [s.tokens_in for s in ep.steps], [s.tokens_out for s in ep.steps])
             for ep in episodes]
 
@@ -410,7 +411,9 @@ def read_view(episodes: list[Episode]) -> list[tuple]:
 @_oracle(200, st.lists(_line(), min_size=1, max_size=8))
 def test_read_path_equals_parse(lines):
     episodes, reports = parse_episode_log(lines)
-    assert read_path(lines) == (read_view(episodes), reports)
+    records, read_reports = read_path(lines)
+    assert (records, read_reports) == (read_view(episodes), reports)
+    assert all(type(record) is _Record for record, *_ in records)
 
 
 def test_generated_logs_reach_every_outcome():
@@ -724,7 +727,7 @@ def test_record_check_boundaries_agree_on_every_path(edit, codes, tmp_path, caps
     an accepted record is the same episode on the read path."""
     line = _record_line(edit)
     episodes = _assert_every_path_agrees(line, codes, tmp_path, capsys)
-    assert read_path([line])[0] == [(ep, [], [], []) for ep in episodes]
+    assert read_path([line])[0] == [(record_of(ep), [], [], []) for ep in episodes]
     if not codes:
         assert type(episodes[0].evaluator_score) is float
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FOUR_WEIGHTS, make_episode, make_step, make_task, steps_from_tools
-from reliakit.trajectory import _FRACTION, _OFFSET, _TIMESTAMP, MAX_STEPS, _valid_timestamp
+from reliakit.trajectory import _FRACTION, _OFFSET, _TIMESTAMP, MAX_STEPS, _valid_timestamps
 from reliakit import (
     RegistryError,
     RegistryWarning,
@@ -377,7 +377,7 @@ def _same_match(stamp: str) -> bool:
 class TestTimestamps:
     @pytest.mark.parametrize("stamp,accepted", TIMESTAMPS_AS_ON_310)
     def test_verdict_is_the_one_python_3_10_gives(self, stamp, accepted):
-        assert _valid_timestamp(stamp) is accepted
+        assert _valid_timestamps([stamp]) is accepted
         assert _same_match(stamp)
 
     @settings(max_examples=1000, deadline=None)
@@ -387,7 +387,7 @@ class TestTimestamps:
 
     @pytest.mark.parametrize("value", [None, 5, 1.5, ["2026-01-01"], b"2026-01-01"])
     def test_non_strings_are_rejected(self, value):
-        assert _valid_timestamp(value) is False
+        assert _valid_timestamps([value]) is False
 
     @pytest.mark.skipif(sys.version_info[:2] != (3, 10),
                         reason="compares with Python 3.10's own fromisoformat")
@@ -399,7 +399,7 @@ class TestTimestamps:
             accepted = True
         except ValueError:
             accepted = False
-        assert _valid_timestamp(stamp) is accepted
+        assert _valid_timestamps([stamp]) is accepted
 
 
 class TestRoundTrip:
@@ -429,6 +429,52 @@ class TestRoundTrip:
         loaded_eps, reports = parse_episode_log(tmp_path / "eps.jsonl")
         assert loaded_tasks == [task]
         assert loaded_eps == episodes and reports == []
+
+    def test_registry_extras_round_trip(self):
+        """Float, list and object extras load as plain floats, lists and
+        dicts, and a serialized task loads back as the same task."""
+        line = registry_line(cost=1.25, tags=["a", 2, 0.5], meta={"x": [1.5, {"y": 2e-3}]})
+        (task,) = load_task_registry([line])
+        assert task.extras == {"cost": 1.25, "tags": ["a", 2, 0.5],
+                               "meta": {"x": [1.5, {"y": 0.002}]}}
+        assert [type(v) for v in (task.extras["cost"], task.extras["tags"][2],
+                                  task.extras["meta"]["x"][1]["y"])] == [float] * 3
+        (again,) = load_task_registry([serialize_task(task)])
+        assert again == task
+
+    def test_episode_and_step_extras_round_trip(self):
+        record = json.loads(serialize_episode(make_episode(
+            "e-x", make_task(), steps=steps_from_tools(["read_file", "run_command"]))))
+        record.update(note={"k": [1, 2.5]}, cost=0.75)
+        record["steps"][0].update(latency_ms=12.5, trace=["a", {"b": None}])
+        (episode,), reports = parse_episode_log([json.dumps(record)])
+        assert reports == []
+        assert episode.extras == {"note": {"k": [1, 2.5]}, "cost": 0.75}
+        assert episode.steps[0].extras == {"latency_ms": 12.5, "trace": ["a", {"b": None}]}
+        assert episode.steps[1].extras == {}
+        (again,), reports = parse_episode_log([serialize_episode(episode)])
+        assert reports == [] and again == episode
+
+    @pytest.mark.parametrize("where", ["registry", "episode", "step"])
+    def test_an_infinite_extra_is_refused_not_written(self, tmp_path, where):
+        """An extra of 1e400 parses to inf. "Infinity" is not JSON, so the
+        serializers and writers raise ValueError rather than write it."""
+        if where == "registry":
+            (value,) = load_task_registry([registry_line(big="@").replace('"@"', "1e400")])
+            serialize, write = serialize_task, write_task_registry
+            extras = value.extras
+        else:
+            record = json.loads(serialize_episode(make_episode(
+                "e-inf", make_task(), steps=steps_from_tools(["read_file"]))))
+            (record if where == "episode" else record["steps"][0])["big"] = "@"
+            (value,), _ = parse_episode_log([json.dumps(record).replace('"@"', "1e400")])
+            serialize, write = serialize_episode, write_episode_log
+            extras = value.extras if where == "episode" else value.steps[0].extras
+        assert extras == {"big": float("inf")}
+        with pytest.raises(ValueError):
+            serialize(value)
+        with pytest.raises(ValueError):
+            write([value], tmp_path / "out.jsonl")
 
     def test_dedup_is_idempotent(self):
         # Parsing a stream concatenated with itself yields the same episodes.
